@@ -12,7 +12,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import oracle, planner, transform
-from .errors import BudgetError, SparseJLError
+from .errors import BudgetError, DomainError, SparseJLError
 
 _VALIDATION_EXIT = 1
 _RUNTIME_EXIT = 2
@@ -33,10 +33,13 @@ def read_vectors(path) -> list[np.ndarray]:
     """Read one comma-separated vector per line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(np.array([float(tok) for tok in line.split(",")]))
+                try:
+                    out.append(np.array([float(tok) for tok in line.split(",")]))
+                except ValueError:
+                    raise DomainError(f"{path}:{lineno}: not a comma-separated list of numbers") from None
     return out
 
 

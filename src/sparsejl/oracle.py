@@ -26,6 +26,9 @@ from .errors import BudgetError, ConstraintViolation, DomainError
 _UNIT_NORM_TOL = 1e-12
 _MOMENT_MAX_DIM = 14
 MAJORIZATION_BUDGET = 10**7
+# Monte Carlo trials run in blocks holding at most this many nonzeros
+# (t_blk*n*s, the scatter inputs) and output rows (t_blk*m, the dense y).
+_TRIAL_CHUNK_ENTRIES = 1 << 20
 
 _PM1_CACHE: dict[int, np.ndarray] = {}
 
@@ -380,7 +383,7 @@ def squared_norm_samples(
     scale = 1.0 / math.sqrt(s)
 
     samples = np.empty(trials, dtype=np.float64)
-    block = max(1, transform._CHUNK_ENTRIES // (m * n))
+    block = max(1, min(_TRIAL_CHUNK_ENTRIES // (n * s), _TRIAL_CHUNK_ENTRIES // m))
     col_ids = np.arange(n, dtype=np.int64)
     for start in range(0, trials, block):
         stop = min(trials, start + block)
@@ -389,12 +392,7 @@ def squared_norm_samples(
         roots = streams.substream_pairs_vec(
             np.repeat(trial_seeds, n), np.tile(col_ids, t_blk).astype(np.uint64)
         )
-        rows = np.empty((t_blk * n, s), dtype=np.uint32)
-        signs = np.empty((t_blk * n, s), dtype=np.int8)
-        lane_block = max(1, transform._CHUNK_ENTRIES // m)
-        for lo in range(0, t_blk * n, lane_block):
-            hi = min(t_blk * n, lo + lane_block)
-            rows[lo:hi], signs[lo:hi] = transform.sample_columns(m, s, roots[lo:hi])
+        rows, signs = transform.sample_columns(m, s, roots)
         weights = signs * x[np.tile(col_ids, t_blk)][:, None]
         flat = np.repeat(np.arange(t_blk, dtype=np.int64), n)[:, None] * m + rows
         y = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=t_blk * m)
@@ -412,8 +410,8 @@ def estimate_failure_prob(
     Failures are counted with strict inequality; the report carries the
     exact 99% Clopper-Pearson interval and is reproducible from ``seed``.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     samples = squared_norm_samples(n, m, s, x, trials, seed)
     failures = int(np.count_nonzero(np.abs(samples - 1.0) > eps))
     ci_low, ci_high = clopper_pearson(failures, trials)

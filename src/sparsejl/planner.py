@@ -86,7 +86,12 @@ def min_dimension(req: PlanRequest, envelope_scale: float = DEFAULT_ENVELOPE_SCA
     implied per-column sparsity round(p * m).
     """
     h_value = bennet_h(envelope_scale * req.eps / (2.0 * req.p))
-    gaussian_reference = 4.0 * math.log(2.0 / req.delta) / (req.eps * req.eps)
+    eps_sq = req.eps * req.eps
+    gaussian_reference = 4.0 * math.log(2.0 / req.delta) / eps_sq if eps_sq else math.inf
+    if math.isinf(gaussian_reference):
+        raise DomainError(
+            f"eps = {req.eps} is too small: 4 log(2/delta)/eps^2 overflows a float"
+        )
     m_min = math.ceil(gaussian_reference / h_value)
     s_exact = req.p * m_min
     if s_exact < 1.0:
@@ -163,7 +168,7 @@ def bounds_table(
 
     l2 = math.log(2.0 / delta)
     l1 = math.log(1.0 / delta)
-    inv_eps2 = 1.0 / (eps * eps)
+    inv_eps2 = 1.0 / (eps * eps) if eps * eps else math.inf  # eps^2 may underflow to 0
     inv_peps = 1.0 / (p * eps)
     rows: list[BoundsRow] = []
 

@@ -8,6 +8,13 @@ Fisher-Yates steps over the row range (unbiased, without replacement)
 followed by ``s`` sign draws.  Construction is therefore bit-reproducible
 across platforms and independent of evaluation order, and only the +-1
 signs are stored; the 1/sqrt(s) scale is applied once per output entry.
+
+The vectorized sampler never materializes the row range: it resolves the
+swaps of a block of lanes with one sort, so its working memory is
+O(block * s) whatever m is, and every m up to 2^32 can be built.  The
+rare lane whose draws hit modulo rejection is replayed by the pure-Python
+twin :func:`sample_column_scalar`, which is also the reference that the
+vectorized path is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IQQQQ")  # version, n, m, s, seed
 _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 
-# Column sampling materializes a (lanes, m) index table; lanes are chunked
-# so the table stays within this many uint32 entries (~64 MB).
-_CHUNK_ENTRIES = 1 << 24
+# Column sampling works on blocks of lanes with at most this many Fisher-Yates
+# steps (or one lane when s is larger), so its 64-bit work arrays stay near
+# 512 KB whatever m is.  Blocks of 2^14 to 2^16 steps measured fastest.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -65,9 +73,6 @@ class SparseJLMatrix:
     def column(self, i: int) -> list[tuple[int, int]]:
         """Column ``i`` as a list of (row_index, sign) pairs."""
         return [(int(r), int(g)) for r, g in zip(self.rows[i], self.signs[i])]
-
-    def columns(self) -> list[list[tuple[int, int]]]:
-        return [self.column(i) for i in range(self.n)]
 
     def column_norm_sq(self, i: int) -> float:
         """Squared norm of column ``i``, exact: sum of integer sign squares over s."""
@@ -107,29 +112,80 @@ def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.nd
     """Sample one column per stream root: s distinct rows of [0, m) plus signs.
 
     Each lane runs ``s`` partial Fisher-Yates steps (bounded draws with
-    modulo rejection) over its own copy of the row range, then draws ``s``
-    sign words.  Returns (rows, signs) of shape (lanes, s).
+    modulo rejection) over its own virtual copy of the row range, then
+    draws ``s`` sign words.  Returns (rows, signs) of shape (lanes, s).
+
+    Lanes are processed in blocks of about ``_CHUNK_ENTRIES`` steps.  A block
+    draws every step's word at once (counters 1..s, signs at s+1..2s) and
+    resolves the swaps with one sort, so memory is O(block) whatever m is.
+    A lane in which any bounded draw hits the rejection zone (probability
+    below s*m/2^64) is replayed by :func:`sample_column_scalar`.
     """
     lanes = roots.shape[0]
-    ctrs = np.zeros(lanes, dtype=np.uint64)
-    cur = np.broadcast_to(np.arange(m, dtype=np.uint32), (lanes, m)).copy()
     rows = np.empty((lanes, s), dtype=np.uint32)
-    lane_idx = np.arange(lanes)
-    for k in range(s):
-        j = streams.next_below_vec(roots, ctrs, m - k)
-        t = j.astype(np.int64) + k
-        rows[:, k] = cur[lane_idx, t]
-        cur[lane_idx, t] = cur[lane_idx, k]
-    z = streams.next_u64_block_vec(roots, ctrs, s)
-    signs = np.where((z & np.uint64(1)).astype(bool), 1, -1).astype(np.int8)
+    signs = np.empty((lanes, s), dtype=np.int8)
+    steps = np.arange(s, dtype=np.uint64)
+    bounds = np.uint64(m) - steps
+    # 2^64 mod bound: a draw z is rejected when z >= 2^64 - rem, i.e. ~z < rem.
+    rem = (np.uint64(streams.MASK64) % bounds + np.uint64(1)) % bounds
+    block = max(1, _CHUNK_ENTRIES // s)
+    for lo in range(0, lanes, block):
+        blk = roots[lo:lo + block]
+        ctrs = np.zeros(blk.shape[0], dtype=np.uint64)
+        z = streams.next_u64_block_vec(blk, ctrs, s)
+        rejected = np.nonzero((~z < rem).any(axis=1))[0]
+        rows[lo:lo + block] = _fisher_yates_rows(z % bounds + steps, m, s)
+        z = streams.next_u64_block_vec(blk, ctrs, s)
+        signs[lo:lo + block] = (z & np.uint64(1)).astype(np.int8) * 2 - 1
+        for lane in rejected:
+            rows[lo + lane], signs[lo + lane] = sample_column_scalar(m, s, int(blk[lane]))
     return rows, signs
+
+
+def _fisher_yates_rows(targets: np.ndarray, m: int, s: int) -> np.ndarray:
+    """Rows picked by partial Fisher-Yates steps k -> targets[:, k] >= k.
+
+    Step k takes the value at position t_k and moves the value of position
+    k there.  With the steps sorted by (lane, t, k):
+
+    - step k picks t_k unless an earlier step j targeted t_k; then it picks
+      h(j), the value position j held when step j ran, for the latest such
+      j (the previous entry of the sorted run);
+    - h(j) = j unless an earlier step i < j targeted position j; then
+      h(j) = h(i) for the latest such i, found by binary search.  These
+      chains decrease strictly, so they end; each pass follows one link.
+    """
+    lanes = targets.shape[0]
+    kbits = (s - 1).bit_length()
+    k_shift, lane_shift = np.uint64(kbits), np.uint64(kbits + (m - 1).bit_length())
+    k_mask = np.uint64((1 << kbits) - 1)
+    lane_ids = np.arange(lanes, dtype=np.uint64)[:, None]
+    keys = (lane_ids << lane_shift) | (targets << k_shift) | np.arange(s, dtype=np.uint64)
+    keys = np.sort(keys, axis=None)
+    group = keys >> k_shift
+    rows = targets.astype(np.uint32)
+    dup = np.nonzero(group[1:] == group[:-1])[0] + 1
+    if not dup.size:
+        return rows
+    lane = keys[dup] >> lane_shift
+    pos = keys[dup - 1] & k_mask
+    pending = np.arange(dup.size)
+    while pending.size:
+        query = (lane[pending] << lane_shift) | (pos[pending] << k_shift) | pos[pending]
+        prev = np.searchsorted(keys, query) - 1
+        hit = (prev >= 0) & (group[prev] == query >> k_shift)
+        pending, prev = pending[hit], prev[hit]
+        pos[pending] = keys[prev] & k_mask
+    rows.reshape(-1)[(lane * np.uint64(s) + (keys[dup] & k_mask)).astype(np.intp)] = pos
+    return rows
 
 
 def sample_column_scalar(m: int, s: int, root: int) -> tuple[list[int], list[int]]:
     """Pure-Python twin of :func:`sample_columns` for one lane.
 
-    Replays the same draws by the same rules (sparse swap map instead of a
-    dense table); used to pin down the construction bit-for-bit.
+    Replays the same draws by the same rules, one step at a time with a
+    sparse swap map; it replays rejected lanes and pins down the
+    construction bit-for-bit.
     """
     st = streams.Stream(root)
     swap: dict[int, int] = {}
@@ -160,12 +216,7 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
     _validate_build_args(n, m, s)
     seed = seed & streams.MASK64
     roots = streams.substream_vec(seed, np.arange(n, dtype=np.uint64))
-    rows = np.empty((n, s), dtype=np.uint32)
-    signs = np.empty((n, s), dtype=np.int8)
-    block = max(1, _CHUNK_ENTRIES // m)
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        rows[start:stop], signs[start:stop] = sample_columns(m, s, roots[start:stop])
+    rows, signs = sample_columns(m, s, roots)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
@@ -281,7 +332,11 @@ def from_json_dict(doc: dict) -> SparseJLMatrix:
 
 
 def deserialize_json(text: str) -> SparseJLMatrix:
-    return from_json_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
+    return from_json_dict(doc)
 
 
 def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
@@ -300,5 +355,9 @@ def read_matrix(path) -> SparseJLMatrix:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:1] == b"{":
-        return deserialize_json(data.decode("utf-8"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
+        return deserialize_json(text)
     return deserialize(data)

@@ -33,6 +33,11 @@ class TestPlan:
         assert code == 1
         assert "ε ⩽ p log(1/2p)" in err
 
+    def test_underflowing_eps_is_validation_error(self, capsys):
+        code, _, err = invoke(capsys, "plan", "--eps", "1e-300", "--delta", "0.01", "--p", str(1 / 30))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = invoke(
             capsys, "plan", "--eps", "0.05", "--delta", "0.01", "--p", str(1 / 30), "--format", "csv"
@@ -102,6 +107,31 @@ class TestBuildTransform:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_non_numeric_vector_is_validation_error(self, capsys, tmp_path):
+        invoke(capsys, "build", "--n", "2", "--m", "4", "--s", "1", "--seed", "1",
+               "--out", str(tmp_path / "A.bin"))
+        vec_in = tmp_path / "in.csv"
+        vec_in.write_text("1.0,0.0\n0.5,abc\n")
+        code, _, err = invoke(
+            capsys, "transform", "--matrix", str(tmp_path / "A.bin"),
+            "--in", str(vec_in), "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "in.csv:2" in err and err.count("\n") == 1
+
+    def test_malformed_json_matrix_is_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "A.json"
+        vec_in = tmp_path / "in.csv"
+        vec_in.write_text("1.0\n")
+        for content in (b'{"format_version": 1, "n": ', b'{"n": "\xff"}'):
+            bad.write_bytes(content)
+            code, _, err = invoke(
+                capsys, "transform", "--matrix", str(bad),
+                "--in", str(vec_in), "--out", str(tmp_path / "o.csv"),
+            )
+            assert code == 1
+            assert err.startswith("error: malformed matrix document") and err.count("\n") == 1
+
     def test_invalid_sparsity_exit_code(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "build", "--n", "2", "--m", "4", "--s", "5",
@@ -122,6 +152,13 @@ class TestVerify:
         doc = json.loads(out_a.splitlines()[-1])
         assert doc["trials"] == 200
         assert 0.0 <= doc["ci_low"] <= doc["p_hat"] <= doc["ci_high"] <= 1.0
+
+    def test_non_finite_eps_is_rejected(self, capsys):
+        for eps in ("nan", "inf"):
+            code, _, err = invoke(capsys, "verify", "--n", "4", "--m", "8", "--s", "2",
+                                  "--eps", eps, "--trials", "20", "--seed", "1")
+            assert code == 1
+            assert "eps must be positive and finite" in err
 
     def test_explicit_vector_file(self, capsys, tmp_path):
         vec = tmp_path / "x.csv"
@@ -153,6 +190,12 @@ class TestBounds:
         lines = out.strip().split("\n")
         assert lines[0] == "source,formula_value,constant,valid"
         assert len(lines) == 9
+
+    def test_underflowing_eps_marks_rows_invalid(self, capsys):
+        code, out, _ = invoke(capsys, "bounds", "--eps", "1e-300", "--delta", "0.01",
+                              "--p", str(1 / 30), "--format", "json")
+        assert code == 0
+        assert not any(row["valid"] for row in json.loads(out))
 
     def test_consistent_with_plan(self, capsys):
         code, out, _ = invoke(

@@ -288,11 +288,13 @@ class TestMonteCarlo:
         assert a.ci_low <= a.p_hat <= a.ci_high
 
     def test_chunking_does_not_change_results(self, monkeypatch):
+        from sparsejl import oracle as orc
         from sparsejl import transform as tr
 
         x = np.full(6, 1 / math.sqrt(6.0))
         full = squared_norm_samples(6, 12, 2, x, trials=40, seed=5)
-        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 64)
+        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 5)
+        monkeypatch.setattr(orc, "_TRIAL_CHUNK_ENTRIES", 64)
         chunked = squared_norm_samples(6, 12, 2, x, trials=40, seed=5)
         assert np.array_equal(full, chunked)
 
@@ -302,5 +304,6 @@ class TestMonteCarlo:
             squared_norm_samples(4, 8, 2, x, trials=0, seed=1)
         with pytest.raises(ConstraintViolation):
             squared_norm_samples(4, 8, 2, np.ones(4), trials=3, seed=1)
-        with pytest.raises(DomainError):
-            estimate_failure_prob(4, 8, 2, x, eps=0.0, trials=3, seed=1)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                estimate_failure_prob(4, 8, 2, x, eps=eps, trials=3, seed=1)

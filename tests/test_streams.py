@@ -2,7 +2,28 @@
 
 import numpy as np
 
-from sparsejl import streams
+from sparsejl import streams, transform
+
+
+def _unshift(z: int, k: int) -> int:
+    """Invert z ^= z >> k on 64-bit words."""
+    x = z
+    for _ in range(64 // k):
+        x = z ^ (x >> k)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """Inverse of the splitmix64 finalizer :func:`streams.mix64`."""
+    z = _unshift(z & streams.MASK64, 31)
+    z = _unshift((z * pow(streams._MIX2, -1, 1 << 64)) & streams.MASK64, 27)
+    z = _unshift((z * pow(streams._MIX1, -1, 1 << 64)) & streams.MASK64, 30)
+    return z
+
+
+# A root whose first draw is 2^64 - 1, which every bound that does not
+# divide 2^64 rejects.
+REJECTING_ROOT = (unmix64(streams.MASK64) - streams.GAMMA) & streams.MASK64
 
 
 class TestMix64:
@@ -16,6 +37,11 @@ class TestMix64:
     def test_masks_to_64_bits(self):
         assert streams.mix64((1 << 70) + 5) == streams.mix64(((1 << 70) + 5) & streams.MASK64)
         assert 0 <= streams.mix64(2**64 - 1) < 2**64
+
+    def test_unmix64_inverts_mix64(self):
+        for z in (0, 1, 12345, 2**63, 2**64 - 1, 0x0123456789ABCDEF):
+            assert unmix64(streams.mix64(z)) == z
+            assert streams.mix64(unmix64(z)) == z
 
     def test_vector_matches_scalar(self):
         values = np.array([0, 1, 2, 12345, 2**63, 2**64 - 1], dtype=np.uint64)
@@ -60,8 +86,11 @@ class TestDraws:
         assert np.all(np.abs(counts - expected) <= 4 * se)
 
     def test_bounded_vector_matches_scalar_with_rejection(self):
-        """bound = 3 forces rejection events; both engines must replay them."""
+        """Lane 17 starts with the word 2^64 - 1, which bound 3 rejects; both
+        engines must skip it.  Ordinary roots reject with probability 2^-64."""
         roots = streams.substream_vec(1, np.arange(64, dtype=np.uint64))
+        roots[17] = REJECTING_ROOT
+        assert streams.Stream(REJECTING_ROOT).next_u64() == streams.MASK64
         ctrs = np.zeros(64, dtype=np.uint64)
         vec1 = streams.next_below_vec(roots, ctrs, 3)
         vec2 = streams.next_below_vec(roots, ctrs, 5)
@@ -69,7 +98,22 @@ class TestDraws:
             st = streams.Stream(int(roots[lane]))
             assert st.next_below(3) == int(vec1[lane])
             assert st.next_below(5) == int(vec2[lane])
-            assert st.ctr == int(ctrs[lane])
+            assert st.ctr == int(ctrs[lane]) == (3 if lane == 17 else 2)
+
+    def test_sampler_replays_rejected_lane(self):
+        """The vectorized sampler falls back to the scalar twin for a lane
+        whose bounded draws hit the rejection zone, shifting its counters."""
+        m, s = 7, 4
+        roots = streams.substream_vec(3, np.arange(9, dtype=np.uint64))
+        roots[4] = REJECTING_ROOT
+        rows, signs = transform.sample_columns(m, s, roots)
+        for lane in range(9):
+            ref_rows, ref_signs = transform.sample_column_scalar(m, s, int(roots[lane]))
+            assert [int(r) for r in rows[lane]] == ref_rows
+            assert [int(g) for g in signs[lane]] == ref_signs
+        st = streams.Stream(REJECTING_ROOT)
+        assert int(rows[4, 0]) == st.next_below(m)
+        assert st.ctr == 2
 
     def test_block_draws_match_sequential(self):
         roots = streams.substream_vec(2, np.arange(8, dtype=np.uint64))

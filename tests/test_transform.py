@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sparsejl import (
 )
 from sparsejl.transform import read_matrix, sample_column_scalar, write_matrix
 from sparsejl import streams
+from sparsejl import transform as tr
 
 
 def assert_structure(matrix):
@@ -67,14 +69,37 @@ class TestBuild:
         assert a != c
 
     def test_vectorized_engine_matches_scalar_reference(self):
-        """The numpy column sampler replays the documented scalar algorithm."""
-        for n, m, s, seed in [(7, 13, 4, 0), (5, 6, 6, 11), (9, 300, 17, 12345)]:
+        """The numpy column sampler replays the documented scalar algorithm,
+        including full columns (s = m), s = 1, m = 1, heavy swap chains
+        (s close to m) and row ranges far beyond any dense table."""
+        for n, m, s, seed in [
+            (7, 13, 4, 0), (5, 6, 6, 11), (9, 300, 17, 12345),
+            (4, 40, 40, 1), (6, 50, 1, 2), (3, 1, 1, 3), (5, 300, 297, 4),
+            (3, 1 << 26, 6, 5), (3, 1 << 32, 4, 6),
+        ]:
             matrix = build_matrix(n, m, s, seed)
             for c in range(n):
                 root = streams.substream(seed, c)
                 rows, signs = sample_column_scalar(m, s, root)
                 assert list(matrix.rows[c]) == rows
                 assert list(matrix.signs[c]) == signs
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        full = build_matrix(37, 50, 9, seed=8)
+        for entries in (1, 20, 100):
+            monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+            assert build_matrix(37, 50, 9, seed=8) == full
+
+    def test_sampler_memory_independent_of_m(self):
+        """m = 2^32 builds without a row table: the traced peak stays small."""
+        tracemalloc.start()
+        try:
+            matrix = build_matrix(3, 1 << 32, 4, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_structure(matrix)
+        assert peak < 1 << 20
 
     def test_structure_sweep(self):
         rng = np.random.default_rng(42)
