@@ -33,13 +33,16 @@ def read_vectors(path) -> list[np.ndarray]:
     """Read one comma-separated vector per line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    out.append(np.array([float(tok) for tok in line.split(",")]))
-                except ValueError:
-                    raise DomainError(f"{path}:{lineno}: not a comma-separated list of numbers") from None
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    try:
+                        out.append(np.array([float(tok) for tok in line.split(",")]))
+                    except ValueError:
+                        raise DomainError(f"{path}:{lineno}: not a comma-separated list of numbers") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out
 
 

@@ -145,12 +145,6 @@ class TailEnvelope:
         if self.k <= 0:
             raise DomainError(f"envelope scale k must be > 0, got {self.k}")
 
-    def tail(self, u: float) -> float:
-        return sub_poisson_tail(self, u)
-
-    def chernoff_residual(self, u: float) -> float:
-        return chernoff_optimum_check(self, u)
-
 
 def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
     """Optimized Chernoff tail exp(-(u^2/2v) h(ku/v)) under ``env``.

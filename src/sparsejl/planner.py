@@ -118,16 +118,21 @@ def sparsity_tradeoff(
     for B > 2.  This is asymptotic guidance with an unspecified sparsity
     constant c (default 1), not a certified bound.
     """
-    if B <= 2.0:
+    if not B > 2.0:
         raise DomainError(f"tradeoff parameter B must exceed 2, got {B}")
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     log_b = math.log(B)
-    m = math.ceil(4.0 * B * math.log(2.0 / delta) / (eps * eps * log_b))
-    s = math.ceil(sparsity_constant / (eps * log_b))
-    return m, s
+    eps_sq = eps * eps
+    m = 4.0 * B * math.log(2.0 / delta) / (eps_sq * log_b) if eps_sq else math.inf
+    s = sparsity_constant / (eps * log_b)
+    if not (math.isfinite(m) and math.isfinite(s)):
+        raise DomainError(
+            f"eps = {eps}, B = {B}: the tradeoff dimension or sparsity overflows a float"
+        )
+    return math.ceil(m), math.ceil(s)
 
 
 @dataclass(frozen=True)

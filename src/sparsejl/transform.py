@@ -15,10 +15,21 @@ O(block * s) whatever m is, and every m up to 2^32 can be built.  The
 rare lane whose draws hit modulo rejection is replayed by the pure-Python
 twin :func:`sample_column_scalar`, which is also the reference that the
 vectorized path is tested against bit for bit.
+
+Matrices are stored in a binary format or a canonical JSON text, which is
+exactly ``json.dumps(..., sort_keys=True)`` of the document and is written
+directly, column by column.  Both decoders check the header (integers, m at
+most 2^32, 1 <= s <= m, seed in [0, 2^64)) before sizing any array.  The
+JSON decoder parses with :func:`json.loads`, then converts the columns in
+blocks of at most ``_CHUNK_ENTRIES`` entries, accepting only lists of
+``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows in
+[0, m); floats and bools are rejected rather than coerced.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import math
 import struct
@@ -42,7 +53,8 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 
 # Column sampling works on blocks of lanes with at most this many Fisher-Yates
 # steps (or one lane when s is larger), so its 64-bit work arrays stay near
-# 512 KB whatever m is.  Blocks of 2^14 to 2^16 steps measured fastest.
+# 512 KB whatever m is.  Blocks of 2^14 to 2^16 steps measured fastest.  The
+# JSON decoder converts parsed columns in blocks of the same number of entries.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -244,6 +256,19 @@ def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
     return out
 
 
+def _check_header(n, m, s, seed) -> None:
+    """Reject header fields before any array is sized from them."""
+    for name, value in (("n", n), ("m", m), ("s", s), ("seed", seed)):
+        if type(value) is not int or not 0 <= value <= streams.MASK64:
+            raise MatrixInvariantError(
+                f"header field {name} = {value!r} is not an integer in [0, 2^64)"
+            )
+    if m > 1 << 32:
+        raise MatrixInvariantError(f"m = {m} exceeds the uint32 row-index range")
+    if not 1 <= s <= m:
+        raise MatrixInvariantError(f"sparsity s={s} outside [1, m={m}]")
+
+
 def serialize(matrix: SparseJLMatrix) -> bytes:
     """Binary encoding: header (version, n, m, s, seed) then column records.
 
@@ -266,6 +291,7 @@ def deserialize(data: bytes) -> SparseJLMatrix:
     version, n, m, s, seed = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
         raise FormatVersionError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
+    _check_header(n, m, s, seed)
     expected = _HEADER.size + n * s * _ENTRY_DTYPE.itemsize
     if len(data) != expected:
         raise TruncatedStreamError(
@@ -284,59 +310,100 @@ def deserialize(data: bytes) -> SparseJLMatrix:
     return matrix
 
 
-def to_json_dict(matrix: SparseJLMatrix) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "n": matrix.n,
-        "m": matrix.m,
-        "s": matrix.s,
-        "seed": matrix.seed,
-        "columns": [[[int(r), int(g)] for r, g in zip(rs, gs)]
-                    for rs, gs in zip(matrix.rows, matrix.signs)],
-    }
-
-
 def serialize_json(matrix: SparseJLMatrix) -> str:
-    """Textual interchange variant of the binary format."""
-    return json.dumps(to_json_dict(matrix), sort_keys=True)
+    """Textual interchange variant of the binary format.
+
+    The text is canonical: it equals ``json.dumps`` with ``sort_keys=True``
+    of the document ``{"columns": [[[row, sign], ...], ...], "format_version",
+    "m", "n", "s", "seed"}``, written directly column by column.
+    """
+    header = {"format_version": FORMAT_VERSION, "n": matrix.n, "m": matrix.m,
+              "s": matrix.s, "seed": matrix.seed}
+    column = "[" + ", ".join(["[%d, %d]"] * matrix.s) + "]"
+    pairs = np.stack([matrix.rows, matrix.signs], axis=-1).reshape(matrix.n, 2 * matrix.s)
+    columns = ", ".join([column % tuple(col) for col in pairs.tolist()])
+    return '{"columns": [' + columns + "], " + json.dumps(header, sort_keys=True)[1:]
 
 
-def from_json_dict(doc: dict) -> SparseJLMatrix:
-    try:
-        version = doc["format_version"]
-        n, m, s, seed = int(doc["n"]), int(doc["m"]), int(doc["s"]), int(doc["seed"])
-        columns = doc["columns"]
-    except (KeyError, TypeError) as exc:
-        raise MatrixInvariantError(f"malformed matrix document: missing {exc}") from None
-    if version != FORMAT_VERSION:
-        raise FormatVersionError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
-    if len(columns) != n:
-        raise MatrixInvariantError(f"entry count mismatch: {len(columns)} columns, header says {n}")
+def _first_failure(items, ok, per_column: int, lo: int) -> int:
+    """Column index of the first item in a block that fails ``ok``."""
+    return lo + next(i for i, item in enumerate(items) if not ok(item)) // per_column
+
+
+def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convert parsed ``[[row, sign], ...]`` columns to (rows, signs) arrays.
+
+    Works in blocks of at most ``_CHUNK_ENTRIES`` entries (or one column) so
+    the int64 staging copy stays small.  Every value must be an exact
+    ``int``: floats and bools are rejected, not coerced.
+    """
+    if set(map(type, columns)) - {list} or set(map(len, columns)) - {s}:
+        i = _first_failure(columns, lambda c: type(c) is list and len(c) == s, 1, 0)
+        raise MatrixInvariantError(f"entry count mismatch: column {i} is not a list of {s} entries")
     rows = np.empty((n, s), dtype=np.uint32)
     signs = np.empty((n, s), dtype=np.int8)
-    for i, col in enumerate(columns):
-        if len(col) != s:
+    block = max(1, _CHUNK_ENTRIES // s)
+    for lo in range(0, n, block):
+        entries = list(itertools.chain.from_iterable(columns[lo:lo + block]))
+        if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
+            i = _first_failure(entries, lambda e: type(e) is list and len(e) == 2, s, lo)
+            raise MatrixInvariantError(f"column {i} has an entry that is not a [row, sign] pair")
+        values = list(itertools.chain.from_iterable(entries))
+        if set(map(type, values)) - {int}:
+            i = _first_failure(values, lambda v: type(v) is int, 2 * s, lo)
+            raise MatrixInvariantError(f"column {i} has a row or sign that is not an integer")
+        try:
+            pairs = np.array(values, dtype=np.int64).reshape(-1, s, 2)
+        except OverflowError:
             raise MatrixInvariantError(
-                f"entry count mismatch: column {i} has {len(col)} entries, expected {s}"
+                f"row index or sign outside the int64 range in columns {lo}..{lo + block - 1}"
+            ) from None
+        blk_rows, blk_signs = pairs[..., 0], pairs[..., 1]
+        bad = np.nonzero((blk_signs != 1) & (blk_signs != -1))
+        if bad[0].size:
+            raise MatrixInvariantError(
+                f"sign domain violated: column {lo + bad[0][0]} has sign {blk_signs[bad][0]}"
             )
-        for k, (r, g) in enumerate(col):
-            if g not in (-1, 1):
-                raise MatrixInvariantError(f"sign domain violated: column {i} has sign {g}")
-            if not 0 <= r < m:
-                raise MatrixInvariantError(f"row index {r} outside [0, m={m}) in column {i}")
-            rows[i, k] = r
-            signs[i, k] = g
-    matrix = SparseJLMatrix(n=n, m=m, s=s, seed=seed & streams.MASK64, rows=rows, signs=signs)
-    matrix.validate()
-    return matrix
+        bad = np.nonzero((blk_rows < 0) | (blk_rows >= m))
+        if bad[0].size:
+            raise MatrixInvariantError(
+                f"row index {blk_rows[bad][0]} outside [0, m={m}) in column {lo + bad[0][0]}"
+            )
+        rows[lo:lo + block] = blk_rows
+        signs[lo:lo + block] = blk_signs
+    return rows, signs
 
 
 def deserialize_json(text: str) -> SparseJLMatrix:
+    """Decode :func:`serialize_json` output, checking all structural invariants."""
+    gc_enabled = gc.isenabled()
+    gc.disable()  # parsing millions of small lists would set off repeated full collections
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
-    return from_json_dict(doc)
+    finally:
+        if gc_enabled:
+            gc.enable()
+    if type(doc) is not dict:
+        raise MatrixInvariantError("malformed matrix document: not a JSON object")
+    try:
+        version = doc["format_version"]
+        n, m, s, seed = doc["n"], doc["m"], doc["s"], doc["seed"]
+        columns = doc["columns"]
+    except KeyError as exc:
+        raise MatrixInvariantError(f"malformed matrix document: missing {exc}") from None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatVersionError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
+    _check_header(n, m, s, seed)
+    if type(columns) is not list:
+        raise MatrixInvariantError("malformed matrix document: columns is not a list")
+    if len(columns) != n:
+        raise MatrixInvariantError(f"entry count mismatch: {len(columns)} columns, header says {n}")
+    rows, signs = _decode_columns(columns, n, m, s)
+    matrix = SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+    matrix.validate()
+    return matrix
 
 
 def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:

@@ -132,6 +132,39 @@ class TestBuildTransform:
             assert code == 1
             assert err.startswith("error: malformed matrix document") and err.count("\n") == 1
 
+    def test_strict_json_matrix_is_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "A.json"
+        vec_in = tmp_path / "in.csv"
+        vec_in.write_text("1.0\n")
+        header = '"format_version": 1, "n": 1, "m": 4, "s": 1'
+        for content in (
+            '{%s, "seed": 0, "columns": [[[1]]]}' % header,
+            '{%s, "seed": 0, "columns": [5]}' % header,
+            '{%s, "seed": 0, "columns": [[[3.5, 1]]]}' % header,
+            '{%s, "seed": 0, "columns": [[[1, true]]]}' % header,
+            '{%s, "seed": 18446744073709551616, "columns": [[[1, 1]]]}' % header,
+            '{"columns": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ):
+            bad.write_text(content)
+            code, _, err = invoke(
+                capsys, "transform", "--matrix", str(bad),
+                "--in", str(vec_in), "--out", str(tmp_path / "o.csv"),
+            )
+            assert code == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_utf8_vector_file_is_validation_error(self, capsys, tmp_path):
+        invoke(capsys, "build", "--n", "2", "--m", "4", "--s", "1", "--seed", "1",
+               "--out", str(tmp_path / "A.bin"))
+        vec_in = tmp_path / "in.csv"
+        vec_in.write_bytes(b"\xff\xfe1,0\n")
+        code, _, err = invoke(
+            capsys, "transform", "--matrix", str(tmp_path / "A.bin"),
+            "--in", str(vec_in), "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "in.csv" in err and "UTF-8" in err and err.count("\n") == 1
+
     def test_invalid_sparsity_exit_code(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "build", "--n", "2", "--m", "4", "--s", "5",

@@ -243,8 +243,3 @@ class TestChernoffOptimumCheck:
 
     def test_small_u(self):
         assert chernoff_optimum_check(TailEnvelope(1.0, 1.0), 1e-8) <= 1e-12
-
-    def test_envelope_method_aliases(self):
-        env = TailEnvelope(2.0, 50.0)
-        assert env.tail(1.0) == sub_poisson_tail(env, 1.0)
-        assert env.chernoff_residual(1.0) == chernoff_optimum_check(env, 1.0)

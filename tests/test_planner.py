@@ -149,6 +149,14 @@ class TestSparsityTradeoff:
         with pytest.raises(DomainError):
             sparsity_tradeoff(0.1, 0.01, 2.0)
 
+    @pytest.mark.parametrize("eps,B", [
+        (1e-300, 4.0), (1e-160, 4.0), (0.1, math.inf), (0.1, math.nan), (0.1, 1e308),
+    ])
+    def test_overflow_is_domain_error(self, eps, B):
+        """eps^2 underflow and huge or non-finite B overflow the formulas."""
+        with pytest.raises(DomainError):
+            sparsity_tradeoff(eps, 0.01, B)
+
 
 class TestBoundsTable:
     def test_row_inventory(self):

@@ -1,5 +1,6 @@
 """Structural, determinism, serialization, and statistical transform checks."""
 
+import gc
 import json
 import math
 import tracemalloc
@@ -236,6 +237,126 @@ class TestSerialization:
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][0][0][0] = 4
         with pytest.raises(MatrixInvariantError, match="row index"):
+            deserialize_json(json.dumps(doc))
+
+    def test_binary_header_range(self):
+        """No column can hold a row >= 2^32, and s must fit [1, m] before arrays are sized."""
+        for n, m, s in ((0, 2**40, 2**40), (0, 4, 2**63), (0, 4, 0)):
+            with pytest.raises(MatrixInvariantError):
+                deserialize(tr._HEADER.pack(1, n, m, s, 0))
+
+    @pytest.mark.parametrize("n,m,s,seed", [
+        (1, 1, 1, 0), (1, 7, 7, 3), (5, 9, 1, 4), (4, 12, 3, 556), (9, 40, 6, 2**64 - 1),
+    ])
+    def test_json_bytes_match_reference_dump(self, n, m, s, seed):
+        matrix = build_matrix(n, m, s, seed)
+        reference = json.dumps({
+            "format_version": 1,
+            "n": matrix.n,
+            "m": matrix.m,
+            "s": matrix.s,
+            "seed": matrix.seed,
+            "columns": [[[int(r), int(g)] for r, g in zip(rs, gs)]
+                        for rs, gs in zip(matrix.rows, matrix.signs)],
+        }, sort_keys=True)
+        assert serialize_json(matrix) == reference
+        assert deserialize_json(reference) == matrix
+
+    def test_json_zero_columns_round_trip(self):
+        matrix = deserialize(tr._HEADER.pack(1, 0, 4, 2, 7))
+        text = serialize_json(matrix)
+        assert text == '{"columns": [], "format_version": 1, "m": 4, "n": 0, "s": 2, "seed": 7}'
+        assert deserialize_json(text) == matrix
+
+    @pytest.mark.parametrize("field", ["n", "m", "s", "seed"])
+    @pytest.mark.parametrize("value", [2.0, True, "2", None])
+    def test_json_header_must_be_exact_int(self, field, value):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=2)))
+        doc[field] = value
+        with pytest.raises(MatrixInvariantError, match=f"header field {field}"):
+            deserialize_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_json_seed_range(self, seed):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        doc["seed"] = seed
+        with pytest.raises(MatrixInvariantError, match=r"seed .* \[0, 2\^64\)"):
+            deserialize_json(json.dumps(doc))
+
+    def test_json_row_range_beyond_uint32(self):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        doc["m"] = 2**32 + 1
+        with pytest.raises(MatrixInvariantError, match="uint32"):
+            deserialize_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda cols: cols[1].__setitem__(0, [1]), "not a \\[row, sign\\] pair"),
+        (lambda cols: cols[1].__setitem__(0, [1, 1, 1]), "not a \\[row, sign\\] pair"),
+        (lambda cols: cols[1].__setitem__(0, 3), "not a \\[row, sign\\] pair"),
+        (lambda cols: cols[1].__setitem__(0, "ab"), "not a \\[row, sign\\] pair"),
+        (lambda cols: cols.__setitem__(1, 7), "entry count"),
+        (lambda cols: cols.__setitem__(1, {"0": [0, 1]}), "entry count"),
+    ])
+    def test_json_malformed_entries(self, mutate, match):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        mutate(doc["columns"])
+        with pytest.raises(MatrixInvariantError, match=f"column 1.*{match}|{match}.*column 1"):
+            deserialize_json(json.dumps(doc))
+
+    def test_json_columns_must_be_a_list(self):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        doc["columns"] = {"a": 1, "b": 2}
+        with pytest.raises(MatrixInvariantError, match="columns is not a list"):
+            deserialize_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("slot,value", [(0, 1.0), (0, 3.5), (0, True), (1, True), (1, 1.0)])
+    def test_json_values_are_not_coerced(self, slot, value):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        doc["columns"][1][1][slot] = value
+        with pytest.raises(MatrixInvariantError, match="column 1 has a row or sign that is not an integer"):
+            deserialize_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("slot,value", [(0, 2**70), (1, -(2**63) - 1)])
+    def test_json_values_beyond_int64(self, slot, value):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        doc["columns"][0][0][slot] = value
+        with pytest.raises(MatrixInvariantError, match="int64 range"):
+            deserialize_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"format_version": 1, "columns": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        "[1, 2]",
+        "7",
+    ], ids=["deep-array", "deep-in-object", "array", "number"])
+    def test_json_document_shape(self, text):
+        with pytest.raises(MatrixInvariantError, match="malformed matrix document"):
+            deserialize_json(text)
+
+    def test_json_decode_restores_gc(self):
+        text = serialize_json(build_matrix(2, 4, 2, seed=1))
+        assert gc.isenabled()
+        deserialize_json(text)
+        with pytest.raises(MatrixInvariantError):
+            deserialize_json("{")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            deserialize_json(text)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_json_blocks_do_not_change_results(self, monkeypatch):
+        matrix = build_matrix(7, 30, 4, seed=9)
+        text = serialize_json(matrix)
+        for entries in (1, 5, 8, 1 << 16):
+            monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+            assert deserialize_json(text) == matrix
+        doc = json.loads(text)
+        doc["columns"][6][3][1] = 0
+        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 8)
+        with pytest.raises(MatrixInvariantError, match="column 6 has sign 0"):
             deserialize_json(json.dumps(doc))
 
     def test_file_round_trip_both_formats(self, tmp_path):
