@@ -36,11 +36,17 @@ def read_vectors(path) -> list[np.ndarray]:
         try:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
-                    try:
-                        out.append(np.array([float(tok) for tok in line.split(",")]))
-                    except ValueError:
-                        raise DomainError(f"{path}:{lineno}: not a comma-separated list of numbers") from None
+                if not line:
+                    continue
+                try:
+                    if "_" in line:  # float() takes digit separators: "1_0" would read as 10
+                        raise ValueError
+                    vec = np.array([float(tok) for tok in line.split(",")])
+                except ValueError:
+                    raise DomainError(f"{path}:{lineno}: not a comma-separated list of numbers") from None
+                if not np.isfinite(vec).all():
+                    raise DomainError(f"{path}:{lineno}: vector entries must be finite")
+                out.append(vec)
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out

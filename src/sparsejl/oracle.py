@@ -8,13 +8,22 @@ inequalities the tail bound rests on, and estimates end-to-end failure
 probabilities with exact binomial confidence intervals.  Enumeration
 budgets are hard errors: an oracle that silently subsamples is not an
 oracle.
+
+Both exact oracles (``exact_moment_Z`` and ``check_majorization``) run on
+one array-level kernel.  It takes a batch of selections of equal weight,
+forms ((sum_i S_i^2 - T)/s)^q for every selection and sign pattern from
+its definition, and sums all values with one exact ``math.fsum``, fed in
+blocks of ``transform._CHUNK_ENTRIES`` row sums.  Flipping every sign
+leaves each value unchanged, so only the patterns with the first sign +
+are formed and their exact sum is doubled.  The majorization budget counts
+the configurations of both sides, C(m,s)^n 2^(ns) + 3^(mn).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 from scipy.stats import beta as _beta_dist
@@ -30,24 +39,45 @@ MAJORIZATION_BUDGET = 10**7
 # (t_blk*n*s, the scatter inputs) and output rows (t_blk*m, the dense y).
 _TRIAL_CHUNK_ENTRIES = 1 << 20
 
-_PM1_CACHE: dict[int, np.ndarray] = {}
-
-
-def _pm1(width: int) -> np.ndarray:
-    """All 2^width sign patterns as a (+-1) matrix of shape (2^width, width)."""
-    arr = _PM1_CACHE.get(width)
-    if arr is None:
-        codes = np.arange(1 << width, dtype=np.int64)
-        arr = ((codes[:, None] >> np.arange(width)) & 1) * 2 - 1
-        arr = arr.astype(np.float64)
-        _PM1_CACHE[width] = arr
-    return arr
-
 
 def _check_unit(x: np.ndarray) -> None:
     norm_sq = float(np.dot(x, x))
-    if abs(norm_sq - 1.0) > _UNIT_NORM_TOL:
+    # Written so that a NaN norm fails: every comparison with NaN is false.
+    if not abs(norm_sq - 1.0) <= _UNIT_NORM_TOL:
         raise ConstraintViolation(f"x must be a unit vector, got |x|^2 = {norm_sq!r}")
+
+
+def _sign_average_sum(rows: np.ndarray, coeffs: np.ndarray, m: int, s: int, q: int) -> float:
+    """Sum over selections b of the mean over all sign patterns of ((sum_i S_i^2 - T_b)/s)^q.
+
+    Selection b places ``coeffs[b, j]`` with sign r_j at row ``rows[b, j]``
+    (of ``m`` rows): S_i = sum over {j : rows[b, j] = i} of r_j coeffs[b, j]
+    and T_b = sum_j coeffs[b, j]^2.  Every configuration's value is formed
+    from this definition and all are summed by one exact ``math.fsum``, fed
+    in blocks of at most ``transform._CHUNK_ENTRIES`` row sums.
+    """
+    batch, width = coeffs.shape
+    t = np.sum(coeffs * coeffs, axis=1)
+    half = 1 << (width - 1)
+    block = max(1, transform._CHUNK_ENTRIES // (m * half))
+
+    def values():
+        for start in range(0, batch, block):
+            stop = min(batch, start + block)
+            cells = np.zeros((width, m, stop - start))
+            cells[np.arange(width)[:, None], rows[start:stop].T, np.arange(stop - start)] = coeffs[start:stop].T
+            # sums[k, i, b]: S_i of sign pattern k, built by doubling one sign at a time.
+            sums = np.empty((half, m, stop - start))
+            sums[0] = cells[0]
+            for j in range(1, width):
+                h = 1 << (j - 1)
+                np.subtract(sums[:h], cells[j], out=sums[h : 2 * h])
+                sums[:h] += cells[j]
+            vals = ((sums * sums).sum(axis=1) - t[start:stop]) / s
+            yield (vals**q).ravel().tolist()
+
+    # Flipping every sign maps S to -S: the first-sign-+ half sums to half exactly, and x2 is exact.
+    return 2.0 * math.fsum(chain.from_iterable(values())) / 2**width
 
 
 @dataclass(frozen=True)
@@ -62,7 +92,7 @@ class MomentSpec:
         if len(self.x) > _MOMENT_MAX_DIM:
             raise BudgetError(
                 f"enumeration budget exceeded: dimension {len(self.x)} > {_MOMENT_MAX_DIM} "
-                f"(4^n selector/sign configurations)"
+                f"(3^n selector/sign configurations)"
             )
         if len(self.x) == 0:
             raise DomainError("x must be non-empty")
@@ -76,26 +106,19 @@ class MomentSpec:
 def exact_moment_Z(spec: MomentSpec) -> float:
     """Exact E[Z^q] by enumerating all selector masks and sign patterns.
 
-    Per selector mask eta the conditional expectation over signs uses the
-    identity Z = S^2 - T with S = sum_i x_i eta_i r_i and
-    T = sum_i x_i^2 eta_i; masks selecting fewer than two coordinates
-    contribute zero.  Accumulation uses exact (fsum) summation.
+    Per selector mask eta the identity Z = S^2 - T holds with
+    S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i; masks selecting
+    fewer than two coordinates give Z = 0.  The masks of each popcount k
+    share the weight p^k (1-p)^(n-k) and form one batch of the sign
+    enumeration kernel (one row, s = 1); the batches are summed exactly.
     """
     x = np.asarray(spec.x, dtype=np.float64)
     n, p, q = len(x), spec.p, spec.q
-    x_sq = x * x
     contributions = []
-    for mask_bits in range(1 << n):
-        k = mask_bits.bit_count()
-        if k < 2:
-            continue
-        idx = [i for i in range(n) if mask_bits >> i & 1]
+    for k in range(2, n + 1):
+        idx = np.array(list(combinations(range(n), k)))
         weight = p**k * (1.0 - p) ** (n - k)
-        signs = _pm1(k)
-        s_vals = signs @ x[idx]
-        vals = s_vals * s_vals - float(np.sum(x_sq[idx]))
-        inner = math.fsum(vals**q) / (1 << k)
-        contributions.append(weight * inner)
+        contributions.append(weight * _sign_average_sum(np.zeros_like(idx), x[idx], 1, 1, q))
     return math.fsum(contributions)
 
 
@@ -194,29 +217,13 @@ class MajorizationSpec:
         if len(self.x) != self.n:
             raise DomainError(f"x must have length n={self.n}, got {len(self.x)}")
         _check_unit(np.asarray(self.x, dtype=np.float64))
-        size = math.comb(self.m, self.s) ** self.n * 2 ** (self.m * self.n)
+        # Left: C(m,s)^n row assignments, each with 2^(n s) sign patterns.
+        # Right: each of the m n cells is unselected, +1 or -1.
+        size = math.comb(self.m, self.s) ** self.n * 2 ** (self.n * self.s) + 3 ** (self.m * self.n)
         if size > MAJORIZATION_BUDGET:
             raise BudgetError(
-                f"enumeration budget exceeded: C(m,s)^n * 2^(m n) = {size} > {MAJORIZATION_BUDGET}"
+                f"enumeration budget exceeded: C(m,s)^n * 2^(n s) + 3^(m n) = {size} > {MAJORIZATION_BUDGET}"
             )
-
-
-def _quadratic_form_moment(positions, coeffs, s, q):
-    """E over signs of ((sum_k S_k^2 - T)/s)^q for fixed selected positions.
-
-    ``positions`` maps each selected (row, col) to a row index and
-    ``coeffs`` to its x coordinate; T is the sum of selected x_i^2.
-    """
-    w = len(positions)
-    t_total = math.fsum(c * c for c in coeffs)
-    if w < 1:
-        return ((0.0 - t_total) / s) ** q
-    rows_of = np.asarray(positions, dtype=np.int64)
-    coef_mat = np.zeros((w, int(rows_of.max()) + 1))
-    coef_mat[np.arange(w), rows_of] = coeffs
-    s_vals = _pm1(w) @ coef_mat
-    vals = ((s_vals * s_vals).sum(axis=1) - t_total) / s
-    return math.fsum(vals**q) / (1 << w)
 
 
 def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
@@ -224,36 +231,27 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
 
     The left value draws each column's s row indices uniformly without
     replacement; the right replaces the selectors by iid Bernoulli(s/m)
-    entries.  Both are full enumerations over selections and signs.
+    entries.  Both are full enumerations over selections and signs: the
+    left side is one batch of the sign enumeration kernel (every assignment
+    selects n*s cells), the right side one batch per number w of selected
+    cells among the m*n, each weighted by p^w (1-p)^(mn-w).
     """
     x = np.asarray(spec.x, dtype=np.float64)
     n, m, s, q = spec.n, spec.m, spec.s, spec.q
 
-    subset_weight = 1.0 / math.comb(m, s) ** n
-    lhs_terms = []
-    for assignment in product(combinations(range(m), s), repeat=n):
-        positions = []
-        coeffs = []
-        for col, subset in enumerate(assignment):
-            for row in subset:
-                positions.append(row)
-                coeffs.append(x[col])
-        lhs_terms.append(subset_weight * _quadratic_form_moment(positions, coeffs, s, q))
-    lhs = math.fsum(lhs_terms)
+    subsets = np.array(list(combinations(range(m), s)))
+    choices = np.array(list(product(range(len(subsets)), repeat=n)))
+    rows = subsets[choices].reshape(len(choices), n * s)
+    coeffs = np.broadcast_to(np.repeat(x, s), rows.shape)
+    lhs = _sign_average_sum(rows, coeffs, m, s, q) / len(choices)
 
+    # Cell index row * n + col; the empty selection contributes (0 - 0)^q = 0.
     p = s / m
     rhs_terms = []
-    cells = [(row, col) for row in range(m) for col in range(n)]
-    for mask_bits in range(1 << (m * n)):
-        w = mask_bits.bit_count()
+    for w in range(1, m * n + 1):
+        idx = np.array(list(combinations(range(m * n), w)))
         weight = p**w * (1.0 - p) ** (m * n - w)
-        positions = []
-        coeffs = []
-        for idx, (row, col) in enumerate(cells):
-            if mask_bits >> idx & 1:
-                positions.append(row)
-                coeffs.append(x[col])
-        rhs_terms.append(weight * _quadratic_form_moment(positions, coeffs, s, q))
+        rhs_terms.append(weight * _sign_average_sum(idx // n, x[idx % n], m, s, q))
     rhs = math.fsum(rhs_terms)
     return lhs, rhs
 
@@ -372,14 +370,13 @@ def squared_norm_samples(
     trials are evaluated in vectorized blocks whose layout does not affect
     the result.
     """
-    transform._validate_build_args(n, m, s)
+    transform._validate_build_args(n, m, s, seed)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise DomainError(f"x must have shape ({n},), got {x.shape}")
     _check_unit(x)
-    seed = seed & streams.MASK64
     scale = 1.0 / math.sqrt(s)
 
     samples = np.empty(trials, dtype=np.float64)
@@ -425,5 +422,5 @@ def estimate_failure_prob(
         p_hat=failures / trials,
         ci_low=ci_low,
         ci_high=ci_high,
-        seed=seed & streams.MASK64,
+        seed=seed,
     )

@@ -32,6 +32,7 @@ import gc
 import itertools
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -210,7 +211,9 @@ def sample_column_scalar(m: int, s: int, root: int) -> tuple[list[int], list[int
     return rows, signs
 
 
-def _validate_build_args(n: int, m: int, s: int) -> None:
+def _validate_build_args(n: int, m: int, s: int, seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed <= streams.MASK64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if n <= 0 or m <= 0 or s <= 0:
         raise DomainError(f"n, m, s must be positive, got n={n}, m={m}, s={s}")
     if s > m:
@@ -224,9 +227,10 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
 
     Each of the n columns independently selects s distinct rows uniformly
     without replacement and assigns each an independent uniform sign.
+    ``seed`` must be an integer in [0, 2^64), as in the stored header.
     """
-    _validate_build_args(n, m, s)
-    seed = seed & streams.MASK64
+    _validate_build_args(n, m, s, seed)
+    seed = int(seed)
     roots = streams.substream_vec(seed, np.arange(n, dtype=np.uint64))
     rows, signs = sample_columns(m, s, roots)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)

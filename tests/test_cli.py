@@ -119,6 +119,29 @@ class TestBuildTransform:
         assert code == 1
         assert err.startswith("error:") and "in.csv:2" in err and err.count("\n") == 1
 
+    def test_loose_or_non_finite_vector_is_validation_error(self, capsys, tmp_path):
+        """float() reads "1_0" as 10 and passes nan and inf; the vector reader does not."""
+        invoke(capsys, "build", "--n", "2", "--m", "4", "--s", "1", "--seed", "1",
+               "--out", str(tmp_path / "A.bin"))
+        vec_in = tmp_path / "in.csv"
+        for bad in ("1_0, 2", "nan, 1", "1, inf", "-infinity, 0", "1e999, 0"):
+            vec_in.write_text(f"1.0,0.0\n{bad}\n")
+            code, _, err = invoke(
+                capsys, "transform", "--matrix", str(tmp_path / "A.bin"),
+                "--in", str(vec_in), "--out", str(tmp_path / "o.csv"),
+            )
+            assert code == 1, bad
+            assert err.startswith("error:") and "in.csv:2" in err and err.count("\n") == 1
+
+    def test_seed_outside_64_bits_is_validation_error(self, capsys, tmp_path):
+        out = tmp_path / "A.bin"
+        for seed in (str(1 << 64), "-1"):
+            code, _, err = invoke(capsys, "build", "--n", "2", "--m", "4", "--s", "1",
+                                  "--seed", seed, "--out", str(out))
+            assert code == 1
+            assert "seed must be an integer in [0, 2^64)" in err
+        assert not out.exists()
+
     def test_malformed_json_matrix_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "A.json"
         vec_in = tmp_path / "in.csv"
@@ -202,6 +225,24 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out.splitlines()[-1])["n"] == 4
+
+    def test_seed_outside_64_bits_is_rejected(self, capsys):
+        for seed in ("-1", str(1 << 64)):
+            code, _, err = invoke(capsys, "verify", "--n", "4", "--m", "8", "--s", "2",
+                                  "--eps", "0.5", "--trials", "20", "--seed", seed)
+            assert code == 1
+            assert "seed must be an integer in [0, 2^64)" in err
+
+    def test_nan_vector_file_is_rejected(self, capsys, tmp_path):
+        """A NaN x once certified p_hat = 0 at a shape where a unit x fails 56% of trials."""
+        vec = tmp_path / "x.csv"
+        vec.write_text("nan, nan\n")
+        code, out, err = invoke(
+            capsys, "verify", "--n", "2", "--m", "64", "--s", "8", "--eps", "0.01",
+            "--trials", "100", "--seed", "3", "--x-file", str(vec),
+        )
+        assert code == 1
+        assert "p_hat" not in out and err.startswith("error:")
 
     def test_x_file_must_hold_one_vector(self, capsys, tmp_path):
         vec = tmp_path / "x.csv"

@@ -2,12 +2,15 @@
 
 Moment and majorization references come from exact rational enumeration
 of the defining sums (fractions.Fraction, run separately and frozen
-here); interval endpoints are cross-checked through the binomial CDF.
+here) and from the per-mask loops the oracles ran before the batched sign
+enumeration kernel; interval endpoints are cross-checked through the
+binomial CDF.
 """
 
+import functools
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -50,6 +53,77 @@ def rational_moment(coeffs, n, p, q):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _pm1(width):
+    codes = np.arange(1 << width, dtype=np.int64)
+    return (((codes[:, None] >> np.arange(width)) & 1) * 2 - 1).astype(np.float64)
+
+
+def loop_moment(x, p, q):
+    """Reference: E[Z^q] by one loop over selector masks, signs per mask."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    x_sq = x * x
+    contributions = []
+    for mask_bits in range(1 << n):
+        k = bin(mask_bits).count("1")
+        if k < 2:
+            continue
+        idx = [i for i in range(n) if mask_bits >> i & 1]
+        weight = p**k * (1.0 - p) ** (n - k)
+        s_vals = _pm1(k) @ x[idx]
+        vals = s_vals * s_vals - float(np.sum(x_sq[idx]))
+        contributions.append(weight * math.fsum(vals**q) / (1 << k))
+    return math.fsum(contributions)
+
+
+def _loop_sign_means(positions, coeffs, s, qs):
+    w = len(positions)
+    t_total = math.fsum(c * c for c in coeffs)
+    if w < 1:
+        return [((0.0 - t_total) / s) ** q for q in qs]
+    rows_of = np.asarray(positions, dtype=np.int64)
+    coef_mat = np.zeros((w, int(rows_of.max()) + 1))
+    coef_mat[np.arange(w), rows_of] = coeffs
+    s_vals = _pm1(w) @ coef_mat
+    vals = ((s_vals * s_vals).sum(axis=1) - t_total) / s
+    return [math.fsum(vals**q) / (1 << w) for q in qs]
+
+
+def loop_majorization(n, m, s, qs, x):
+    """Reference: both majorization sides by one loop over selections.
+
+    Returns {q: (lhs, rhs)}; the orders share the loop, not the arithmetic.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    subset_weight = 1.0 / math.comb(m, s) ** n
+    lhs_terms = []
+    for assignment in product(combinations(range(m), s), repeat=n):
+        positions = [row for subset in assignment for row in subset]
+        coeffs = [x[col] for col, subset in enumerate(assignment) for _ in subset]
+        lhs_terms.append([subset_weight * v for v in _loop_sign_means(positions, coeffs, s, qs)])
+    p = s / m
+    rhs_terms = []
+    cells = [(row, col) for row in range(m) for col in range(n)]
+    for mask_bits in range(1 << (m * n)):
+        w = bin(mask_bits).count("1")
+        weight = p**w * (1.0 - p) ** (m * n - w)
+        chosen = [cell for idx, cell in enumerate(cells) if mask_bits >> idx & 1]
+        positions = [row for row, _ in chosen]
+        coeffs = [x[col] for _, col in chosen]
+        rhs_terms.append([weight * v for v in _loop_sign_means(positions, coeffs, s, qs)])
+    return {q: (math.fsum(t[i] for t in lhs_terms), math.fsum(t[i] for t in rhs_terms))
+            for i, q in enumerate(qs)}
+
+
+def assert_matches_loop(got, ref):
+    """Relative 1e-12 where the value is at least 1e-15, else absolute 1e-15."""
+    if abs(ref) >= 1e-15:
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    else:
+        assert got == pytest.approx(ref, rel=0.0, abs=1e-15)
+
+
 class TestExactMomentZ:
     def test_two_coordinate_second_moment(self):
         """x = (1/sqrt2, 1/sqrt2) leaves the single cross term; E[Z^2] = p^2."""
@@ -87,13 +161,25 @@ class TestExactMomentZ:
                 got = exact_moment_Z(MomentSpec(tuple(x), p, 2))
                 assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_per_mask_loop(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 9):
+            for x in (np.full(n, 1 / math.sqrt(n)), rng.standard_normal(n)):
+                x = tuple(x / math.sqrt(float(x @ x)))
+                for p in (1 / 30, 0.1, 0.5):
+                    for q in range(1, 7):
+                        assert_matches_loop(exact_moment_Z(MomentSpec(x, p, q)), loop_moment(x, p, q))
+
     def test_validation(self):
         unit14 = (1 / math.sqrt(14),) * 14
         MomentSpec(unit14, 0.1, 2)  # at the budget edge
-        with pytest.raises(BudgetError, match="budget"):
+        with pytest.raises(BudgetError, match=r"3\^n"):
             MomentSpec((1 / math.sqrt(15),) * 15, 0.1, 2)
         with pytest.raises(ConstraintViolation, match="unit"):
             MomentSpec((1.0, 1.0), 0.1, 2)
+        for bad in ((math.nan, math.nan), (math.nan, 1.0), (math.inf, -math.inf)):
+            with pytest.raises(ConstraintViolation, match="unit"):
+                MomentSpec(bad, 0.1, 2)
         with pytest.raises(DomainError):
             MomentSpec((1.0,), 1.5, 2)
         with pytest.raises(DomainError):
@@ -192,16 +278,54 @@ class TestMajorization:
                     lhs, rhs = check_majorization(MajorizationSpec(n, m, s, 2, tuple(x)))
                     assert -1e-12 <= lhs <= rhs + 1e-12
 
+    def test_matches_per_selection_loop(self):
+        """Every spec the budget accepts: n <= 4, m <= 5, s <= m, q in {2, 4, 6}."""
+        rng = np.random.default_rng(77)
+        checked = 0
+        for n in range(1, 5):
+            x = rng.standard_normal(n)
+            x = tuple(x / math.sqrt(float(x @ x)))
+            for m in range(1, 6):
+                for s in range(1, m + 1):
+                    try:
+                        specs = [MajorizationSpec(n, m, s, q, x) for q in (2, 4, 6)]
+                    except BudgetError:
+                        continue
+                    ref = loop_majorization(n, m, s, (2, 4, 6), x)
+                    for spec in specs:
+                        got = check_majorization(spec)
+                        assert_matches_loop(got[0], ref[spec.q][0])
+                        assert_matches_loop(got[1], ref[spec.q][1])
+                        checked += 1
+        assert checked == 138
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        from sparsejl import transform as tr
+
+        x3 = (0.6, 0.0, 0.8)
+        x = (0.5, -0.5, 0.1, math.sqrt(0.49))
+        full = [check_majorization(MajorizationSpec(3, 3, 2, 4, x3)), exact_moment_Z(MomentSpec(x, 0.1, 5))]
+        for entries in (1, 7, 100):
+            monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+            assert [check_majorization(MajorizationSpec(3, 3, 2, 4, x3)), exact_moment_Z(MomentSpec(x, 0.1, 5))] == full
+
     def test_budget(self):
-        x = (0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(BudgetError):
-            MajorizationSpec(4, 5, 2, 2, x)
+        """The budget counts both enumerations, C(m,s)^n 2^(ns) + 3^(mn)."""
+        x4 = (0.5, 0.5, 0.5, 0.5)
+        x3 = (0.6, 0.0, 0.8)
+        for n, m, s, x in ((4, 5, 2, x4), (4, 5, 5, x4), (4, 4, 4, x4), (3, 5, 1, x3)):
+            with pytest.raises(BudgetError, match=r"3\^\(m n\)"):
+                MajorizationSpec(n, m, s, 2, x)
+        for s in range(1, 5):  # the largest specs of criterion 5 stay accepted
+            MajorizationSpec(3, 4, s, 4, x3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             MajorizationSpec(2, 2, 1, 3, (1.0, 0.0))  # odd q
         with pytest.raises(DomainError):
             MajorizationSpec(2, 6, 1, 2, (1.0, 0.0))  # m too large
+        with pytest.raises(ConstraintViolation, match="unit"):
+            MajorizationSpec(2, 2, 1, 2, (math.nan, math.nan))
 
 
 class TestPsiEnvelope:
@@ -304,6 +428,13 @@ class TestMonteCarlo:
             squared_norm_samples(4, 8, 2, x, trials=0, seed=1)
         with pytest.raises(ConstraintViolation):
             squared_norm_samples(4, 8, 2, np.ones(4), trials=3, seed=1)
+        with pytest.raises(ConstraintViolation):
+            estimate_failure_prob(4, 8, 2, np.full(4, math.nan), eps=0.1, trials=3, seed=1)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(DomainError, match="seed"):
+                squared_norm_samples(4, 8, 2, x, trials=3, seed=seed)
+            with pytest.raises(DomainError, match="seed"):
+                estimate_failure_prob(4, 8, 2, x, eps=0.1, trials=3, seed=seed)
         for eps in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 estimate_failure_prob(4, 8, 2, x, eps=eps, trials=3, seed=1)

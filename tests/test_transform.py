@@ -110,8 +110,12 @@ class TestBuild:
             s = int(rng.integers(1, m + 1))
             assert_structure(build_matrix(n, m, s, int(rng.integers(0, 2**63))))
 
-    def test_negative_seed_masked(self):
-        assert build_matrix(2, 5, 2, seed=-1) == build_matrix(2, 5, 2, seed=(1 << 64) - 1)
+    def test_seed_outside_64_bits_rejected(self):
+        """Seeds were masked to 64 bits: 2^64 built seed 0 and -1 built 2^64 - 1."""
+        assert build_matrix(2, 5, 2, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+        for seed in (-1, 1 << 64, 1.0, True, None):
+            with pytest.raises(DomainError, match="seed"):
+                build_matrix(2, 5, 2, seed=seed)
 
     def test_row_index_range_limit(self):
         with pytest.raises(DomainError, match="uint32"):
