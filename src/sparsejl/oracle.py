@@ -283,12 +283,17 @@ def check_psi_envelope(
 
     The grid covers (0, log(1/(2p))/2] with ``grid_points`` equispaced
     points; a point counts as a violation when psi exceeds the envelope by
-    more than ``slack``.
+    more than ``slack``.  ``scale`` must be positive and finite, ``slack``
+    finite and non-negative, and ``grid_points`` an integer >= 1.
     """
     if not 0.0 < p <= MAX_SPARSITY:
         raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
-    if grid_points < 1:
-        raise DomainError(f"grid_points must be >= 1, got {grid_points}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"envelope scale must be positive and finite, got {scale}")
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise DomainError(f"slack must be non-negative and finite, got {slack}")
+    if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 1:
+        raise DomainError(f"grid_points must be an integer >= 1, got {grid_points!r}")
     t_max = math.log(1.0 / (2.0 * p)) / 2.0
     worst = -math.inf
     worst_t = math.nan

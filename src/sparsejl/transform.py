@@ -17,13 +17,17 @@ twin :func:`sample_column_scalar`, which is also the reference that the
 vectorized path is tested against bit for bit.
 
 Matrices are stored in a binary format or a canonical JSON text, which is
-exactly ``json.dumps(..., sort_keys=True)`` of the document and is written
-directly, column by column.  Both decoders check the header (integers, m at
-most 2^32, 1 <= s <= m, seed in [0, 2^64)) before sizing any array.  The
-JSON decoder parses with :func:`json.loads`, then converts the columns in
-blocks of at most ``_CHUNK_ENTRIES`` entries, accepting only lists of
-``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows in
-[0, m); floats and bools are rejected rather than coerced.
+exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
+check the header (integers, m at most 2^32, 1 <= s <= m, seed in
+[0, 2^64)) before sizing any array.  The JSON text is encoded with array
+operations in blocks of at most ``_CHUNK_ENTRIES`` entries.  The JSON
+decoder first tries the canonical path: it parses every integer of the text
+in one array call and accepts the matrix only if encoding it reproduces the
+text byte for byte.  Any other text, such as a pretty-printed document or
+one with its keys reordered, goes to the general decoder, which parses with
+:func:`json.loads` and converts the columns in blocks, accepting only lists
+of ``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows
+in [0, m); floats and bools are rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import itertools
 import json
 import math
 import numbers
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -55,8 +60,23 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # Column sampling works on blocks of lanes with at most this many Fisher-Yates
 # steps (or one lane when s is larger), so its 64-bit work arrays stay near
 # 512 KB whatever m is.  Blocks of 2^14 to 2^16 steps measured fastest.  The
-# JSON decoder converts parsed columns in blocks of the same number of entries.
+# JSON encoder and the general JSON decoder work in blocks of the same number
+# of entries.
 _CHUNK_ENTRIES = 1 << 16
+
+_JSON_WHITESPACE = re.compile(rb"[ \t\r\n]*")
+# The header that ends a canonical text; the decoder compares it with the
+# re-encoded header, which also fixes the version.
+_JSON_TAIL = re.compile(
+    r'\], "format_version": \d{1,20}, "m": (\d{1,20}), "n": (\d{1,20}), '
+    r'"s": (\d{1,20}), "seed": (\d{1,20})\}', re.ASCII)
+# Maps the columns of a canonical text to integers separated by spaces: the
+# brackets and commas become spaces and "-" becomes "2", so a sign -1 reads
+# as 21.  Every other byte becomes "x".
+_JSON_TOKENS = bytes(
+    c if chr(c) in "0123456789 " else ord(" ") if chr(c) in "[]," else ord("2") if chr(c) == "-"
+    else ord("x") for c in range(256)
+)
 
 
 @dataclass(eq=False)
@@ -319,14 +339,74 @@ def serialize_json(matrix: SparseJLMatrix) -> str:
 
     The text is canonical: it equals ``json.dumps`` with ``sort_keys=True``
     of the document ``{"columns": [[[row, sign], ...], ...], "format_version",
-    "m", "n", "s", "seed"}``, written directly column by column.
+    "m", "n", "s", "seed"}``, written directly from the arrays.
     """
-    header = {"format_version": FORMAT_VERSION, "n": matrix.n, "m": matrix.m,
-              "s": matrix.s, "seed": matrix.seed}
-    column = "[" + ", ".join(["[%d, %d]"] * matrix.s) + "]"
-    pairs = np.stack([matrix.rows, matrix.signs], axis=-1).reshape(matrix.n, 2 * matrix.s)
-    columns = ", ".join([column % tuple(col) for col in pairs.tolist()])
-    return '{"columns": [' + columns + "], " + json.dumps(header, sort_keys=True)[1:]
+    parts = [_json_head(matrix.n).encode(),
+             *_json_columns(matrix.rows, matrix.signs, matrix.m),
+             _json_tail(matrix.n, matrix.m, matrix.s, matrix.seed).encode()]
+    return b"".join(parts).decode("ascii")
+
+
+def _json_head(n: int) -> str:
+    return '{"columns": [' + "[" * (n > 0)
+
+
+def _json_tail(n: int, m: int, s: int, seed: int) -> str:
+    header = {"format_version": FORMAT_VERSION, "n": n, "m": m, "s": s, "seed": seed}
+    return "], " + json.dumps(header, sort_keys=True)[1:]
+
+
+def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int):
+    """Yield the canonical text of the columns as uint8 arrays, block by block.
+
+    A block holds at most ``_CHUNK_ENTRIES`` entries (or one column).  Each
+    entry ``[row, sign]`` is followed by ``, `` inside a column, by ``], [``
+    at a column end (closing the column and opening the next) and by ``]``
+    after the last entry of the matrix.  Per block, each row's digits are
+    counted, the entries are laid out with one cumsum, and the digits and
+    then every byte other than a space are scattered into the buffer.
+    """
+    n, s = rows.shape
+    tens = [10**j for j in range(len(str(m - 1)))]
+    block = max(1, _CHUNK_ENTRIES // s)
+    for lo in range(0, n, block):
+        r = rows[lo:lo + block].ravel()
+        neg = signs[lo:lo + block].ravel() < 0
+        width = np.ones(r.size, dtype=np.int8)
+        for ten in tens[1:]:
+            width += r >= ten
+        length = width + neg + 7  # "[", digits, ", ", "-"?, "1", "]", ", "
+        length[s - 1::s] += 2  # "], [" in place of ", "
+        final = lo + block >= n
+        if final:
+            length[-1] -= 3  # "]" in place of "], ["
+        end = np.cumsum(length, dtype=np.intp)
+        first = end - length + 1  # first digit of each row
+        buf = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
+        # Digit j (counted from the right) lands at last - j; a row with fewer
+        # digits writes a 0 to its first digit, which its leading digit,
+        # written in a later pass, overwrites.
+        for j in range(len(tens) - 1, -1, -1):
+            q = r // tens[j]
+            digit = (q - q // 10 * 10).astype(np.uint8)  # q % 10, measured faster
+            digit += ord("0")
+            buf[first + np.maximum(width - 1 - j, 0)] = digit
+        buf[first - 1] = ord("[")
+        comma = first + width
+        buf[comma] = ord(",")
+        buf[comma + 2] = ord("-")  # a positive sign's "1" overwrites it
+        close = comma + 3 + neg
+        buf[close - 1] = ord("1")
+        buf[close] = ord("]")
+        follow = close[:-1] + 1 if final else close + 1
+        buf[follow] = ord(",")
+        col_end = follow[s - 1::s]  # ", " becomes "], ["
+        buf[col_end] = ord("]")
+        buf[col_end + 1] = ord(",")
+        buf[col_end + 3] = ord("[")
+        if final:
+            buf[-1] = ord("]")
+        yield buf
 
 
 def _first_failure(items, ok, per_column: int, lo: int) -> int:
@@ -379,7 +459,71 @@ def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, 
 
 
 def deserialize_json(text: str) -> SparseJLMatrix:
-    """Decode :func:`serialize_json` output, checking all structural invariants."""
+    """Decode :func:`serialize_json` output, checking all structural invariants.
+
+    Canonical text takes the array path; any other JSON document is decoded
+    by :func:`json.loads` with the same checks and error messages.
+    """
+    matrix = _decode_canonical(text)
+    if matrix is None:
+        matrix = _decode_document(text)
+    matrix.validate()
+    return matrix
+
+
+def _decode_canonical(text) -> SparseJLMatrix | None:
+    """The matrix whose canonical text is exactly ``text``, or None.
+
+    The canonical text of M is ``json.dumps`` of M's document, so
+    :func:`json.loads` gives that document back and the general decoder
+    returns M too: when encoding M reproduces ``text``, both paths agree.
+    Every other text, valid or not, returns None and is left to the general
+    decoder, which keeps its behaviour and its error messages.
+    """
+    if type(text) is not str or not text.isascii():
+        return None
+    i = text.rfind('], "format_version": ')
+    header = _JSON_TAIL.fullmatch(text, i) if i >= 0 else None
+    if header is None:
+        return None
+    m, n, s, seed = map(int, header.groups())
+    try:
+        _check_header(n, m, s, seed)
+    except MatrixInvariantError:
+        return None
+    head = _json_head(n)
+    if not text.startswith(head) or text[i:] != _json_tail(n, m, s, seed):
+        return None
+    data = text.encode("ascii")
+    tokens = data[len(head):i].translate(_JSON_TOKENS)
+    if b"x" in tokens:
+        return None
+    # Only digits and spaces are left, so every token is a run of digits and
+    # fromstring reads exactly as many integers as there are runs.
+    space = np.frombuffer(tokens, dtype=np.uint8) == ord(" ")
+    runs = np.count_nonzero(space[:-1] & ~space[1:]) + (space.size > 0 and not space[0])
+    if runs != 2 * n * s:
+        return None
+    values = np.fromstring(tokens, dtype=np.int64, sep=" ", count=runs)
+    rows, signs = values[0::2], values[1::2]
+    neg = signs == 21
+    if runs and (rows.max() >= m or not (neg | (signs == 1)).all()):
+        return None
+    signs = np.where(neg, -1, 1).astype(np.int8).reshape(n, s)
+    rows = rows.astype(np.uint32).reshape(n, s)
+    pos = len(head)
+    view = np.frombuffer(data, dtype=np.uint8)
+    for block in _json_columns(rows, signs, m):
+        if not np.array_equal(view[pos:pos + block.size], block):
+            return None
+        pos += block.size
+    if pos != i:
+        return None
+    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+
+
+def _decode_document(text: str) -> SparseJLMatrix:
+    """General decoder: any JSON text, parsed with :func:`json.loads`."""
     gc_enabled = gc.isenabled()
     gc.disable()  # parsing millions of small lists would set off repeated full collections
     try:
@@ -405,9 +549,7 @@ def deserialize_json(text: str) -> SparseJLMatrix:
     if len(columns) != n:
         raise MatrixInvariantError(f"entry count mismatch: {len(columns)} columns, header says {n}")
     rows, signs = _decode_columns(columns, n, m, s)
-    matrix = SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
-    matrix.validate()
-    return matrix
+    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
 def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
@@ -422,10 +564,15 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
 
 
 def read_matrix(path) -> SparseJLMatrix:
-    """Load a matrix file, accepting either the binary or the JSON encoding."""
+    """Load a matrix file, accepting either the binary or the JSON encoding.
+
+    A file whose first byte after JSON whitespace is ``{`` is JSON; a binary
+    file starts with its version byte 0x01.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:1] == b"{":
+    start = _JSON_WHITESPACE.match(data).end()
+    if data[start:start + 1] == b"{":
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -99,6 +99,23 @@ class TestBuildTransform:
         assert path.read_text().startswith("{")
         assert read_matrix(path).seed == 9
 
+    def test_json_matrix_with_leading_whitespace(self, capsys, tmp_path):
+        """A JSON matrix file starting with a newline was sent to the binary decoder."""
+        matrix_path, padded = tmp_path / "A.json", tmp_path / "padded.json"
+        invoke(capsys, "build", "--n", "3", "--m", "8", "--s", "2", "--seed", "7",
+               "--out", str(matrix_path), "--format", "json")
+        padded.write_text("\n \t\r" + matrix_path.read_text())
+        vec_in = tmp_path / "in.csv"
+        vec_in.write_text("1.0,-2.0,0.5\n")
+        outputs = []
+        for path in (matrix_path, padded):
+            vec_out = tmp_path / f"{path.stem}.csv"
+            code, _, err = invoke(capsys, "transform", "--matrix", str(path),
+                                  "--in", str(vec_in), "--out", str(vec_out))
+            assert code == 0, err
+            outputs.append(vec_out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_matrix_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "transform", "--matrix", str(tmp_path / "missing.bin"),

@@ -345,6 +345,24 @@ class TestPsiEnvelope:
         assert report.grid_points == 100
         assert report.worst_t <= math.log(15.0) / 2.0
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"scale": math.nan}, "scale"),
+        ({"scale": math.inf}, "scale"),
+        ({"scale": 0.0}, "scale"),
+        ({"scale": -6.0}, "scale"),
+        ({"slack": math.nan}, "slack"),
+        ({"slack": math.inf}, "slack"),
+        ({"slack": -1e-12}, "slack"),
+        ({"grid_points": 0}, "grid_points"),
+        ({"grid_points": 2.5}, "grid_points"),
+        ({"grid_points": 10.0}, "grid_points"),
+        ({"grid_points": True}, "grid_points"),
+    ])
+    def test_bad_arguments_are_rejected(self, kwargs, match):
+        """A NaN or infinite scale or slack used to certify ok with max_violation -inf."""
+        with pytest.raises(DomainError, match=match):
+            check_psi_envelope(1 / 30, **{"grid_points": 10, **kwargs})
+
 
 class TestChernoffGrid:
     def test_hundred_point_lattice(self):

@@ -39,6 +39,14 @@ def assert_structure(matrix):
         assert matrix.column_norm_sq(i) == 1.0
 
 
+def digit_matrix(sign: int) -> SparseJLMatrix:
+    """Rows of every decimal width from 1 to 10 at m = 2^32; sign 0 alternates -1, +1."""
+    rows = np.array([[10**k for k in range(10)],
+                     [0] + [10**k - 1 for k in range(2, 10)] + [2**32 - 1]], dtype=np.uint32)
+    signs = np.resize(np.array([-1, 1] if sign == 0 else [sign], dtype=np.int8), rows.shape)
+    return SparseJLMatrix(n=2, m=2**32, s=10, seed=3, rows=rows, signs=signs)
+
+
 class TestBuild:
     def test_full_column_when_s_equals_m(self):
         """s = m forces the column to occupy every row, entries +-1/2."""
@@ -249,11 +257,15 @@ class TestSerialization:
             with pytest.raises(MatrixInvariantError):
                 deserialize(tr._HEADER.pack(1, n, m, s, 0))
 
-    @pytest.mark.parametrize("n,m,s,seed", [
-        (1, 1, 1, 0), (1, 7, 7, 3), (5, 9, 1, 4), (4, 12, 3, 556), (9, 40, 6, 2**64 - 1),
+    @pytest.mark.parametrize("matrix", [
+        *(pytest.param(build_matrix(*shape), id="-".join(map(str, shape))) for shape in (
+            (1, 1, 1, 0), (1, 7, 7, 3), (5, 9, 1, 4), (4, 12, 3, 556), (9, 40, 6, 2**64 - 1))),
+        pytest.param(digit_matrix(-1), id="digits-negative"),
+        pytest.param(digit_matrix(1), id="digits-positive"),
+        pytest.param(digit_matrix(0), id="digits-mixed"),
+        pytest.param(deserialize(tr._HEADER.pack(1, 0, 4, 2, 7)), id="no-columns"),
     ])
-    def test_json_bytes_match_reference_dump(self, n, m, s, seed):
-        matrix = build_matrix(n, m, s, seed)
+    def test_json_bytes_match_reference_dump(self, matrix):
         reference = json.dumps({
             "format_version": 1,
             "n": matrix.n,
@@ -265,6 +277,18 @@ class TestSerialization:
         }, sort_keys=True)
         assert serialize_json(matrix) == reference
         assert deserialize_json(reference) == matrix
+
+    def test_canonical_text_skips_json_loads(self, monkeypatch):
+        """Canonical text takes the array path; other layouts go to json.loads."""
+        matrix = build_matrix(7, 2**32, 3, seed=5)
+        text = serialize_json(matrix)
+        pretty = json.dumps(json.loads(text), indent=1)
+        loads, calls = json.loads, []
+        monkeypatch.setattr(tr.json, "loads", lambda doc: calls.append(doc) or loads(doc))
+        assert deserialize_json(text) == matrix
+        assert calls == []
+        assert deserialize_json(pretty) == matrix
+        assert calls == [pretty]
 
     def test_json_zero_columns_round_trip(self):
         matrix = deserialize(tr._HEADER.pack(1, 0, 4, 2, 7))
@@ -352,11 +376,14 @@ class TestSerialization:
             gc.enable()
 
     def test_json_blocks_do_not_change_results(self, monkeypatch):
-        matrix = build_matrix(7, 30, 4, seed=9)
+        matrix = build_matrix(40, 1000, 4, seed=9)
         text = serialize_json(matrix)
-        for entries in (1, 5, 8, 1 << 16):
+        pretty = json.dumps(json.loads(text), indent=1)
+        for entries in (1, 5, 7, 8, 100, 1 << 16):
             monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+            assert serialize_json(matrix) == text
             assert deserialize_json(text) == matrix
+            assert deserialize_json(pretty) == matrix
         doc = json.loads(text)
         doc["columns"][6][3][1] = 0
         monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 8)
@@ -371,6 +398,21 @@ class TestSerialization:
         write_matrix(json_path, matrix, fmt="json")
         assert read_matrix(bin_path) == matrix
         assert read_matrix(json_path) == matrix
+
+    @pytest.mark.parametrize("padding", [" ", "\t", "\r\n", "\n  \n"])
+    def test_json_file_with_leading_whitespace(self, tmp_path, padding):
+        matrix = build_matrix(5, 9, 2, seed=77)
+        path = tmp_path / "a.json"
+        path.write_text(padding + serialize_json(matrix))
+        assert read_matrix(path) == matrix
+        path.write_text(padding + json.dumps(json.loads(serialize_json(matrix)), indent=1))
+        assert read_matrix(path) == matrix
+
+    def test_only_json_whitespace_is_skipped(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_bytes(b"\x0b" + serialize_json(build_matrix(1, 4, 1, seed=0)).encode())
+        with pytest.raises(FormatVersionError):
+            read_matrix(path)
 
 
 class TestStatisticalProperties:

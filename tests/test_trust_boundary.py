@@ -1,16 +1,21 @@
-"""Property tests: decoders and the CLI turn arbitrary input into a result or a SparseJLError."""
+"""Property tests: decoders and the CLI turn arbitrary input into a result or a SparseJLError.
+
+The JSON decoder's canonical path must also agree with the general decoder on
+every text, canonical or not.
+"""
 
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsejl import SparseJLError, build_matrix, deserialize, deserialize_json, serialize_json
 from sparsejl.cli import read_vectors, run
-from sparsejl.transform import _HEADER
+from sparsejl.transform import _HEADER, _decode_document
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -70,6 +75,59 @@ def test_json_decoder(text):
     if matrix is not None:
         matrix.validate()
         assert deserialize_json(serialize_json(matrix)) == matrix
+
+
+@st.composite
+def edited_canonical_texts(draw):
+    """The canonical text of a small random matrix with 0-3 byte edits."""
+    m = draw(st.sampled_from([1, 2, 3, 7, 12, 100, 2**32]))
+    s = draw(st.one_of(st.just(min(m, 5)), st.integers(1, min(m, 5))))
+    n = draw(st.integers(1, 3))
+    text = serialize_json(build_matrix(n, m, s, seed=draw(st.integers(0, 2**64 - 1))))
+    rnd = draw(st.randoms(use_true_random=False))  # uniform positions, unlike st.integers
+    for _ in range(draw(st.integers(0, 3))):
+        i = rnd.randrange(len(text) + 1)
+        char = rnd.choice("0123456789-[], ")
+        edit = rnd.choice(["replace", "delete", "insert"])
+        if edit == "insert":
+            text = text[:i] + char + text[i:]
+        elif i < len(text):
+            text = text[:i] + (char if edit == "replace" else "") + text[i + 1:]
+    return text
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _general(text):
+    matrix = _decode_document(text)
+    matrix.validate()
+    return matrix
+
+
+@FUZZ
+@given(edited_canonical_texts())
+def test_json_decode_paths_agree(text):
+    """The canonical path returns exactly what the general decoder returns, or raises the same error."""
+    assert _outcome(deserialize_json, text) == _outcome(_general, text)
+
+
+@pytest.mark.parametrize("edit", [
+    ("[[", "[[ "), ("[[", "[[0"), ("[[[10", "[[[40"), ("], [", "]  ["), (", -1]", ", -01]"),
+    (", 1]", ", +1]"), (", 1]", ", 11]"),
+    ('], "format_version"', '] ], "format_version"'), ('], "format_version"', ']], "format_version"'),
+    ('"format_version": 1', '"format_version": 2'), ('"m": 40', '"m": 040'), ('"seed": 2', '"seed": 2.0'),
+    ("}", "} "), ("{", " {"),
+], ids=lambda edit: edit[1])
+def test_near_canonical_texts_match_general_decoder(edit):
+    canonical = serialize_json(build_matrix(9, 40, 6, seed=2))
+    text = canonical.replace(*edit, 1)
+    assert text != canonical
+    assert _outcome(deserialize_json, text) == _outcome(_general, text)
 
 
 @FUZZ
