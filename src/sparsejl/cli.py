@@ -16,6 +16,7 @@ from .errors import BudgetError, DomainError, SparseJLError
 
 _VALIDATION_EXIT = 1
 _RUNTIME_EXIT = 2
+_MOMENT_QMAX_LIMIT = 100
 
 
 class _UsageError(Exception):
@@ -55,7 +56,7 @@ def read_vectors(path) -> list[np.ndarray]:
 def write_vectors(path, vectors) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for vec in vectors:
-            fh.write(",".join(repr(float(v)) for v in vec) + "\n")
+            fh.write(",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist())) + "\n")
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -125,6 +126,15 @@ def _check_line(ok: bool, label: str, detail: str) -> bool:
 
 
 def _cmd_check(args) -> int:
+    # Checked before the first oracle prints its line.  A sweep without
+    # q >= 2 checks nothing, and moment_bound_rhs overflows float64 near
+    # q = 150.
+    for flag, value, low in (("--qmax", args.qmax, 1), ("--grid-points", args.grid_points, 1),
+                             ("--moment-qmax", args.moment_qmax, 2)):
+        if value < low:
+            raise _UsageError(f"{flag} must be at least {low}, got {value}")
+    if args.moment_qmax > _MOMENT_QMAX_LIMIT:
+        raise _UsageError(f"--moment-qmax must be at most {_MOMENT_QMAX_LIMIT}, got {args.moment_qmax}")
     results = []
 
     rep = oracle.check_multinomial_inequality(args.qmax)

@@ -36,7 +36,8 @@ _UNIT_NORM_TOL = 1e-12
 _MOMENT_MAX_DIM = 14
 MAJORIZATION_BUDGET = 10**7
 # Monte Carlo trials run in blocks holding at most this many nonzeros
-# (t_blk*n*s, the scatter inputs) and output rows (t_blk*m, the dense y).
+# (t_blk*n*s, the entries of the block-diagonal product) and output rows
+# (t_blk*m, the dense y).
 _TRIAL_CHUNK_ENTRIES = 1 << 20
 
 
@@ -395,9 +396,9 @@ def squared_norm_samples(
             np.repeat(trial_seeds, n), np.tile(col_ids, t_blk).astype(np.uint64)
         )
         rows, signs = transform.sample_columns(m, s, roots)
-        weights = signs * x[np.tile(col_ids, t_blk)][:, None]
-        flat = np.repeat(np.arange(t_blk, dtype=np.int64), n)[:, None] * m + rows
-        y = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=t_blk * m)
+        # One block-diagonal product: trial t's rows are offset by t*m.
+        rows = np.repeat(np.arange(t_blk, dtype=np.int64) * m, n)[:, None] + rows
+        y = transform._sign_product(rows, signs, t_blk * m, np.tile(x, t_blk))
         y = y.reshape(t_blk, m)
         y *= scale
         samples[start:stop] = (y * y).sum(axis=1)

@@ -97,26 +97,6 @@ class Stream:
         return 1 if self.next_u64() & 1 else -1
 
 
-def next_u64_vec(roots: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
-    """Advance every lane by one draw; ``ctrs`` is updated in place."""
-    ctrs += _V_1
-    return mix64_vec(roots + ctrs * _V_GAMMA)
-
-
-def next_below_vec(roots: np.ndarray, ctrs: np.ndarray, bound: int) -> np.ndarray:
-    """Per-lane uniform draws from [0, bound), rejection replayed per lane."""
-    z = next_u64_vec(roots, ctrs)
-    rem = (1 << 64) % bound
-    if rem:
-        lim = _U((1 << 64) - rem)
-        bad = np.nonzero(z >= lim)[0]
-        while bad.size:
-            ctrs[bad] += _V_1
-            z[bad] = mix64_vec(roots[bad] + ctrs[bad] * _V_GAMMA)
-            bad = bad[z[bad] >= lim]
-    return z % _U(bound)
-
-
 def next_u64_block_vec(roots: np.ndarray, ctrs: np.ndarray, count: int) -> np.ndarray:
     """``count`` consecutive draws per lane, returned as (lanes, count)."""
     offsets = np.arange(1, count + 1, dtype=_U)

@@ -9,6 +9,15 @@ followed by ``s`` sign draws.  Construction is therefore bit-reproducible
 across platforms and independent of evaluation order, and only the +-1
 signs are stored; the 1/sqrt(s) scale is applied once per output entry.
 
+``apply``, ``apply_batch`` and the Monte Carlo oracle share one sparse
+kernel: the stored arrays, taken as they are, form a CSC matrix
+(``data = signs``, ``indices = rows.ravel()``, ``indptr`` stepping by s),
+and one CSC product computes A X for a whole stack of vectors.  The
+product adds the terms of each output entry in increasing column order,
+then the result is scaled, so outputs are bitwise equal to the per-vector
+``np.bincount`` scatter.  ``apply_batch`` returns the rows of one (k, m)
+array.  A projection with a non-finite entry is rejected.
+
 The vectorized sampler never materializes the row range: it resolves the
 swaps of a block of lanes with one sort, so its working memory is
 O(block * s) whatever m is, and every m up to 2^32 can be built.  The
@@ -42,6 +51,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import streams
 from .errors import (
@@ -106,10 +116,6 @@ class SparseJLMatrix:
     def column(self, i: int) -> list[tuple[int, int]]:
         """Column ``i`` as a list of (row_index, sign) pairs."""
         return [(int(r), int(g)) for r, g in zip(self.rows[i], self.signs[i])]
-
-    def column_norm_sq(self, i: int) -> float:
-        """Squared norm of column ``i``, exact: sum of integer sign squares over s."""
-        return int(np.sum(self.signs[i].astype(np.int64) ** 2)) / self.s
 
     def validate(self) -> None:
         """Check structural invariants, raising MatrixInvariantError on failure."""
@@ -256,28 +262,75 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
-def apply(matrix: SparseJLMatrix, x) -> np.ndarray:
-    """Apply the projection: y = A x, in O(s n) plus output allocation."""
+def _sign_csc(rows: np.ndarray, signs: np.ndarray, m: int) -> sparse.csc_array:
+    """The m x cols sign pattern of (rows, signs) as a CSC matrix, unsorted.
+
+    Column j holds ``signs[j]`` at rows ``rows[j]``, so the stored arrays
+    are the CSC arrays as they stand: ``indptr`` steps by s and no sort is
+    needed.  Indices are int32, or int64 when m or the entry count exceeds
+    the int32 range.
+    """
+    cols, s = rows.shape
+    index = np.int64 if max(m, cols * s) > np.iinfo(np.int32).max else np.int32
+    return sparse.csc_array(
+        (signs.astype(np.float64).ravel(), rows.astype(index).ravel(),
+         np.arange(0, cols * s + 1, s, dtype=index)),
+        shape=(m, cols),
+    )
+
+
+def _sign_product(rows: np.ndarray, signs: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
+    """Unscaled product of the sign pattern with x of shape (cols,) or (cols, k).
+
+    scipy's CSC kernels add the terms of each output entry in increasing
+    column order, the order in which ``np.bincount`` over ``rows.ravel()``
+    adds them, so every sum is bitwise that of the per-vector scatter.
+    """
+    return _sign_csc(rows, signs, m) @ x
+
+
+def _vector(matrix: SparseJLMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.n,):
         raise DimensionMismatch(
             f"expected a vector of length n = {matrix.n}, got shape {x.shape}"
         )
-    weights = matrix.signs * x[:, None]
-    y = np.bincount(matrix.rows.ravel(), weights=weights.ravel(), minlength=matrix.m)
+    return x
+
+
+def apply(matrix: SparseJLMatrix, x) -> np.ndarray:
+    """Apply the projection: y = A x, in O(s n) plus output allocation.
+
+    Raises DomainError when an entry of y is not finite.
+    """
+    y = _sign_product(matrix.rows, matrix.signs, matrix.m, _vector(matrix, x))
     y *= matrix.scale
+    if not np.isfinite(y).all():
+        raise DomainError("projected vector is not finite")
     return y
 
 
 def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
-    """Apply the projection to each vector in order."""
-    out = []
+    """Apply the projection to every vector of a batch with one sparse product.
+
+    Returns the rows of one (k, m) array; row i is bitwise equal to
+    ``apply(matrix, vectors[i])``.  Raises DomainError naming the first
+    batch element whose projection is not finite.
+    """
+    xs = []
     for i, x in enumerate(vectors):
         try:
-            out.append(apply(matrix, x))
+            xs.append(_vector(matrix, x))
         except DimensionMismatch as exc:
             raise DimensionMismatch(f"batch element {i}: {exc}") from None
-    return out
+    x = np.array(xs).reshape(len(xs), matrix.n)
+    y = _sign_product(matrix.rows, matrix.signs, matrix.m, x.T)
+    y *= matrix.scale
+    y = np.ascontiguousarray(y.T)
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"batch element {int(np.argmin(finite))}: projected vector is not finite")
+    return list(y)
 
 
 def _check_header(n, m, s, seed) -> None:

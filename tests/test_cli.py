@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from sparsejl import PlanRequest, min_dimension, read_matrix
-from sparsejl.cli import run
+from sparsejl import PlanRequest, SparseJLMatrix, min_dimension, read_matrix
+from sparsejl.cli import run, write_vectors
+from sparsejl.transform import write_matrix
 
 
 def invoke(capsys, *argv):
@@ -205,6 +206,21 @@ class TestBuildTransform:
         assert code == 1
         assert err.startswith("error:") and "in.csv" in err and "UTF-8" in err and err.count("\n") == 1
 
+    def test_non_finite_projection_is_validation_error(self, capsys, tmp_path):
+        """Entries of 1e308 overflow the sums; nothing is written."""
+        write_matrix(tmp_path / "A.bin", SparseJLMatrix(
+            n=3, m=1, s=1, seed=0, rows=np.zeros((3, 1), dtype=np.uint32),
+            signs=np.array([[1], [1], [-1]], dtype=np.int8)))
+        vec_in = tmp_path / "in.csv"
+        vec_in.write_text("1,2,3\n1e308,1e308,1e308\n")
+        out = tmp_path / "o.csv"
+        code, stdout, err = invoke(capsys, "transform", "--matrix", str(tmp_path / "A.bin"),
+                                   "--in", str(vec_in), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: batch element 1:") and "not finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_sparsity_exit_code(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "build", "--n", "2", "--m", "4", "--s", "5",
@@ -299,6 +315,18 @@ class TestBounds:
         assert rows["bennet"]["value"] == planned
 
 
+class TestWriteVectors:
+    def test_bytes_match_per_value_repr(self, tmp_path):
+        rows = [np.array([-0.0, 5e-324, 1e16, 1e-5, 1e22, -1.5, 0.1, 2.0**-1074 * 3]),
+                np.array([0.1, 1e-7, 3.4e38], dtype=np.float32),
+                np.array([-3, 0, 7, 2**53 + 1]),
+                [1, 2.5]]
+        write_vectors(tmp_path / "y.csv", rows)
+        expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        assert (tmp_path / "y.csv").read_text() == expect
+        assert expect.startswith("-0.0,5e-324,1e+16,1e-05,1e+22,")
+
+
 class TestCheck:
     def test_suite_passes(self, capsys):
         code, out, _ = invoke(capsys, "check", "--qmax", "6", "--grid-points", "800", "--moment-qmax", "4")
@@ -306,6 +334,14 @@ class TestCheck:
         assert "SUMMARY: 5/5 checks passed" in out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flag, value", [("--qmax", "0"), ("--grid-points", "0"), ("--grid-points", "-5"),
+                                             ("--moment-qmax", "1"), ("--moment-qmax", "101")])
+    def test_bad_flag_stops_before_any_check(self, capsys, flag, value):
+        code, out, err = invoke(capsys, "check", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + flag) and err.count("\n") == 1
 
     def test_budget_error_exit_code(self, capsys):
         code, _, err = invoke(capsys, "check", "--qmax", "25")

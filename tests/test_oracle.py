@@ -4,7 +4,8 @@ Moment and majorization references come from exact rational enumeration
 of the defining sums (fractions.Fraction, run separately and frozen
 here) and from the per-mask loops the oracles ran before the batched sign
 enumeration kernel; interval endpoints are cross-checked through the
-binomial CDF.
+binomial CDF.  Monte Carlo samples are checked bit for bit against the
+``np.bincount`` scatter they used before the shared CSC kernel.
 """
 
 import functools
@@ -35,7 +36,21 @@ from sparsejl import (
     moment_bound_rhs,
     squared_norm_samples,
 )
-from sparsejl import streams
+from sparsejl import oracle, streams, transform
+
+
+def bincount_samples(n, m, s, x, trials, seed):
+    """|A_t x|^2 from one ``np.bincount`` scatter over every trial, as before the CSC kernel."""
+    x = np.asarray(x, dtype=np.float64)
+    col_ids = np.arange(n, dtype=np.int64)
+    trial_seeds = streams.substream_vec(seed, np.arange(trials, dtype=np.uint64))
+    roots = streams.substream_pairs_vec(np.repeat(trial_seeds, n), np.tile(col_ids, trials).astype(np.uint64))
+    rows, signs = transform.sample_columns(m, s, roots)
+    weights = signs * x[np.tile(col_ids, trials)][:, None]
+    flat = np.repeat(np.arange(trials, dtype=np.int64), n)[:, None] * m + rows
+    y = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=trials * m).reshape(trials, m)
+    y *= 1.0 / math.sqrt(s)
+    return (y * y).sum(axis=1)
 
 
 def rational_moment(coeffs, n, p, q):
@@ -439,6 +454,17 @@ class TestMonteCarlo:
         monkeypatch.setattr(orc, "_TRIAL_CHUNK_ENTRIES", 64)
         chunked = squared_norm_samples(6, 12, 2, x, trials=40, seed=5)
         assert np.array_equal(full, chunked)
+
+    @pytest.mark.parametrize("n, m, s", [(1, 5, 2), (6, 12, 1), (5, 7, 7), (16, 40, 3)])
+    @pytest.mark.parametrize("chunk", [1, 60, 1 << 20])
+    def test_matches_bincount_scatter(self, monkeypatch, n, m, s, chunk):
+        """Blocks of 1 to all 30 trials give the scatter's samples bit for bit."""
+        x = np.random.default_rng(n).standard_normal(n) * np.logspace(-2, 2, n)
+        x /= math.sqrt(float(x @ x))
+        expect = bincount_samples(n, m, s, x, 30, seed=11)
+        monkeypatch.setattr(oracle, "_TRIAL_CHUNK_ENTRIES", chunk)
+        samples = squared_norm_samples(n, m, s, x, trials=30, seed=11)
+        assert np.array_equal(samples.view(np.int64), expect.view(np.int64))
 
     def test_validation(self):
         x = np.full(4, 0.5)

@@ -86,19 +86,28 @@ class TestDraws:
         assert np.all(np.abs(counts - expected) <= 4 * se)
 
     def test_bounded_vector_matches_scalar_with_rejection(self):
-        """Lane 17 starts with the word 2^64 - 1, which bound 3 rejects; both
-        engines must skip it.  Ordinary roots reject with probability 2^-64."""
+        """Lane 17 starts with the word 2^64 - 1, which bounds 3 and 5 reject.
+        The sampler's rule flags it in the block draws, and its replay skips
+        the word as the scalar stream does.  Ordinary roots reject with
+        probability 2^-64."""
         roots = streams.substream_vec(1, np.arange(64, dtype=np.uint64))
         roots[17] = REJECTING_ROOT
         assert streams.Stream(REJECTING_ROOT).next_u64() == streams.MASK64
         ctrs = np.zeros(64, dtype=np.uint64)
-        vec1 = streams.next_below_vec(roots, ctrs, 3)
-        vec2 = streams.next_below_vec(roots, ctrs, 5)
-        for lane in range(64):
-            st = streams.Stream(int(roots[lane]))
-            assert st.next_below(3) == int(vec1[lane])
-            assert st.next_below(5) == int(vec2[lane])
-            assert st.ctr == int(ctrs[lane]) == (3 if lane == 17 else 2)
+        z = streams.next_u64_block_vec(roots, ctrs, 2)
+        assert ctrs.tolist() == [2] * 64
+        for m in (3, 5):
+            rem = np.uint64((1 << 64) % m)
+            assert np.nonzero(~z[:, 0] < rem)[0].tolist() == [17]
+            rows, signs = transform.sample_columns(m, 1, roots)
+            for lane in range(64):
+                st = streams.Stream(int(roots[lane]))
+                assert int(rows[lane, 0]) == st.next_below(m)
+                assert int(signs[lane, 0]) == st.next_sign()
+                assert st.ctr == (3 if lane == 17 else 2)
+                if lane != 17:  # row and sign come from the two block words
+                    assert int(rows[lane, 0]) == int(z[lane, 0]) % m
+                    assert int(signs[lane, 0]) == (1 if int(z[lane, 1]) & 1 else -1)
 
     def test_sampler_replays_rejected_lane(self):
         """The vectorized sampler falls back to the scalar twin for a lane

@@ -36,7 +36,8 @@ def assert_structure(matrix):
         assert len(set(int(r) for r in col_rows)) == matrix.s
         assert all(0 <= int(r) < matrix.m for r in col_rows)
         assert set(int(g) for g in matrix.signs[i]) <= {-1, 1}
-        assert matrix.column_norm_sq(i) == 1.0
+    # Every column has unit norm: s squared signs over s.
+    assert np.array_equal((matrix.signs.astype(np.int64) ** 2).sum(axis=1), np.full(matrix.n, matrix.s))
 
 
 def digit_matrix(sign: int) -> SparseJLMatrix:
@@ -45,6 +46,21 @@ def digit_matrix(sign: int) -> SparseJLMatrix:
                      [0] + [10**k - 1 for k in range(2, 10)] + [2**32 - 1]], dtype=np.uint32)
     signs = np.resize(np.array([-1, 1] if sign == 0 else [sign], dtype=np.int8), rows.shape)
     return SparseJLMatrix(n=2, m=2**32, s=10, seed=3, rows=rows, signs=signs)
+
+
+def bincount_apply(matrix, x):
+    """The per-vector scatter that ``apply`` ran before the CSC kernel."""
+    x = np.asarray(x, dtype=np.float64)
+    weights = matrix.signs * x[:, None]
+    y = np.bincount(matrix.rows.ravel(), weights=weights.ravel(), minlength=matrix.m)
+    y *= matrix.scale
+    return y
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestBuild:
@@ -194,6 +210,82 @@ class TestApplyBatch:
         matrix = build_matrix(3, 8, 2, seed=7)
         with pytest.raises(DimensionMismatch, match="batch element 1"):
             apply_batch(matrix, [np.zeros(3), np.zeros(2)])
+
+    def test_rows_of_one_array(self):
+        matrix = build_matrix(5, 12, 3, seed=4)
+        out = apply_batch(matrix, np.eye(5)[:3])
+        assert len(out) == 3
+        base = out[0].base
+        assert base is not None and base.shape == (3, 12) and base.flags.c_contiguous
+        assert all(y.base is base for y in out)
+
+
+# Shapes (n, m, s): n = 1, s = 1, s = m, and mid-size ones whose scale
+# 1/sqrt(s) is not a power of two, so folding it into the sums would show.
+KERNEL_SHAPES = [(1, 9, 3), (40, 17, 1), (6, 5, 5), (200, 301, 7), (64, 1000, 27)]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n, m, s", KERNEL_SHAPES)
+    @pytest.mark.parametrize("k", [0, 1, 16])
+    def test_matches_bincount_bitwise(self, n, m, s, k):
+        matrix = build_matrix(n, m, s, seed=n * m + s)
+        # Magnitudes spread over six decades, so the order of the sums shows.
+        xs = np.random.default_rng(k).standard_normal((k, n)) * np.logspace(-3, 3, n)
+        batch = apply_batch(matrix, xs)
+        assert len(batch) == k
+        for x, y in zip(xs, batch):
+            expect = bincount_apply(matrix, x)
+            assert_bitwise(y, expect)
+            assert_bitwise(apply(matrix, x), expect)
+
+    @pytest.mark.parametrize("n, m, s", KERNEL_SHAPES)
+    def test_input_types(self, n, m, s):
+        """int, float32 and non-contiguous inputs are read as float64."""
+        matrix = build_matrix(n, m, s, seed=3)
+        rng = np.random.default_rng(n)
+        ints = rng.integers(-1000, 1000, size=n)
+        f32 = rng.standard_normal(n).astype(np.float32)
+        strided = rng.standard_normal((n, 3))[:, 1]
+        assert not strided.flags.c_contiguous or n == 1
+        for x in (ints, f32, strided, ints.tolist()):
+            expect = bincount_apply(matrix, x)
+            assert_bitwise(apply(matrix, x), expect)
+            assert_bitwise(apply_batch(matrix, [x])[0], expect)
+        stacked = np.stack([ints.astype(np.float64), f32.astype(np.float64), strided], axis=1)
+        for y, x in zip(apply_batch(matrix, stacked.T), (ints, f32, strided)):
+            assert_bitwise(y, bincount_apply(matrix, x))
+
+    def test_matches_dense_product(self):
+        matrix = build_matrix(30, 20, 4, seed=9)
+        dense = np.zeros((20, 30))
+        dense[matrix.rows, np.arange(30)[:, None]] = matrix.signs
+        assert np.array_equal(tr._sign_csc(matrix.rows, matrix.signs, 20).toarray(), dense)
+        x = np.random.default_rng(0).standard_normal(30)
+        assert np.allclose(apply(matrix, x), dense @ x * matrix.scale, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, index", [(2**31 - 1, np.int32), (2**31, np.int64), (2**32, np.int64)])
+    def test_index_dtype(self, m, index):
+        """The view is checked, not multiplied: an output at m = 2^32 takes 32 GB."""
+        rows = np.array([[m - 1, 0, m // 2], [5, m - 2, 1]], dtype=np.uint32)
+        signs = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        csc = tr._sign_csc(rows, signs, m)
+        assert csc.shape == (m, 2)
+        assert csc.indices.dtype == csc.indptr.dtype == index
+        assert csc.indices.tolist() == rows.ravel().tolist()
+        assert csc.indptr.tolist() == [0, 3, 6]
+        assert csc.data.tolist() == [1.0, -1.0, 1.0, -1.0, -1.0, 1.0]
+
+    def test_non_finite_projection_is_rejected(self):
+        matrix = SparseJLMatrix(n=2, m=1, s=1, seed=0, rows=np.zeros((2, 1), dtype=np.uint32),
+                                signs=np.ones((2, 1), dtype=np.int8))
+        with pytest.raises(DomainError, match="not finite"):
+            apply(matrix, [1e308, 1e308])
+        with pytest.raises(DomainError, match="not finite"):
+            apply(matrix, [math.nan, 0.0])
+        with pytest.raises(DomainError, match="batch element 2: projected vector is not finite"):
+            apply_batch(matrix, [[1.0, 2.0], [1e308, -1e308], [1e308, 1e308], [math.inf, 0.0]])
+        assert apply(matrix, [1e308, -1e308]).tolist() == [0.0]
 
 
 class TestSerialization:
