@@ -16,7 +16,6 @@ from .errors import BudgetError, DomainError, SparseJLError
 
 _VALIDATION_EXIT = 1
 _RUNTIME_EXIT = 2
-_MOMENT_QMAX_LIMIT = 100
 
 
 class _UsageError(Exception):
@@ -127,14 +126,13 @@ def _check_line(ok: bool, label: str, detail: str) -> bool:
 
 def _cmd_check(args) -> int:
     # Checked before the first oracle prints its line.  A sweep without
-    # q >= 2 checks nothing, and moment_bound_rhs overflows float64 near
-    # q = 150.
+    # q >= 2 checks nothing.
     for flag, value, low in (("--qmax", args.qmax, 1), ("--grid-points", args.grid_points, 1),
                              ("--moment-qmax", args.moment_qmax, 2)):
         if value < low:
             raise _UsageError(f"{flag} must be at least {low}, got {value}")
-    if args.moment_qmax > _MOMENT_QMAX_LIMIT:
-        raise _UsageError(f"--moment-qmax must be at most {_MOMENT_QMAX_LIMIT}, got {args.moment_qmax}")
+    if args.moment_qmax > oracle.MAX_MOMENT_ORDER:
+        raise _UsageError(f"--moment-qmax must be at most {oracle.MAX_MOMENT_ORDER}, got {args.moment_qmax}")
     results = []
 
     rep = oracle.check_multinomial_inequality(args.qmax)

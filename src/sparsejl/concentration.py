@@ -10,7 +10,10 @@ optimizing the Chernoff bound under that envelope yields the tail
 
 Also provided: the classical Poisson tail bound, and the piecewise upper
 bound ``psi(t, p)`` on the reduced moment generating function of the
-single-row projection error together with its scale-k envelope.
+single-row projection error together with its scale-K envelope.  The
+dimension bound is certified for one scale only, K = 50
+(``DEFAULT_ENVELOPE_SCALE``), so the row-MGF bound ``mgf_envelope_bound``
+fixes K at 50 and takes no scale argument.
 """
 
 from __future__ import annotations
@@ -69,27 +72,6 @@ def poisson_tail_bound(lam: float, eps: float) -> float:
     return min(1.0, math.exp(log_bound))
 
 
-@dataclass(frozen=True)
-class PsiDomain:
-    """Validated (t, p) argument pair for :func:`psi`.
-
-    ``t`` must lie in the open interval (0, log(1/p)/2) and ``p`` in
-    (0, 1/30]; both branch denominators are then strictly positive.
-    """
-
-    t: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= MAX_SPARSITY:
-            raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {self.p}")
-        limit = math.log(1.0 / self.p) / 2.0
-        if not 0.0 < self.t < limit:
-            raise DomainError(
-                f"t must lie in (0, log(1/p)/2) = (0, {limit:.6g}), got {self.t}"
-            )
-
-
 def psi(t: float, p: float) -> float:
     """Piecewise envelope on the reduced MGF remainder of one projection row.
 
@@ -98,11 +80,16 @@ def psi(t: float, p: float) -> float:
     For 1/2 <= t < log(1/p)/2:
         e^{4t} - 8t^2 - 4t - 1 + p e^{6t} / (1 - p e^{2t})
 
+    ``p`` must lie in (0, 1/30] and ``t`` in the open interval
+    (0, log(1/p)/2); both branch denominators are then strictly positive.
     The shared cubic part is evaluated as expm1(4t) - 4t - 8t^2 so that
     psi(t, p) = O(t^3) survives in floating point as t -> 0.
     """
-    dom = PsiDomain(t, p)
-    t, p = dom.t, dom.p
+    if not 0.0 < p <= MAX_SPARSITY:
+        raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
+    limit = math.log(1.0 / p) / 2.0
+    if not 0.0 < t < limit:
+        raise DomainError(f"t must lie in (0, log(1/p)/2) = (0, {limit:.6g}), got {t}")
     base = math.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
     if t < 0.5:
         tail = 8.0 * math.exp(3.0) * p * t**3 / (1.0 - 2.0 * math.e * p * t)
@@ -111,11 +98,12 @@ def psi(t: float, p: float) -> float:
     return base + tail
 
 
-def mgf_envelope_bound(t: float, p: float, scale: float = DEFAULT_ENVELOPE_SCALE) -> float:
+def mgf_envelope_bound(t: float, p: float) -> float:
     """Upper bound 1 + 2 p^2 (e^{Kt} - Kt - 1) / K^2 on the row MGF.
 
-    Valid for 0 < t <= log(1/(2p))/2 and p <= 1/30 at the default scale
-    K = 50; always >= 1.
+    K is fixed at ``DEFAULT_ENVELOPE_SCALE`` = 50, the scale the dimension
+    bound is certified for.  Valid for 0 < t <= log(1/(2p))/2 and
+    p <= 1/30; always >= 1.
     """
     if not 0.0 < p <= MAX_SPARSITY:
         raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
@@ -124,8 +112,9 @@ def mgf_envelope_bound(t: float, p: float, scale: float = DEFAULT_ENVELOPE_SCALE
         raise DomainError(
             f"t must lie in (0, log(1/(2p))/2] = (0, {limit:.6g}], got {t}"
         )
-    kt = scale * t
-    return 1.0 + 2.0 * p * p * (math.expm1(kt) - kt) / (scale * scale)
+    k = DEFAULT_ENVELOPE_SCALE
+    kt = k * t
+    return 1.0 + 2.0 * p * p * (math.expm1(kt) - kt) / (k * k)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,15 @@ blocks of ``transform._CHUNK_ENTRIES`` row sums.  Flipping every sign
 leaves each value unchanged, so only the patterns with the first sign +
 are formed and their exact sum is doubled.  The majorization budget counts
 the configurations of both sides, C(m,s)^n 2^(ns) + 3^(mn).
+
+The checks run at fixed settings.  Moments are accepted up to order
+``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
+the envelope by ``PSI_ENVELOPE_SLACK`` = 1e-12; the envelope scale stays
+an argument so that a scale too small to hold can serve as a negative
+control.  The Chernoff optimizer identity is checked on a fixed 100-point
+(v, k, u) lattice.  Monte Carlo estimates carry the exact 99%
+Clopper-Pearson interval, whose endpoints are computed with
+``scipy.special.betaincinv``.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from . import streams, transform
 from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, chernoff_optimum_check, psi
@@ -34,7 +43,14 @@ from .errors import BudgetError, ConstraintViolation, DomainError
 
 _UNIT_NORM_TOL = 1e-12
 _MOMENT_MAX_DIM = 14
+#: Highest moment order q accepted by ``MomentSpec`` and ``moment_bound_rhs``;
+#: 2^q p^r r^q overflows float64 near q = 150.
+MAX_MOMENT_ORDER = 100
 MAJORIZATION_BUDGET = 10**7
+#: A grid point fails the psi envelope check when psi exceeds the envelope by more.
+PSI_ENVELOPE_SLACK = 1e-12
+# Each tail of the exact 99% Clopper-Pearson interval.
+_CI_TAIL = (1.0 - 0.99) / 2
 # Monte Carlo trials run in blocks holding at most this many nonzeros
 # (t_blk*n*s, the entries of the block-diagonal product) and output rows
 # (t_blk*m, the dense y).
@@ -102,6 +118,8 @@ class MomentSpec:
             raise DomainError(f"selector rate p must lie in (0, 1), got {self.p}")
         if not (isinstance(self.q, int) and self.q >= 1):
             raise DomainError(f"moment order q must be a positive integer, got {self.q}")
+        if self.q > MAX_MOMENT_ORDER:
+            raise DomainError(f"moment order q must be at most {MAX_MOMENT_ORDER}, got {self.q}")
 
 
 def exact_moment_Z(spec: MomentSpec) -> float:
@@ -127,6 +145,8 @@ def moment_bound_rhs(p: float, q: int) -> float:
     """Closed moment bound 2^q sum_{r=2}^{q} p^r r^q dominating E[Z^q]."""
     if not (isinstance(q, int) and q >= 2):
         raise DomainError(f"the moment bound starts at q = 2, got q = {q}")
+    if q > MAX_MOMENT_ORDER:
+        raise DomainError(f"moment order q must be at most {MAX_MOMENT_ORDER}, got {q}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"selector rate p must lie in (0, 1), got {p}")
     return 2**q * math.fsum(p**r * r**q for r in range(2, q + 1))
@@ -267,7 +287,6 @@ class PsiEnvelopeReport:
     max_violation: float
     worst_t: float
     violation_count: int
-    slack: float
 
     @property
     def ok(self) -> bool:
@@ -275,24 +294,19 @@ class PsiEnvelopeReport:
 
 
 def check_psi_envelope(
-    p: float,
-    scale: float = DEFAULT_ENVELOPE_SCALE,
-    grid_points: int = 10_000,
-    slack: float = 1e-12,
+    p: float, scale: float = DEFAULT_ENVELOPE_SCALE, grid_points: int = 10_000
 ) -> PsiEnvelopeReport:
     """Verify psi(t, p) <= (e^{Kt} - K^2 t^2/2 - Kt - 1)/(K^2/2) on a t-grid.
 
     The grid covers (0, log(1/(2p))/2] with ``grid_points`` equispaced
     points; a point counts as a violation when psi exceeds the envelope by
-    more than ``slack``.  ``scale`` must be positive and finite, ``slack``
-    finite and non-negative, and ``grid_points`` an integer >= 1.
+    more than ``PSI_ENVELOPE_SLACK`` = 1e-12.  ``scale`` must be positive
+    and finite, and ``grid_points`` an integer >= 1.
     """
     if not 0.0 < p <= MAX_SPARSITY:
         raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"envelope scale must be positive and finite, got {scale}")
-    if not (math.isfinite(slack) and slack >= 0.0):
-        raise DomainError(f"slack must be non-negative and finite, got {slack}")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 1:
         raise DomainError(f"grid_points must be an integer >= 1, got {grid_points!r}")
     t_max = math.log(1.0 / (2.0 * p)) / 2.0
@@ -306,7 +320,7 @@ def check_psi_envelope(
         violation = psi(t, p) - envelope
         if violation > worst:
             worst, worst_t = violation, t
-        if violation > slack:
+        if violation > PSI_ENVELOPE_SLACK:
             count += 1
     return PsiEnvelopeReport(
         p=p,
@@ -315,21 +329,18 @@ def check_psi_envelope(
         max_violation=worst,
         worst_t=worst_t,
         violation_count=count,
-        slack=slack,
     )
 
 
-def chernoff_residual_grid(
-    nv: int = 5, nk: int = 5, nu: int = 4
-) -> tuple[int, float]:
+def chernoff_residual_grid() -> tuple[int, float]:
     """Max optimizer-vs-closed-form residual over a log-spaced (v, k, u) lattice.
 
-    Covers v in [0.1, 10], k in [1, 100], u in [0.01, 10]; the default
-    lattice has 100 points.  Returns (points_checked, max_residual).
+    The lattice is 5 v in [0.1, 10] by 5 k in [1, 100] by 4 u in
+    [0.01, 10], 100 points.  Returns (points_checked, max_residual).
     """
-    vs = np.geomspace(0.1, 10.0, nv)
-    ks = np.geomspace(1.0, 100.0, nk)
-    us = np.geomspace(0.01, 10.0, nu)
+    vs = np.geomspace(0.1, 10.0, 5)
+    ks = np.geomspace(1.0, 100.0, 5)
+    us = np.geomspace(0.01, 10.0, 4)
     worst = 0.0
     count = 0
     for v in vs:
@@ -357,13 +368,15 @@ class TrialReport:
     seed: int
 
 
-def clopper_pearson(failures: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) two-sided binomial confidence interval."""
+def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) two-sided 99% binomial confidence interval.
+
+    The endpoints are beta quantiles, computed with ``scipy.special.betaincinv``.
+    """
     if not 0 <= failures <= trials:
         raise DomainError(f"failures must lie in [0, trials], got {failures}/{trials}")
-    alpha = 1.0 - confidence
-    low = 0.0 if failures == 0 else float(_beta_dist.ppf(alpha / 2, failures, trials - failures + 1))
-    high = 1.0 if failures == trials else float(_beta_dist.ppf(1 - alpha / 2, failures + 1, trials - failures))
+    low = 0.0 if failures == 0 else float(betaincinv(failures, trials - failures + 1, _CI_TAIL))
+    high = 1.0 if failures == trials else float(betaincinv(failures + 1, trials - failures, 1 - _CI_TAIL))
     return low, high
 
 
@@ -398,7 +411,7 @@ def squared_norm_samples(
         rows, signs = transform.sample_columns(m, s, roots)
         # One block-diagonal product: trial t's rows are offset by t*m.
         rows = np.repeat(np.arange(t_blk, dtype=np.int64) * m, n)[:, None] + rows
-        y = transform._sign_product(rows, signs, t_blk * m, np.tile(x, t_blk))
+        y = transform._sign_csc(rows, signs, t_blk * m) @ np.tile(x, t_blk)
         y = y.reshape(t_blk, m)
         y *= scale
         samples[start:stop] = (y * y).sum(axis=1)

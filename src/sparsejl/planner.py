@@ -77,15 +77,16 @@ class PlanResult:
     s_implied: int
 
 
-def min_dimension(req: PlanRequest, envelope_scale: float = DEFAULT_ENVELOPE_SCALE) -> PlanResult:
+def min_dimension(req: PlanRequest) -> PlanResult:
     """Minimal certified embedding dimension for ``req``.
 
-    Returns ceil((4 log(2/delta)/eps^2) / h(K eps / 2p)) with K = 50 by
-    default, together with the h value, the eps/p -> 0 Gaussian reference
+    Returns ceil((4 log(2/delta)/eps^2) / h(K eps / 2p)) with K fixed at
+    ``DEFAULT_ENVELOPE_SCALE`` = 50, the only scale the bound is certified
+    for, together with the h value, the eps/p -> 0 Gaussian reference
     4 log(2/delta)/eps^2, the slack in the validity constraint, and the
     implied per-column sparsity round(p * m).
     """
-    h_value = bennet_h(envelope_scale * req.eps / (2.0 * req.p))
+    h_value = bennet_h(DEFAULT_ENVELOPE_SCALE * req.eps / (2.0 * req.p))
     eps_sq = req.eps * req.eps
     gaussian_reference = 4.0 * math.log(2.0 / req.delta) / eps_sq if eps_sq else math.inf
     if math.isinf(gaussian_reference):
@@ -109,14 +110,12 @@ def min_dimension(req: PlanRequest, envelope_scale: float = DEFAULT_ENVELOPE_SCA
     )
 
 
-def sparsity_tradeoff(
-    eps: float, delta: float, B: float, sparsity_constant: float = 1.0
-) -> tuple[int, int]:
+def sparsity_tradeoff(eps: float, delta: float, B: float) -> tuple[int, int]:
     """Asymptotic dimension/sparsity pair trading dimension for sparsity.
 
-    Returns (ceil(4 B log(2/delta) / (eps^2 log B)), ceil(c / (eps log B)))
-    for B > 2.  This is asymptotic guidance with an unspecified sparsity
-    constant c (default 1), not a certified bound.
+    Returns (ceil(4 B log(2/delta) / (eps^2 log B)), ceil(1 / (eps log B)))
+    for B > 2.  This is asymptotic guidance, not a certified bound: the
+    published sparsity carries an unspecified constant, taken here as 1.
     """
     if not B > 2.0:
         raise DomainError(f"tradeoff parameter B must exceed 2, got {B}")
@@ -127,7 +126,7 @@ def sparsity_tradeoff(
     log_b = math.log(B)
     eps_sq = eps * eps
     m = 4.0 * B * math.log(2.0 / delta) / (eps_sq * log_b) if eps_sq else math.inf
-    s = sparsity_constant / (eps * log_b)
+    s = 1.0 / (eps * log_b)
     if not (math.isfinite(m) and math.isfinite(s)):
         raise DomainError(
             f"eps = {eps}, B = {B}: the tradeoff dimension or sparsity overflows a float"

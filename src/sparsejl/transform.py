@@ -268,7 +268,10 @@ def _sign_csc(rows: np.ndarray, signs: np.ndarray, m: int) -> sparse.csc_array:
     Column j holds ``signs[j]`` at rows ``rows[j]``, so the stored arrays
     are the CSC arrays as they stand: ``indptr`` steps by s and no sort is
     needed.  Indices are int32, or int64 when m or the entry count exceeds
-    the int32 range.
+    the int32 range.  scipy's CSC kernels add the terms of each output entry
+    of a product in increasing column order, the order in which
+    ``np.bincount`` over ``rows.ravel()`` adds them, so every sum is bitwise
+    that of the per-vector scatter.
     """
     cols, s = rows.shape
     index = np.int64 if max(m, cols * s) > np.iinfo(np.int32).max else np.int32
@@ -277,16 +280,6 @@ def _sign_csc(rows: np.ndarray, signs: np.ndarray, m: int) -> sparse.csc_array:
          np.arange(0, cols * s + 1, s, dtype=index)),
         shape=(m, cols),
     )
-
-
-def _sign_product(rows: np.ndarray, signs: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
-    """Unscaled product of the sign pattern with x of shape (cols,) or (cols, k).
-
-    scipy's CSC kernels add the terms of each output entry in increasing
-    column order, the order in which ``np.bincount`` over ``rows.ravel()``
-    adds them, so every sum is bitwise that of the per-vector scatter.
-    """
-    return _sign_csc(rows, signs, m) @ x
 
 
 def _vector(matrix: SparseJLMatrix, x) -> np.ndarray:
@@ -303,7 +296,7 @@ def apply(matrix: SparseJLMatrix, x) -> np.ndarray:
 
     Raises DomainError when an entry of y is not finite.
     """
-    y = _sign_product(matrix.rows, matrix.signs, matrix.m, _vector(matrix, x))
+    y = _sign_csc(matrix.rows, matrix.signs, matrix.m) @ _vector(matrix, x)
     y *= matrix.scale
     if not np.isfinite(y).all():
         raise DomainError("projected vector is not finite")
@@ -324,7 +317,7 @@ def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
         except DimensionMismatch as exc:
             raise DimensionMismatch(f"batch element {i}: {exc}") from None
     x = np.array(xs).reshape(len(xs), matrix.n)
-    y = _sign_product(matrix.rows, matrix.signs, matrix.m, x.T)
+    y = _sign_csc(matrix.rows, matrix.signs, matrix.m) @ x.T
     y *= matrix.scale
     y = np.ascontiguousarray(y.T)
     finite = np.isfinite(y).all(axis=1)

@@ -11,7 +11,6 @@ import pytest
 
 from sparsejl import (
     DomainError,
-    PsiDomain,
     TailEnvelope,
     bennet_h,
     chernoff_optimum_check,
@@ -148,7 +147,7 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi(math.log(30.0) / 2.0, 1 / 30)  # t at the open upper limit
         with pytest.raises(DomainError):
-            PsiDomain(t=-1.0, p=1 / 30)
+            psi(-1.0, 1 / 30)
 
 
 class TestMgfEnvelopeBound:
