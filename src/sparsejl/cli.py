@@ -12,7 +12,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import oracle, planner, transform
-from .errors import BudgetError, DomainError, SparseJLError
+from .errors import BudgetError, DomainError, SparseJLError, check_int
 
 _VALIDATION_EXIT = 1
 _RUNTIME_EXIT = 2
@@ -104,7 +104,8 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"--x-file: expected exactly one vector, got {len(vectors)}")
         x = vectors[0]
     else:
-        x = np.full(args.n, 1.0 / math.sqrt(args.n))
+        n = check_int("n", args.n, 1)
+        x = np.full(n, 1.0 / math.sqrt(n))
     report = oracle.estimate_failure_prob(args.n, args.m, args.s, x, args.eps, args.trials, seed)
     _emit(asdict(report), args.format)
     return 0
@@ -127,15 +128,12 @@ def _check_line(ok: bool, label: str, detail: str) -> bool:
 def _cmd_check(args) -> int:
     # Checked before the first oracle prints its line.  A sweep without
     # q >= 2 checks nothing.
-    for flag, value, low in (("--qmax", args.qmax, 1), ("--grid-points", args.grid_points, 1),
-                             ("--moment-qmax", args.moment_qmax, 2)):
-        if value < low:
-            raise _UsageError(f"{flag} must be at least {low}, got {value}")
-    if args.moment_qmax > oracle.MAX_MOMENT_ORDER:
-        raise _UsageError(f"--moment-qmax must be at most {oracle.MAX_MOMENT_ORDER}, got {args.moment_qmax}")
+    qmax = check_int("--qmax", args.qmax, 1)
+    grid_points = check_int("--grid-points", args.grid_points, 1)
+    moment_qmax = check_int("--moment-qmax", args.moment_qmax, 2, oracle.MAX_MOMENT_ORDER)
     results = []
 
-    rep = oracle.check_multinomial_inequality(args.qmax)
+    rep = oracle.check_multinomial_inequality(qmax)
     results.append(_check_line(
         rep.ok, "multinomial inequality",
         f"{rep.total_checked} compositions up to q_max={rep.q_max}, "
@@ -144,7 +142,7 @@ def _cmd_check(args) -> int:
     ))
 
     for p in (1.0 / 100.0, 1.0 / 30.0):
-        env = oracle.check_psi_envelope(p, grid_points=args.grid_points)
+        env = oracle.check_psi_envelope(p, grid_points=grid_points)
         results.append(_check_line(
             env.ok, f"psi envelope p={p:.6g} K={env.scale:g}",
             f"max violation {env.max_violation:.3e} over {env.grid_points} points",
@@ -164,7 +162,7 @@ def _cmd_check(args) -> int:
             x = rng.standard_normal(n)
             x /= math.sqrt(float(np.dot(x, x)))
             for p in (1.0 / 30.0, 0.1):
-                for q in range(2, args.moment_qmax + 1):
+                for q in range(2, moment_qmax + 1):
                     exact = oracle.exact_moment_Z(oracle.MomentSpec(tuple(x), p, q))
                     bound = oracle.moment_bound_rhs(p, q)
                     worst_gap = max(worst_gap, exact - bound * (1.0 + 1e-12))

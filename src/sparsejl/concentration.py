@@ -49,10 +49,10 @@ def bennet_h(u: float) -> float:
 
     Strictly decreasing on (0, oo) with h(0+) = 1.  Below u = 1e-4 the
     closed form loses roughly 2*log10(1/u) digits to cancellation, so a
-    Taylor series is used there instead.
+    Taylor series is used there instead.  ``u`` must be finite.
     """
-    if u < 0:
-        raise DomainError(f"bennet_h requires u >= 0, got {u}")
+    if not 0 <= u < math.inf:
+        raise DomainError(f"bennet_h requires finite u >= 0, got {u}")
     if u < _H_SERIES_CUTOFF:
         return _bennet_h_series(u)
     return ((1.0 + u) * math.log1p(u) - u) / (u * u / 2.0)
@@ -64,10 +64,10 @@ def poisson_tail_bound(lam: float, eps: float) -> float:
     Dominates the exact upper tail for eps >= lam; the returned value is
     clamped to [0, 1] (the raw bound is vacuous for eps < lam).
     """
-    if lam <= 0:
-        raise DomainError(f"poisson_tail_bound requires lam > 0, got {lam}")
-    if eps <= 0:
-        raise DomainError(f"poisson_tail_bound requires eps > 0, got {eps}")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"poisson_tail_bound requires finite lam > 0, got {lam}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"poisson_tail_bound requires finite eps > 0, got {eps}")
     log_bound = -lam + eps * (1.0 + math.log(lam) - math.log(eps))
     return min(1.0, math.exp(log_bound))
 
@@ -122,17 +122,17 @@ class TailEnvelope:
     """MGF envelope log E e^{tX} <= v (e^{kt} - kt - 1) / k^2.
 
     ``v`` is the variance proxy (2 m p^2 for an m-row projection) and ``k``
-    the envelope scale.
+    the envelope scale; both must be finite.
     """
 
     v: float
     k: float
 
     def __post_init__(self):
-        if self.v < 0:
-            raise DomainError(f"variance proxy v must be >= 0, got {self.v}")
-        if self.k <= 0:
-            raise DomainError(f"envelope scale k must be > 0, got {self.k}")
+        if not 0 <= self.v < math.inf:
+            raise DomainError(f"variance proxy v must be finite and >= 0, got {self.v}")
+        if not 0 < self.k < math.inf:
+            raise DomainError(f"envelope scale k must be finite and > 0, got {self.k}")
 
 
 def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
@@ -141,8 +141,8 @@ def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
     Coincides with the Gaussian bound exp(-u^2/2v) as ku/v -> 0.  A zero
     variance proxy is the point mass at 0, so the tail is 0 for u > 0.
     """
-    if u <= 0:
-        raise DomainError(f"sub_poisson_tail requires u > 0, got {u}")
+    if not 0 < u < math.inf:
+        raise DomainError(f"sub_poisson_tail requires finite u > 0, got {u}")
     if env.v == 0.0:
         return 0.0
     exponent = -(u * u / (2.0 * env.v)) * bennet_h(env.k * u / env.v)
@@ -157,8 +157,8 @@ def chernoff_optimum_check(env: TailEnvelope, u: float) -> float:
     Both routes describe the same quantity, so the residual is a pure
     floating-point check (<= 1e-12 for well-scaled inputs).
     """
-    if u <= 0:
-        raise DomainError(f"chernoff_optimum_check requires u > 0, got {u}")
+    if not 0 < u < math.inf:
+        raise DomainError(f"chernoff_optimum_check requires finite u > 0, got {u}")
     if env.v == 0.0:
         raise DomainError("chernoff_optimum_check requires a positive variance proxy")
     v, k = env.v, env.k

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument rule."""
+
+import numpy as np
 
 
 class SparseJLError(Exception):
@@ -31,3 +33,20 @@ class TruncatedStreamError(SparseJLError, ValueError):
 
 class MatrixInvariantError(SparseJLError, ValueError):
     """A deserialized matrix violates a structural invariant."""
+
+
+def check_int(name: str, value, low: int, high: int | None = None, error=DomainError) -> int:
+    """``int(value)`` for an ``int`` or numpy integer in [low, high] (no bound
+    if ``high`` is None); ``bool``, floats (even 2.0) and all else raise ``error``.
+
+    The message names the argument, the range and the value.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        number = int(value)
+        if low <= number and (high is None or number <= high):
+            return number
+    if high is None:
+        span = f">= {low}"
+    else:
+        span = f"in [{low}, " + ("2^64)" if high == (1 << 64) - 1 else f"{high}]")
+    raise error(f"{name} must be an integer {span}, got {value!r}")

@@ -15,8 +15,9 @@ forms ((sum_i S_i^2 - T)/s)^q for every selection and sign pattern from
 its definition, and sums all values with one exact ``math.fsum``, fed in
 blocks of ``transform._CHUNK_ENTRIES`` row sums.  Flipping every sign
 leaves each value unchanged, so only the patterns with the first sign +
-are formed and their exact sum is doubled.  The majorization budget counts
-the configurations of both sides, C(m,s)^n 2^(ns) + 3^(mn).
+are formed and their exact sum is doubled.  E[Z^q] is the one-row case of
+the majorization right side, a sum over iid Bernoulli cell selections.  The
+majorization budget counts both sides, C(m,s)^n 2^(ns) + 3^(mn).
 
 The checks run at fixed settings.  Moments are accepted up to order
 ``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
@@ -25,7 +26,7 @@ an argument so that a scale too small to hold can serve as a negative
 control.  The Chernoff optimizer identity is checked on a fixed 100-point
 (v, k, u) lattice.  Monte Carlo estimates carry the exact 99%
 Clopper-Pearson interval, whose endpoints are computed with
-``scipy.special.betaincinv``.
+``scipy.special.betaincinv``.  Integer arguments go through ``errors.check_int``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy.special import betaincinv
 
 from . import streams, transform
 from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, chernoff_optimum_check, psi
-from .errors import BudgetError, ConstraintViolation, DomainError
+from .errors import BudgetError, ConstraintViolation, DomainError, check_int
 
 _UNIT_NORM_TOL = 1e-12
 _MOMENT_MAX_DIM = 14
@@ -97,9 +98,26 @@ def _sign_average_sum(rows: np.ndarray, coeffs: np.ndarray, m: int, s: int, q: i
     return 2.0 * math.fsum(chain.from_iterable(values())) / 2**width
 
 
+def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) -> float:
+    """Exact E over iid Bernoulli(p) cell selectors of the sign-averaged ((sum_i S_i^2 - T)/s)^q.
+
+    Cell c of the m * n lies at row c // n with coefficient x[c % n].  The
+    selections of w cells, weighted p^w (1-p)^(mn-w), form one batch of the
+    sign enumeration kernel; fewer than two cells give exactly 0.
+    """
+    n = len(x)
+    cells = m * n
+    terms = []
+    for w in range(2, cells + 1):
+        idx = np.array(list(combinations(range(cells), w)))
+        weight = p**w * (1.0 - p) ** (cells - w)
+        terms.append(weight * _sign_average_sum(idx // n, x[idx % n], m, s, q))
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True)
 class MomentSpec:
-    """Exact moment query for Z: unit vector x, selector rate p, order q."""
+    """Exact moment query for Z: unit vector x, selector rate p, integer order q in [1, 100]."""
 
     x: tuple[float, ...]
     p: float
@@ -116,37 +134,22 @@ class MomentSpec:
         _check_unit(np.asarray(self.x, dtype=np.float64))
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"selector rate p must lie in (0, 1), got {self.p}")
-        if not (isinstance(self.q, int) and self.q >= 1):
-            raise DomainError(f"moment order q must be a positive integer, got {self.q}")
-        if self.q > MAX_MOMENT_ORDER:
-            raise DomainError(f"moment order q must be at most {MAX_MOMENT_ORDER}, got {self.q}")
+        object.__setattr__(self, "q", check_int("moment order q", self.q, 1, MAX_MOMENT_ORDER))
 
 
 def exact_moment_Z(spec: MomentSpec) -> float:
     """Exact E[Z^q] by enumerating all selector masks and sign patterns.
 
     Per selector mask eta the identity Z = S^2 - T holds with
-    S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i; masks selecting
-    fewer than two coordinates give Z = 0.  The masks of each popcount k
-    share the weight p^k (1-p)^(n-k) and form one batch of the sign
-    enumeration kernel (one row, s = 1); the batches are summed exactly.
+    S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i: this is the
+    Bernoulli-selection sum with one row and s = 1.
     """
-    x = np.asarray(spec.x, dtype=np.float64)
-    n, p, q = len(x), spec.p, spec.q
-    contributions = []
-    for k in range(2, n + 1):
-        idx = np.array(list(combinations(range(n), k)))
-        weight = p**k * (1.0 - p) ** (n - k)
-        contributions.append(weight * _sign_average_sum(np.zeros_like(idx), x[idx], 1, 1, q))
-    return math.fsum(contributions)
+    return _bernoulli_selection_sum(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, spec.q)
 
 
 def moment_bound_rhs(p: float, q: int) -> float:
-    """Closed moment bound 2^q sum_{r=2}^{q} p^r r^q dominating E[Z^q]."""
-    if not (isinstance(q, int) and q >= 2):
-        raise DomainError(f"the moment bound starts at q = 2, got q = {q}")
-    if q > MAX_MOMENT_ORDER:
-        raise DomainError(f"moment order q must be at most {MAX_MOMENT_ORDER}, got {q}")
+    """Closed moment bound 2^q sum_{r=2}^{q} p^r r^q dominating E[Z^q], for q in [2, 100]."""
+    q = check_int("moment order q", q, 2, MAX_MOMENT_ORDER)
     if not 0.0 < p < 1.0:
         raise DomainError(f"selector rate p must lie in (0, 1), got {p}")
     return 2**q * math.fsum(p**r * r**q for r in range(2, q + 1))
@@ -191,8 +194,7 @@ def check_multinomial_inequality(q_max: int) -> MultinomialCheckReport:
     arithmetic, and additionally verifies that central binomial
     coefficients satisfy binom(2k, k) >= 2^k.
     """
-    if not (isinstance(q_max, int) and q_max >= 1):
-        raise DomainError(f"q_max must be a positive integer, got {q_max}")
+    q_max = check_int("q_max", q_max, 1)
     if q_max > 20:
         raise BudgetError(f"q_max = {q_max} exceeds the exact-arithmetic budget of 20")
     violations = []
@@ -227,14 +229,11 @@ class MajorizationSpec:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise DomainError(f"n must lie in [1, 4], got {self.n}")
-        if not 1 <= self.m <= 5:
-            raise DomainError(f"m must lie in [1, 5], got {self.m}")
-        if not 1 <= self.s <= self.m:
-            raise DomainError(f"s must lie in [1, m], got s={self.s}, m={self.m}")
-        if self.q % 2 != 0 or not 2 <= self.q <= 6:
-            raise DomainError(f"q must be an even integer in [2, 6], got {self.q}")
+        # m is checked before s is compared with it.
+        for name, low, high in (("n", 1, 4), ("m", 1, 5), ("s", 1, self.m), ("q", 2, 6)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
+        if self.q % 2:
+            raise DomainError(f"q must be even, got {self.q}")
         if len(self.x) != self.n:
             raise DomainError(f"x must have length n={self.n}, got {len(self.x)}")
         _check_unit(np.asarray(self.x, dtype=np.float64))
@@ -254,8 +253,8 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
     replacement; the right replaces the selectors by iid Bernoulli(s/m)
     entries.  Both are full enumerations over selections and signs: the
     left side is one batch of the sign enumeration kernel (every assignment
-    selects n*s cells), the right side one batch per number w of selected
-    cells among the m*n, each weighted by p^w (1-p)^(mn-w).
+    selects n*s cells), the right side the Bernoulli-selection sum over the
+    m*n cells with p = s/m.
     """
     x = np.asarray(spec.x, dtype=np.float64)
     n, m, s, q = spec.n, spec.m, spec.s, spec.q
@@ -265,16 +264,7 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
     rows = subsets[choices].reshape(len(choices), n * s)
     coeffs = np.broadcast_to(np.repeat(x, s), rows.shape)
     lhs = _sign_average_sum(rows, coeffs, m, s, q) / len(choices)
-
-    # Cell index row * n + col; the empty selection contributes (0 - 0)^q = 0.
-    p = s / m
-    rhs_terms = []
-    for w in range(1, m * n + 1):
-        idx = np.array(list(combinations(range(m * n), w)))
-        weight = p**w * (1.0 - p) ** (m * n - w)
-        rhs_terms.append(weight * _sign_average_sum(idx // n, x[idx % n], m, s, q))
-    rhs = math.fsum(rhs_terms)
-    return lhs, rhs
+    return lhs, _bernoulli_selection_sum(x, m, s, s / m, q)
 
 
 @dataclass(frozen=True)
@@ -301,14 +291,13 @@ def check_psi_envelope(
     The grid covers (0, log(1/(2p))/2] with ``grid_points`` equispaced
     points; a point counts as a violation when psi exceeds the envelope by
     more than ``PSI_ENVELOPE_SLACK`` = 1e-12.  ``scale`` must be positive
-    and finite, and ``grid_points`` an integer >= 1.
+    and finite, and ``grid_points`` an integer >= 1 (``int`` or numpy).
     """
     if not 0.0 < p <= MAX_SPARSITY:
         raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"envelope scale must be positive and finite, got {scale}")
-    if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 1:
-        raise DomainError(f"grid_points must be an integer >= 1, got {grid_points!r}")
+    grid_points = check_int("grid_points", grid_points, 1)
     t_max = math.log(1.0 / (2.0 * p)) / 2.0
     worst = -math.inf
     worst_t = math.nan
@@ -371,10 +360,11 @@ class TrialReport:
 def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
     """Exact (Clopper-Pearson) two-sided 99% binomial confidence interval.
 
+    ``failures`` and ``trials`` are integers with 0 <= failures <= trials.
     The endpoints are beta quantiles, computed with ``scipy.special.betaincinv``.
     """
-    if not 0 <= failures <= trials:
-        raise DomainError(f"failures must lie in [0, trials], got {failures}/{trials}")
+    trials = check_int("trials", trials, 0)
+    failures = check_int("failures", failures, 0, trials)
     low = 0.0 if failures == 0 else float(betaincinv(failures, trials - failures + 1, _CI_TAIL))
     high = 1.0 if failures == trials else float(betaincinv(failures + 1, trials - failures, 1 - _CI_TAIL))
     return low, high
@@ -389,9 +379,8 @@ def squared_norm_samples(
     trials are evaluated in vectorized blocks whose layout does not affect
     the result.
     """
-    transform._validate_build_args(n, m, s, seed)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    n, m, s, seed = transform._validate_build_args(n, m, s, seed)
+    trials = check_int("trials", trials, 1)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise DomainError(f"x must have shape ({n},), got {x.shape}")
@@ -428,6 +417,8 @@ def estimate_failure_prob(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be positive and finite, got {eps}")
+    n, m, s, seed = transform._validate_build_args(n, m, s, seed)
+    trials = check_int("trials", trials, 1)
     samples = squared_norm_samples(n, m, s, x, trials, seed)
     failures = int(np.count_nonzero(np.abs(samples - 1.0) > eps))
     ci_low, ci_high = clopper_pearson(failures, trials)

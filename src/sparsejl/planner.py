@@ -58,13 +58,6 @@ class PlanRequest:
     def eps_limit(self) -> float:
         return self.p * math.log(1.0 / (2.0 * self.p))
 
-    @classmethod
-    def from_counts(cls, eps: float, delta: float, s: int, m: int) -> "PlanRequest":
-        """Build a request from integer sparsity s and dimension m (p = s/m)."""
-        if m <= 0 or s <= 0:
-            raise DomainError(f"s and m must be positive, got s={s}, m={m}")
-        return cls(eps, delta, s / m)
-
 
 @dataclass(frozen=True)
 class PlanResult:
@@ -156,7 +149,7 @@ def bounds_table(
 ) -> list[BoundsRow]:
     """Published dimension bounds evaluated side by side.
 
-    ``constant`` replaces the unspecified leading constants; rows with
+    A finite ``constant`` > 0 replaces the unspecified leading constants; rows with
     explicit published constants ignore it.  Rows whose preconditions fail
     (the B > 2 requirement, this package's p and eps constraints, or inner
     logarithms leaving their domain) are marked invalid rather than
@@ -167,8 +160,10 @@ def bounds_table(
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if p <= 0:
-        raise DomainError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be positive and finite, got {p}")
+    if not 0.0 < constant < math.inf:
+        raise DomainError(f"constant must be positive and finite, got {constant}")
 
     l2 = math.log(2.0 / delta)
     l1 = math.log(1.0 / delta)

@@ -45,7 +45,6 @@ import gc
 import itertools
 import json
 import math
-import numbers
 import re
 import struct
 from dataclasses import dataclass, field
@@ -61,6 +60,7 @@ from .errors import (
     FormatVersionError,
     MatrixInvariantError,
     TruncatedStreamError,
+    check_int,
 )
 
 FORMAT_VERSION = 1
@@ -112,10 +112,6 @@ class SparseJLMatrix:
     @property
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.s)
-
-    def column(self, i: int) -> list[tuple[int, int]]:
-        """Column ``i`` as a list of (row_index, sign) pairs."""
-        return [(int(r), int(g)) for r, g in zip(self.rows[i], self.signs[i])]
 
     def validate(self) -> None:
         """Check structural invariants, raising MatrixInvariantError on failure."""
@@ -237,15 +233,14 @@ def sample_column_scalar(m: int, s: int, root: int) -> tuple[list[int], list[int
     return rows, signs
 
 
-def _validate_build_args(n: int, m: int, s: int, seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed <= streams.MASK64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if n <= 0 or m <= 0 or s <= 0:
-        raise DomainError(f"n, m, s must be positive, got n={n}, m={m}, s={s}")
+def _validate_build_args(n: int, m: int, s: int, seed: int) -> tuple[int, int, int, int]:
+    n, m, s = (check_int(name, value, 1) for name, value in (("n", n), ("m", m), ("s", s)))
+    seed = check_int("seed", seed, 0, streams.MASK64)
     if s > m:
         raise ConstraintViolation(f"invalid sparsity: s = {s} exceeds m = {m}")
     if m > 1 << 32:
         raise DomainError(f"m = {m} exceeds the uint32 row-index range")
+    return n, m, s, seed
 
 
 def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
@@ -253,10 +248,10 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
 
     Each of the n columns independently selects s distinct rows uniformly
     without replacement and assigns each an independent uniform sign.
-    ``seed`` must be an integer in [0, 2^64), as in the stored header.
+    n, m, s and ``seed`` must be integers (``int`` or numpy) with n >= 1,
+    1 <= s <= m <= 2^32 and seed in [0, 2^64), as in the stored header.
     """
-    _validate_build_args(n, m, s, seed)
-    seed = int(seed)
+    n, m, s, seed = _validate_build_args(n, m, s, seed)
     roots = streams.substream_vec(seed, np.arange(n, dtype=np.uint64))
     rows, signs = sample_columns(m, s, roots)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
@@ -326,17 +321,15 @@ def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
     return list(y)
 
 
-def _check_header(n, m, s, seed) -> None:
-    """Reject header fields before any array is sized from them."""
-    for name, value in (("n", n), ("m", m), ("s", s), ("seed", seed)):
-        if type(value) is not int or not 0 <= value <= streams.MASK64:
-            raise MatrixInvariantError(
-                f"header field {name} = {value!r} is not an integer in [0, 2^64)"
-            )
+def _check_header(n, m, s, seed) -> tuple[int, int, int, int]:
+    """Reject header fields before any array is sized from them; return them as ints."""
+    n, m, s, seed = (check_int(f"header field {name}", value, 0, streams.MASK64, MatrixInvariantError)
+                     for name, value in (("n", n), ("m", m), ("s", s), ("seed", seed)))
     if m > 1 << 32:
         raise MatrixInvariantError(f"m = {m} exceeds the uint32 row-index range")
     if not 1 <= s <= m:
         raise MatrixInvariantError(f"sparsity s={s} outside [1, m={m}]")
+    return n, m, s, seed
 
 
 def serialize(matrix: SparseJLMatrix) -> bytes:
@@ -361,7 +354,7 @@ def deserialize(data: bytes) -> SparseJLMatrix:
     version, n, m, s, seed = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
         raise FormatVersionError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
-    _check_header(n, m, s, seed)
+    n, m, s, seed = _check_header(n, m, s, seed)
     expected = _HEADER.size + n * s * _ENTRY_DTYPE.itemsize
     if len(data) != expected:
         raise TruncatedStreamError(
@@ -534,7 +527,7 @@ def _decode_canonical(text) -> SparseJLMatrix | None:
         return None
     m, n, s, seed = map(int, header.groups())
     try:
-        _check_header(n, m, s, seed)
+        n, m, s, seed = _check_header(n, m, s, seed)
     except MatrixInvariantError:
         return None
     head = _json_head(n)
@@ -589,7 +582,7 @@ def _decode_document(text: str) -> SparseJLMatrix:
         raise MatrixInvariantError(f"malformed matrix document: missing {exc}") from None
     if type(version) is not int or version != FORMAT_VERSION:
         raise FormatVersionError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
-    _check_header(n, m, s, seed)
+    n, m, s, seed = _check_header(n, m, s, seed)
     if type(columns) is not list:
         raise MatrixInvariantError("malformed matrix document: columns is not a list")
     if len(columns) != n:

@@ -277,6 +277,15 @@ class TestVerify:
         assert code == 1
         assert "p_hat" not in out and err.startswith("error:")
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_non_positive_n_is_validation_error(self, capsys, n):
+        """The default x = 1/sqrt(n) once ended in a ZeroDivisionError or ValueError traceback."""
+        code, out, err = invoke(capsys, "verify", "--n", n, "--m", "8", "--s", "2",
+                                "--eps", "0.5", "--trials", "5", "--seed", "1")
+        assert code == 1
+        assert "p_hat" not in out
+        assert err == f"error: n must be an integer >= 1, got {n}\n"
+
     def test_x_file_must_hold_one_vector(self, capsys, tmp_path):
         vec = tmp_path / "x.csv"
         vec.write_text("1.0,0.0\n0.0,1.0\n")
@@ -303,6 +312,14 @@ class TestBounds:
                               "--p", str(1 / 30), "--format", "json")
         assert code == 0
         assert not any(row["valid"] for row in json.loads(out))
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_p_is_validation_error(self, capsys, p):
+        """With --p nan, max(a, nan) returned a and five rows were marked valid."""
+        code, out, err = invoke(capsys, "bounds", "--eps", "0.1", "--delta", "0.1", "--p", p)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: p must be positive and finite") and err.count("\n") == 1
 
     def test_consistent_with_plan(self, capsys):
         code, out, _ = invoke(

@@ -242,3 +242,19 @@ class TestChernoffOptimumCheck:
 
     def test_small_u(self):
         assert chernoff_optimum_check(TailEnvelope(1.0, 1.0), 1e-8) <= 1e-12
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    bennet_h,
+    lambda v: poisson_tail_bound(v, 1.0),
+    lambda v: poisson_tail_bound(1.0, v),
+    lambda v: TailEnvelope(v, 1.0),
+    lambda v: TailEnvelope(1.0, v),
+    lambda v: sub_poisson_tail(TailEnvelope(1.0, 1.0), v),
+    lambda v: chernoff_optimum_check(TailEnvelope(1.0, 1.0), v),
+], ids=["bennet_h", "poisson_lam", "poisson_eps", "envelope_v", "envelope_k", "sub_poisson_u", "chernoff_u"])
+def test_non_finite_argument_is_domain_error(call, value):
+    """Range checks once written as x <= 0 let NaN through: poisson_tail_bound(nan, 1.0) returned 1.0."""
+    with pytest.raises(DomainError, match="finite"):
+        call(value)

@@ -45,12 +45,6 @@ class TestPlanRequest:
         with pytest.raises(DomainError):
             PlanRequest(0.05, 0.0, P30)
 
-    def test_from_counts(self):
-        req = PlanRequest.from_counts(0.05, 0.01, s=2, m=60)
-        assert req.p == pytest.approx(P30)
-        with pytest.raises(DomainError):
-            PlanRequest.from_counts(0.05, 0.01, s=0, m=60)
-
 
 class TestMinDimension:
     def test_reference_instance(self):
@@ -205,6 +199,14 @@ class TestBoundsTable:
         assert not rows[BENNET_ROW].valid
         assert not rows["matrix_chernoff"].valid
         assert len(rows) == 8
+
+    @pytest.mark.parametrize("name", ["p", "constant"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_must_be_positive_and_finite(self, name, value):
+        """A NaN p once marked five rows valid; a NaN or negative constant printed nan or negative rows."""
+        args = {"p": 0.01, "constant": 1.0, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            bounds_table(0.1, 0.1, args["p"], B=math.e, constant=args["constant"])
 
     def test_constant_scaling(self):
         base = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}

@@ -67,7 +67,7 @@ class TestBuild:
     def test_full_column_when_s_equals_m(self):
         """s = m forces the column to occupy every row, entries +-1/2."""
         matrix = build_matrix(1, 4, 4, seed=123)
-        assert sorted(r for r, _ in matrix.column(0)) == [0, 1, 2, 3]
+        assert sorted(matrix.rows[0].tolist()) == [0, 1, 2, 3]
         assert matrix.scale == 0.5
         y = apply(matrix, [1.0])
         assert sorted(abs(v) for v in y) == [0.5, 0.5, 0.5, 0.5]
@@ -153,8 +153,7 @@ class TestApply:
         e1[0] = 1.0
         y = apply(matrix, e1)
         expected = np.zeros(8)
-        for r, g in matrix.column(0):
-            expected[r] = g * matrix.scale
+        expected[matrix.rows[0]] = matrix.signs[0] * matrix.scale
         assert np.array_equal(y, expected)
         assert float(y @ y) == pytest.approx(1.0, abs=1e-15)
 

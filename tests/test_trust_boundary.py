@@ -1,10 +1,12 @@
 """Property tests: decoders and the CLI turn arbitrary input into a result or a SparseJLError.
 
 The JSON decoder's canonical path must also agree with the general decoder on
-every text, canonical or not.
+every text, canonical or not.  Every integer argument accepts an ``int`` or a
+numpy integer in range and rejects anything else with a SparseJLError.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,9 +15,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsejl import SparseJLError, build_matrix, deserialize, deserialize_json, serialize_json
+from sparsejl import (
+    DomainError,
+    MajorizationSpec,
+    MomentSpec,
+    SparseJLError,
+    build_matrix,
+    check_majorization,
+    check_multinomial_inequality,
+    check_psi_envelope,
+    clopper_pearson,
+    deserialize,
+    deserialize_json,
+    estimate_failure_prob,
+    exact_moment_Z,
+    moment_bound_rhs,
+    serialize_json,
+    squared_norm_samples,
+)
 from sparsejl.cli import read_vectors, run
-from sparsejl.transform import _HEADER, _decode_document
+from sparsejl.transform import _HEADER, _check_header, _decode_document
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -154,3 +173,96 @@ def test_cli_transform_never_raises(matrix_bytes, vector_bytes):
         code = run(["transform", "--matrix", str(tmp / "A"), "--in", str(tmp / "in.csv"),
                     "--out", str(tmp / "out.csv")])
     assert code in (0, 1, 2)
+
+
+X2 = (0.6, 0.8)
+
+# One call per integer parameter, with the other arguments fixed, and an
+# in-range value for it.  In-range values stay at most 8, so no call
+# allocates much memory.
+INT_PARAMS = {
+    "build_matrix.n": (lambda v: build_matrix(v, 4, 2, 0), 3),
+    "build_matrix.m": (lambda v: build_matrix(2, v, 1, 0), 5),
+    "build_matrix.s": (lambda v: build_matrix(2, 8, v, 0), 3),
+    "build_matrix.seed": (lambda v: build_matrix(2, 4, 2, v), 7),
+    "check_header.n": (lambda v: _check_header(v, 4, 2, 0), 3),
+    "check_header.m": (lambda v: _check_header(2, v, 1, 0), 5),
+    "check_header.s": (lambda v: _check_header(2, 8, v, 0), 3),
+    "check_header.seed": (lambda v: _check_header(2, 4, 2, v), 7),
+    "squared_norm_samples.trials": (lambda v: squared_norm_samples(2, 4, 2, X2, v, 0), 4),
+    "estimate_failure_prob.trials": (lambda v: estimate_failure_prob(2, 4, 2, X2, 0.5, v, 0), 4),
+    "MomentSpec.q": (lambda v: exact_moment_Z(MomentSpec(X2, 0.1, v)), 3),
+    "moment_bound_rhs.q": (lambda v: moment_bound_rhs(0.1, v), 4),
+    "check_multinomial_inequality.q_max": (check_multinomial_inequality, 5),
+    "MajorizationSpec.n": (lambda v: MajorizationSpec(v, 2, 1, 2, (1.0,)), 1),
+    "MajorizationSpec.m": (lambda v: check_majorization(MajorizationSpec(1, v, 1, 2, (1.0,))), 3),
+    "MajorizationSpec.s": (lambda v: check_majorization(MajorizationSpec(1, 4, v, 2, (1.0,))), 2),
+    "MajorizationSpec.q": (lambda v: check_majorization(MajorizationSpec(1, 2, 1, v, (1.0,))), 4),
+    "check_psi_envelope.grid_points": (lambda v: check_psi_envelope(1 / 30, grid_points=v), 3),
+    "clopper_pearson.failures": (lambda v: clopper_pearson(v, 5), 2),
+    "clopper_pearson.trials": (lambda v: clopper_pearson(1, v), 6),
+}
+
+int_like_values = st.one_of(
+    st.integers(-3, 8),
+    st.integers(-3, 8).map(np.int64),
+    st.integers(0, 8).map(np.uint8),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(),
+    st.sampled_from([2.0, math.nan, math.inf, np.float64(3.0)]),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@pytest.mark.parametrize("param", sorted(INT_PARAMS))
+@settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(value=int_like_values)
+def test_integer_parameter_returns_or_raises(param, value):
+    """Each call returns or raises a SparseJLError; a value that is not an integer never returns."""
+    try:
+        INT_PARAMS[param][0](value)
+    except SparseJLError:
+        return
+    assert isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32])
+@pytest.mark.parametrize("param", sorted(INT_PARAMS))
+def test_numpy_integer_acts_as_the_equal_int(param, kind):
+    call, value = INT_PARAMS[param]
+    assert _same(call(kind(value)), call(value))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_matrix(2.5, 10, 2, 0),
+    lambda: build_matrix(2, 10.0, 2, 0),
+    lambda: build_matrix(True, 10, 2, 0),
+    lambda: MomentSpec(X2, 0.1, True),
+    lambda: MomentSpec(X2, 0.1, 2.0),
+    lambda: clopper_pearson(1.5, 3),
+    lambda: clopper_pearson(1, math.inf),
+    lambda: MajorizationSpec(1, 2.5, 1, 2, (1.0,)),
+    lambda: squared_norm_samples(2, 4, 2, X2, True, 0),
+    lambda: squared_norm_samples(2, 4, 2, X2, 2.5, 0),
+    lambda: estimate_failure_prob(2, 4, 2, X2, 0.5, True, 0),
+    lambda: estimate_failure_prob(2, 4, 2, X2, 0.5, 2.5, 0),
+    lambda: check_multinomial_inequality(True),
+], ids=[
+    "build_matrix-n=2.5", "build_matrix-m=10.0", "build_matrix-n=True", "MomentSpec-q=True",
+    "MomentSpec-q=2.0", "clopper_pearson-failures=1.5", "clopper_pearson-trials=inf",
+    "MajorizationSpec-m=2.5", "squared_norm_samples-trials=True", "squared_norm_samples-trials=2.5",
+    "estimate_failure_prob-trials=True", "estimate_failure_prob-trials=2.5",
+    "check_multinomial_inequality-q_max=True",
+])
+def test_non_integer_argument_is_domain_error(call):
+    """Each of these was coerced, accepted or ended in a bare TypeError or AttributeError."""
+    with pytest.raises(DomainError):
+        call()
