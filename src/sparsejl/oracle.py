@@ -9,15 +9,22 @@ probabilities with exact binomial confidence intervals.  Enumeration
 budgets are hard errors: an oracle that silently subsamples is not an
 oracle.
 
-Both exact oracles (``exact_moment_Z`` and ``check_majorization``) run on
-one array-level kernel.  It takes a batch of selections of equal weight,
-forms ((sum_i S_i^2 - T)/s)^q for every selection and sign pattern from
-its definition, and sums all values with one exact ``math.fsum``, fed in
-blocks of ``transform._CHUNK_ENTRIES`` row sums.  Flipping every sign
-leaves each value unchanged, so only the patterns with the first sign +
-are formed and their exact sum is doubled.  E[Z^q] is the one-row case of
-the majorization right side, a sum over iid Bernoulli cell selections.  The
-majorization budget counts both sides, C(m,s)^n 2^(ns) + 3^(mn).
+The exact oracles form ((sum_i S_i^2 - T)/s)^q from its definition for
+every configuration they enumerate and sum the values with exact
+``math.fsum``.  E[Z^q] (``exact_moment_Z``) is the one-row case of the
+majorization right side, a sum over iid Bernoulli selections of the cells
+of an m x n grid.  The rows are independent and a value does not change
+when every sign of one row flips, so each row runs over its (3^n+1)/2
+classes (first selected sign +, a nonempty class counted twice) and the
+rows combine by outer sums, ((3^n+1)/2)^m values with one ``math.fsum``
+per number of selected cells.  The majorization left side, where each
+column picks exactly s rows, enumerates the assignments and the sign
+patterns with the first sign +, whose exact sum is doubled.  Working
+arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` values,
+and no result depends on the block size.  The majorization budget counts
+both sides, C(m,s)^n 2^(ns) + 3^(mn).  Every oracle vector ``x`` is a flat
+sequence of real numbers (else ``DomainError``) and a unit vector (else
+``ConstraintViolation``).
 
 The checks run at fixed settings.  Moments are accepted up to order
 ``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
@@ -31,6 +38,7 @@ Clopper-Pearson interval, whose endpoints are computed with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, product
@@ -58,6 +66,21 @@ _CI_TAIL = (1.0 - 0.99) / 2
 _TRIAL_CHUNK_ENTRIES = 1 << 20
 
 
+def _real_vector(x) -> np.ndarray:
+    """``x`` as a 1-D float64 array; anything but a flat sequence of real numbers raises DomainError.
+
+    Nested, ragged, complex, boolean, string and ``None`` input is rejected,
+    not coerced.  Non-finite entries pass here and fail ``_check_unit``.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError:
+        raise DomainError("x must be a 1-D sequence of real numbers, got a ragged sequence") from None
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise DomainError(f"x must be a 1-D sequence of real numbers, got shape {arr.shape} and dtype {arr.dtype}")
+    return arr.astype(np.float64)
+
+
 def _check_unit(x: np.ndarray) -> None:
     norm_sq = float(np.dot(x, x))
     # Written so that a NaN norm fails: every comparison with NaN is false.
@@ -72,7 +95,10 @@ def _sign_average_sum(rows: np.ndarray, coeffs: np.ndarray, m: int, s: int, q: i
     (of ``m`` rows): S_i = sum over {j : rows[b, j] = i} of r_j coeffs[b, j]
     and T_b = sum_j coeffs[b, j]^2.  Every configuration's value is formed
     from this definition and all are summed by one exact ``math.fsum``, fed
-    in blocks of at most ``transform._CHUNK_ENTRIES`` row sums.
+    in blocks of at most ``transform._CHUNK_ENTRIES`` row sums.  This is
+    the majorization left side, whose selections all have one weight and
+    whose rows are not independent; the iid side is
+    ``_bernoulli_selection_sum``.
     """
     batch, width = coeffs.shape
     t = np.sum(coeffs * coeffs, axis=1)
@@ -98,21 +124,125 @@ def _sign_average_sum(rows: np.ndarray, coeffs: np.ndarray, m: int, s: int, q: i
     return 2.0 * math.fsum(chain.from_iterable(values())) / 2**width
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_patterns(cells: int) -> tuple[np.ndarray, list[int]]:
+    """All 3^cells patterns of a run of cells in one row, one per column, and where each weight starts.
+
+    A pattern holds 0 for an unselected cell and the sign +1 or -1 of a
+    selected one.  Columns [0, R), R = (3^cells+1)/2, are the row classes,
+    whose first selected sign is +; columns [R, 3^cells) negate classes 1..
+    in order.  The classes are sorted by weight (the number of selected
+    cells): weight w spans columns ``starts[w]:starts[w+1]``, so the empty
+    class is column 0.
+    """
+    classes = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(cells):
+        k = len(classes)
+        last = np.repeat(np.array([0, 1, -1], dtype=np.int8), (k, k, k - 1))
+        classes = np.column_stack((np.concatenate((classes, classes, classes[1:])), last))
+    weights = np.count_nonzero(classes, axis=1)
+    classes = classes[np.argsort(weights, kind="stable")]
+    signs = np.ascontiguousarray(np.concatenate((classes, -classes[1:])).T)
+    signs.flags.writeable = False
+    return signs, [0] + np.cumsum(np.bincount(weights, minlength=cells + 1)).tolist()
+
+
+def _fold(start: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """out[e, k] = start[e] + coef[0, k] + coef[1, k] + ..., added left to right."""
+    out = np.repeat(start[:, None], coef.shape[1], axis=1)
+    for terms in coef:
+        out += terms
+    return out
+
+
 def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) -> float:
     """Exact E over iid Bernoulli(p) cell selectors of the sign-averaged ((sum_i S_i^2 - T)/s)^q.
 
     Cell c of the m * n lies at row c // n with coefficient x[c % n].  The
-    selections of w cells, weighted p^w (1-p)^(mn-w), form one batch of the
-    sign enumeration kernel; fewer than two cells give exactly 0.
+    rows are independent, and flipping every sign of one row leaves the
+    value unchanged, so each row runs over its (3^n+1)/2 classes (each cell
+    unselected or selected, the first selected sign +), a nonempty class
+    standing for its two sign patterns; the rows combine by outer sums in
+    row order, ((3^n+1)/2)^m class combinations in all.  S_i accumulates in
+    cell order, T in cell order over the whole grid, and sum_i S_i^2 in row
+    order.  The combinations of w >= 2 selected cells are summed by one
+    exact ``math.fsum`` and weighted p^w (1-p)^(mn-w) / 2^w; fewer than two
+    cells give exactly 0.
+
+    The last ``tail`` cells of the last row, the longest run whose 3^tail
+    patterns times tail fit in ``transform._CHUNK_ENTRIES``, are enumerated
+    against the prefix, every class combination of the cells before them
+    (at most 2744 entries for the specs the budgets accept).  Weight w is
+    summed over the prefix entries of each weight a times the tail patterns
+    of weight w - a, in blocks of at most that many values (or one prefix
+    entry), so no result depends on the block size.  The empty prefix's
+    values, the tail's own classes, are formed once, in one pass: at m = 1
+    and n <= 8 they are all the values.
     """
     n = len(x)
     cells = m * n
-    terms = []
-    for w in range(2, cells + 1):
-        idx = np.array(list(combinations(range(cells), w)))
-        weight = p**w * (1.0 - p) ** (cells - w)
-        terms.append(weight * _sign_average_sum(idx // n, x[idx % n], m, s, q))
-    return math.fsum(terms)
+    tail = 1
+    while tail < n and (tail + 1) * 3 ** (tail + 1) <= transform._CHUNK_ENTRIES:
+        tail += 1
+    # Prefix entries, one per class combination of rows 0..m-2 and of the
+    # head (the first n - tail cells of row m-1): `closed` sums S_i^2 over
+    # rows 0..m-2, `row` is S of the head, `mult` the patterns an entry
+    # stands for.  Each segment starts a row, closing the one before.
+    closed = row = t = np.zeros(1)
+    w = np.zeros(1, dtype=np.int64)
+    mult = np.ones(1)
+    for width in (n,) * (m - 1) + (n - tail,):
+        signs, starts = _sign_patterns(width)
+        k = np.repeat(np.arange(width + 1), np.diff(starts))
+        coef = signs[:, : starts[-1]] * x[:width, None]
+        closed = np.repeat(closed + row * row, len(k))
+        row = np.tile(_fold(np.zeros(1), coef)[0], len(t))
+        t = _fold(t, coef * coef).ravel()
+        w = (w[:, None] + k).ravel()
+        mult = (mult[:, None] * np.where(k > 0, 2.0, 1.0)).ravel()
+    head_open = np.tile(k > 0, len(w) // len(k))
+    # An entry with an empty head takes the tail's classes, each doubled when
+    # nonempty; one with an open head takes every tail pattern.  Entries are
+    # grouped by (weight, open head); the empty prefix is entry 0.
+    key = 2 * w + head_open
+    order = np.argsort(key, kind="stable")
+    closed, row, t, mult = closed[order], row[order], t[order], mult[order]
+    bounds = [0] + np.cumsum(np.bincount(key)).tolist()
+    groups = [(g // 2, g % 2, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if g and hi > lo]
+
+    signs, starts = _sign_patterns(tail)
+    classes = starts[-1]
+    # The negated classes serve open entries only.
+    coef = signs[:, : signs.shape[1] if head_open.any() else classes] * x[n - tail :, None]
+    sq = coef * coef
+
+    def block(e: slice, cols: slice) -> np.ndarray:
+        total = _fold(row[e], coef[:, cols])
+        return ((closed[e, None] + total * total - _fold(t[e], sq[:, cols])) / s) ** q * mult[e, None]
+
+    # Every nonempty class counts twice; the empty one's value is exactly 0.
+    own = 2.0 * block(slice(0, 1), slice(0, classes))[0]
+
+    def values(wt: int):
+        if wt <= tail:
+            yield own[starts[wt] : starts[wt + 1]].tolist()
+        for a, is_open, lo, hi in groups:
+            b = wt - a
+            if not 0 <= b <= tail:
+                continue
+            spans = [slice(starts[b], starts[b + 1])]
+            if is_open and b:
+                spans.append(slice(classes + starts[b] - 1, classes + starts[b + 1] - 1))
+            scale = 1.0 if is_open or not b else 2.0
+            for cols in spans:
+                step = max(1, transform._CHUNK_ENTRIES // (cols.stop - cols.start))
+                for e0 in range(lo, hi, step):
+                    yield (scale * block(slice(e0, min(hi, e0 + step)), cols)).ravel().tolist()
+
+    return math.fsum(
+        p**wt * (1.0 - p) ** (cells - wt) * (math.fsum(chain.from_iterable(values(wt))) / 2**wt)
+        for wt in range(2, cells + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -124,14 +254,15 @@ class MomentSpec:
     q: int
 
     def __post_init__(self):
-        if len(self.x) > _MOMENT_MAX_DIM:
+        x = _real_vector(self.x)
+        if len(x) > _MOMENT_MAX_DIM:
             raise BudgetError(
-                f"enumeration budget exceeded: dimension {len(self.x)} > {_MOMENT_MAX_DIM} "
+                f"enumeration budget exceeded: dimension {len(x)} > {_MOMENT_MAX_DIM} "
                 f"(3^n selector/sign configurations)"
             )
-        if len(self.x) == 0:
+        if len(x) == 0:
             raise DomainError("x must be non-empty")
-        _check_unit(np.asarray(self.x, dtype=np.float64))
+        _check_unit(x)
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"selector rate p must lie in (0, 1), got {self.p}")
         object.__setattr__(self, "q", check_int("moment order q", self.q, 1, MAX_MOMENT_ORDER))
@@ -142,7 +273,8 @@ def exact_moment_Z(spec: MomentSpec) -> float:
 
     Per selector mask eta the identity Z = S^2 - T holds with
     S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i: this is the
-    Bernoulli-selection sum with one row and s = 1.
+    Bernoulli-selection sum with one row and s = 1, over the (3^n+1)/2 row
+    classes.
     """
     return _bernoulli_selection_sum(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, spec.q)
 
@@ -234,9 +366,10 @@ class MajorizationSpec:
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         if self.q % 2:
             raise DomainError(f"q must be even, got {self.q}")
-        if len(self.x) != self.n:
-            raise DomainError(f"x must have length n={self.n}, got {len(self.x)}")
-        _check_unit(np.asarray(self.x, dtype=np.float64))
+        x = _real_vector(self.x)
+        if len(x) != self.n:
+            raise DomainError(f"x must have length n={self.n}, got {len(x)}")
+        _check_unit(x)
         # Left: C(m,s)^n row assignments, each with 2^(n s) sign patterns.
         # Right: each of the m n cells is unselected, +1 or -1.
         size = math.comb(self.m, self.s) ** self.n * 2 ** (self.n * self.s) + 3 ** (self.m * self.n)
@@ -252,9 +385,10 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
     The left value draws each column's s row indices uniformly without
     replacement; the right replaces the selectors by iid Bernoulli(s/m)
     entries.  Both are full enumerations over selections and signs: the
-    left side is one batch of the sign enumeration kernel (every assignment
-    selects n*s cells), the right side the Bernoulli-selection sum over the
-    m*n cells with p = s/m.
+    left side sums the C(m,s)^n assignments, each with its 2^(ns-1) sign
+    patterns whose first sign is +; the right side is the Bernoulli-selection
+    sum over the m*n cells with p = s/m, ((3^n+1)/2)^m row-class
+    combinations.
     """
     x = np.asarray(spec.x, dtype=np.float64)
     n, m, s, q = spec.n, spec.m, spec.s, spec.q
@@ -381,7 +515,7 @@ def squared_norm_samples(
     """
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)
     trials = check_int("trials", trials, 1)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_vector(x)
     if x.shape != (n,):
         raise DomainError(f"x must have shape ({n},), got {x.shape}")
     _check_unit(x)

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -134,6 +135,19 @@ def loop_majorization(n, m, s, qs, x):
             for i, q in enumerate(qs)}
 
 
+def traced_peak(call):
+    """(call(), peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Working arrays stay within blocks of about transform._CHUNK_ENTRIES values.
+PEAK_BYTES = 16 << 20
+
+
 def assert_matches_loop(got, ref):
     """Relative 1e-12 where the value is at least 1e-15, else absolute 1e-15."""
     if abs(ref) >= 1e-15:
@@ -187,6 +201,13 @@ class TestExactMomentZ:
                 for p in (1 / 30, 0.1, 0.5):
                     for q in range(1, 7):
                         assert_matches_loop(exact_moment_Z(MomentSpec(x, p, q)), loop_moment(x, p, q))
+        # Past eight cells numpy's pairwise sum no longer adds T in cell order, and the
+        # row splits into classes of its first cells and patterns of its last eight.
+        for n in range(9, 12):
+            for x in (np.full(n, 1 / math.sqrt(n)), rng.standard_normal(n)):
+                x = tuple(x / math.sqrt(float(x @ x)))
+                for q in (2, 3, 6):
+                    assert_matches_loop(exact_moment_Z(MomentSpec(x, 0.1, q)), loop_moment(x, 0.1, q))
 
     def test_validation(self):
         unit14 = (1 / math.sqrt(14),) * 14
@@ -241,10 +262,12 @@ class TestMomentOrderLimit:
     def test_limit_is_finite(self):
         q = oracle.MAX_MOMENT_ORDER
         assert q == 100
-        exact = exact_moment_Z(MomentSpec((14**-0.5,) * 14, 0.999, q))
+        exact, peak = traced_peak(lambda: exact_moment_Z(MomentSpec((14**-0.5,) * 14, 0.999, q)))
         bound = moment_bound_rhs(0.999, q)
         assert math.isfinite(exact) and math.isfinite(bound)
         assert exact <= bound
+        # 2.4 million row classes at n = 14, formed in blocks.
+        assert peak <= PEAK_BYTES
 
 
 class TestMultinomialInequality:
@@ -345,6 +368,12 @@ class TestMajorization:
         for entries in (1, 7, 100):
             monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
             assert [check_majorization(MajorizationSpec(3, 3, 2, 4, x3)), exact_moment_Z(MomentSpec(x, 0.1, 5))] == full
+
+    @pytest.mark.parametrize("n, m, s, x", [(4, 3, 2, (0.5, -0.5, 0.1, math.sqrt(0.49))), (3, 4, 2, (0.6, 0.0, 0.8))])
+    def test_working_memory_stays_in_blocks(self, n, m, s, x):
+        (lhs, rhs), peak = traced_peak(lambda: check_majorization(MajorizationSpec(n, m, s, 4, x)))
+        assert lhs <= rhs
+        assert peak <= PEAK_BYTES
 
     def test_budget(self):
         """The budget counts both enumerations, C(m,s)^n 2^(ns) + 3^(mn)."""

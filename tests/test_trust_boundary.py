@@ -2,7 +2,8 @@
 
 The JSON decoder's canonical path must also agree with the general decoder on
 every text, canonical or not.  Every integer argument accepts an ``int`` or a
-numpy integer in range and rejects anything else with a SparseJLError.
+numpy integer in range and rejects anything else with a SparseJLError, and
+every oracle vector is a flat sequence of real numbers or a DomainError.
 """
 
 import json
@@ -265,4 +266,25 @@ def test_numpy_integer_acts_as_the_equal_int(param, kind):
 def test_non_integer_argument_is_domain_error(call):
     """Each of these was coerced, accepted or ended in a bare TypeError or AttributeError."""
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MomentSpec(((0.6, 0.8),), 0.1, 2),
+    lambda: MomentSpec(("a", "b"), 0.1, 2),
+    lambda: MomentSpec((0.6 + 0j, 0.8), 0.1, 2),
+    lambda: MomentSpec(None, 0.1, 2),
+    lambda: MomentSpec(((0.6,), 0.8), 0.1, 2),
+    lambda: MomentSpec((True, False), 0.1, 2),
+    lambda: MajorizationSpec(1, 2, 1, 2, ((1.0,),)),
+    lambda: squared_norm_samples(2, 4, 2, ["a", "b"], 3, 0),
+    lambda: estimate_failure_prob(4, 8, 2, ["a"] * 4, 0.1, 4, 1),
+], ids=[
+    "MomentSpec-nested", "MomentSpec-strings", "MomentSpec-complex", "MomentSpec-None",
+    "MomentSpec-ragged", "MomentSpec-bools", "MajorizationSpec-nested", "squared_norm_samples-strings",
+    "estimate_failure_prob-strings",
+])
+def test_non_real_vector_is_domain_error(call):
+    """Each of these ended in a bare ValueError or TypeError, or was accepted."""
+    with pytest.raises(DomainError, match="1-D sequence of real numbers"):
         call()
