@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-argument rule."""
+"""Exception types shared across the package, and the integer-argument and real-vector rules."""
 
 import numpy as np
 
@@ -50,3 +50,22 @@ def check_int(name: str, value, low: int, high: int | None = None, error=DomainE
     else:
         span = f"in [{low}, " + ("2^64)" if high == (1 << 64) - 1 else f"{high}]")
     raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_real_vector(name: str, value) -> np.ndarray:
+    """``value`` as a 1-D float64 array; anything but a flat sequence of real
+    numbers raises DomainError.
+
+    Nested, ragged, complex, boolean, string and ``None`` input is rejected,
+    not coerced.  Entries are not checked for finiteness.  The message names
+    the argument.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise DomainError(f"{name} must be a 1-D sequence of real numbers, got a ragged sequence") from None
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise DomainError(
+            f"{name} must be a 1-D sequence of real numbers, got shape {arr.shape} and dtype {arr.dtype}"
+        )
+    return arr.astype(np.float64, copy=False)

@@ -18,13 +18,14 @@ when every sign of one row flips, so each row runs over its (3^n+1)/2
 classes (first selected sign +, a nonempty class counted twice) and the
 rows combine by outer sums, ((3^n+1)/2)^m values with one ``math.fsum``
 per number of selected cells.  The majorization left side, where each
-column picks exactly s rows, enumerates the assignments and the sign
-patterns with the first sign +, whose exact sum is doubled.  Working
+column picks exactly s rows, is iid selection conditioned on every column
+holding s cells: it is one more ``math.fsum``, over the values of the same
+enumeration whose count of selected cells is s in every column.  Working
 arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` values,
 and no result depends on the block size.  The majorization budget counts
-both sides, C(m,s)^n 2^(ns) + 3^(mn).  Every oracle vector ``x`` is a flat
+the one enumeration, 3^(mn) <= 10^7.  Every oracle vector ``x`` is a flat
 sequence of real numbers (else ``DomainError``) and a unit vector (else
-``ConstraintViolation``).
+``ConstraintViolation``); the specs keep it as a tuple of floats.
 
 The checks run at fixed settings.  Moments are accepted up to order
 ``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
@@ -33,7 +34,8 @@ an argument so that a scale too small to hold can serve as a negative
 control.  The Chernoff optimizer identity is checked on a fixed 100-point
 (v, k, u) lattice.  Monte Carlo estimates carry the exact 99%
 Clopper-Pearson interval, whose endpoints are computed with
-``scipy.special.betaincinv``.  Integer arguments go through ``errors.check_int``.
+``scipy.special.betaincinv``.  Integer arguments go through
+``errors.check_int`` and vectors through ``errors.check_real_vector``.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain
 
 import numpy as np
 from scipy.special import betaincinv
 
 from . import streams, transform
 from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, chernoff_optimum_check, psi
-from .errors import BudgetError, ConstraintViolation, DomainError, check_int
+from .errors import BudgetError, ConstraintViolation, DomainError, check_int, check_real_vector
 
 _UNIT_NORM_TOL = 1e-12
 _MOMENT_MAX_DIM = 14
@@ -66,62 +68,11 @@ _CI_TAIL = (1.0 - 0.99) / 2
 _TRIAL_CHUNK_ENTRIES = 1 << 20
 
 
-def _real_vector(x) -> np.ndarray:
-    """``x`` as a 1-D float64 array; anything but a flat sequence of real numbers raises DomainError.
-
-    Nested, ragged, complex, boolean, string and ``None`` input is rejected,
-    not coerced.  Non-finite entries pass here and fail ``_check_unit``.
-    """
-    try:
-        arr = np.asarray(x)
-    except ValueError:
-        raise DomainError("x must be a 1-D sequence of real numbers, got a ragged sequence") from None
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise DomainError(f"x must be a 1-D sequence of real numbers, got shape {arr.shape} and dtype {arr.dtype}")
-    return arr.astype(np.float64)
-
-
 def _check_unit(x: np.ndarray) -> None:
     norm_sq = float(np.dot(x, x))
     # Written so that a NaN norm fails: every comparison with NaN is false.
     if not abs(norm_sq - 1.0) <= _UNIT_NORM_TOL:
         raise ConstraintViolation(f"x must be a unit vector, got |x|^2 = {norm_sq!r}")
-
-
-def _sign_average_sum(rows: np.ndarray, coeffs: np.ndarray, m: int, s: int, q: int) -> float:
-    """Sum over selections b of the mean over all sign patterns of ((sum_i S_i^2 - T_b)/s)^q.
-
-    Selection b places ``coeffs[b, j]`` with sign r_j at row ``rows[b, j]``
-    (of ``m`` rows): S_i = sum over {j : rows[b, j] = i} of r_j coeffs[b, j]
-    and T_b = sum_j coeffs[b, j]^2.  Every configuration's value is formed
-    from this definition and all are summed by one exact ``math.fsum``, fed
-    in blocks of at most ``transform._CHUNK_ENTRIES`` row sums.  This is
-    the majorization left side, whose selections all have one weight and
-    whose rows are not independent; the iid side is
-    ``_bernoulli_selection_sum``.
-    """
-    batch, width = coeffs.shape
-    t = np.sum(coeffs * coeffs, axis=1)
-    half = 1 << (width - 1)
-    block = max(1, transform._CHUNK_ENTRIES // (m * half))
-
-    def values():
-        for start in range(0, batch, block):
-            stop = min(batch, start + block)
-            cells = np.zeros((width, m, stop - start))
-            cells[np.arange(width)[:, None], rows[start:stop].T, np.arange(stop - start)] = coeffs[start:stop].T
-            # sums[k, i, b]: S_i of sign pattern k, built by doubling one sign at a time.
-            sums = np.empty((half, m, stop - start))
-            sums[0] = cells[0]
-            for j in range(1, width):
-                h = 1 << (j - 1)
-                np.subtract(sums[:h], cells[j], out=sums[h : 2 * h])
-                sums[:h] += cells[j]
-            vals = ((sums * sums).sum(axis=1) - t[start:stop]) / s
-            yield (vals**q).ravel().tolist()
-
-    # Flipping every sign maps S to -S: the first-sign-+ half sums to half exactly, and x2 is exact.
-    return 2.0 * math.fsum(chain.from_iterable(values())) / 2**width
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,6 +98,20 @@ def _sign_patterns(cells: int) -> tuple[np.ndarray, list[int]]:
     return signs, [0] + np.cumsum(np.bincount(weights, minlength=cells + 1)).tolist()
 
 
+@functools.lru_cache(maxsize=None)
+def _column_keys(cells: int, base: int, offset: int) -> np.ndarray:
+    """The grid-column key of each pattern of ``_sign_patterns(cells)``, the run starting at grid column ``offset``.
+
+    A key counts the selected cells of each grid column in base ``base``:
+    the selected cell c adds base^(offset + c), whatever its sign or
+    coefficient.
+    """
+    signs, _ = _sign_patterns(cells)
+    keys = base ** np.arange(offset, offset + cells, dtype=np.int64) @ (signs != 0)
+    keys.flags.writeable = False
+    return keys
+
+
 def _fold(start: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """out[e, k] = start[e] + coef[0, k] + coef[1, k] + ..., added left to right."""
     out = np.repeat(start[:, None], coef.shape[1], axis=1)
@@ -155,32 +120,37 @@ def _fold(start: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) -> float:
-    """Exact E over iid Bernoulli(p) cell selectors of the sign-averaged ((sum_i S_i^2 - T)/s)^q.
+def _row_class_values(x: np.ndarray, m: int, s: int, q: int):
+    """Every value ((sum_i S_i^2 - T)/s)^q of a selection of cells of the m x n grid and a sign pattern.
 
-    Cell c of the m * n lies at row c // n with coefficient x[c % n].  The
-    rows are independent, and flipping every sign of one row leaves the
-    value unchanged, so each row runs over its (3^n+1)/2 classes (each cell
-    unselected or selected, the first selected sign +), a nonempty class
-    standing for its two sign patterns; the rows combine by outer sums in
-    row order, ((3^n+1)/2)^m class combinations in all.  S_i accumulates in
-    cell order, T in cell order over the whole grid, and sum_i S_i^2 in row
-    order.  The combinations of w >= 2 selected cells are summed by one
-    exact ``math.fsum`` and weighted p^w (1-p)^(mn-w) / 2^w; fewer than two
-    cells give exactly 0.
+    Cell c of the grid lies at row c // n and grid column c % n, with
+    coefficient x[c % n].  The rows are independent, and flipping every
+    sign of one row leaves the value unchanged, so each row runs over its
+    (3^n+1)/2 classes (each cell unselected or selected, the first selected
+    sign +), a nonempty class standing for its two sign patterns; the rows
+    combine by outer sums in row order, ((3^n+1)/2)^m class combinations in
+    all.  S_i accumulates in cell order, T in cell order over the whole
+    grid, and sum_i S_i^2 in row order.
+
+    Returns ``values(w, per_column=None)``, which yields lists of the values
+    of the selections of w cells, each times the number of sign patterns it
+    stands for: their sum is 2^w times the sum over those selections of the
+    sign mean.  With ``per_column`` it keeps the selections that hold
+    exactly that many cells in every grid column.  For this each prefix
+    entry and tail pattern carries a key, its count of selected cells per
+    grid column packed in base m + 1, and the keys add as the weights do.
 
     The last ``tail`` cells of the last row, the longest run whose 3^tail
     patterns times tail fit in ``transform._CHUNK_ENTRIES``, are enumerated
     against the prefix, every class combination of the cells before them
     (at most 2744 entries for the specs the budgets accept).  Weight w is
-    summed over the prefix entries of each weight a times the tail patterns
+    formed from the prefix entries of each weight a times the tail patterns
     of weight w - a, in blocks of at most that many values (or one prefix
-    entry), so no result depends on the block size.  The empty prefix's
+    entry), so no sum depends on the block size.  The empty prefix's
     values, the tail's own classes, are formed once, in one pass: at m = 1
     and n <= 8 they are all the values.
     """
     n = len(x)
-    cells = m * n
     tail = 1
     while tail < n and (tail + 1) * 3 ** (tail + 1) <= transform._CHUNK_ENTRIES:
         tail += 1
@@ -188,8 +158,9 @@ def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) ->
     # head (the first n - tail cells of row m-1): `closed` sums S_i^2 over
     # rows 0..m-2, `row` is S of the head, `mult` the patterns an entry
     # stands for.  Each segment starts a row, closing the one before.
+    base = m + 1
     closed = row = t = np.zeros(1)
-    w = np.zeros(1, dtype=np.int64)
+    w = columns = np.zeros(1, dtype=np.int64)
     mult = np.ones(1)
     for width in (n,) * (m - 1) + (n - tail,):
         signs, starts = _sign_patterns(width)
@@ -199,15 +170,16 @@ def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) ->
         row = np.tile(_fold(np.zeros(1), coef)[0], len(t))
         t = _fold(t, coef * coef).ravel()
         w = (w[:, None] + k).ravel()
+        columns = (columns[:, None] + _column_keys(width, base, 0)[: len(k)]).ravel()
         mult = (mult[:, None] * np.where(k > 0, 2.0, 1.0)).ravel()
     head_open = np.tile(k > 0, len(w) // len(k))
     # An entry with an empty head takes the tail's classes, each doubled when
     # nonempty; one with an open head takes every tail pattern.  Entries are
     # grouped by (weight, open head); the empty prefix is entry 0.
-    key = 2 * w + head_open
-    order = np.argsort(key, kind="stable")
-    closed, row, t, mult = closed[order], row[order], t[order], mult[order]
-    bounds = [0] + np.cumsum(np.bincount(key)).tolist()
+    group = 2 * w + head_open
+    order = np.argsort(group, kind="stable")
+    closed, row, t, mult, columns = closed[order], row[order], t[order], mult[order], columns[order]
+    bounds = [0] + np.cumsum(np.bincount(group)).tolist()
     groups = [(g // 2, g % 2, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if g and hi > lo]
 
     signs, starts = _sign_patterns(tail)
@@ -215,6 +187,7 @@ def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) ->
     # The negated classes serve open entries only.
     coef = signs[:, : signs.shape[1] if head_open.any() else classes] * x[n - tail :, None]
     sq = coef * coef
+    tail_columns = _column_keys(tail, base, n - tail)
 
     def block(e: slice, cols: slice) -> np.ndarray:
         total = _fold(row[e], coef[:, cols])
@@ -223,9 +196,12 @@ def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) ->
     # Every nonempty class counts twice; the empty one's value is exactly 0.
     own = 2.0 * block(slice(0, 1), slice(0, classes))[0]
 
-    def values(wt: int):
+    def values(wt: int, per_column: int | None = None):
+        keep = None if per_column is None else per_column * ((base**n - 1) // m)
         if wt <= tail:
-            yield own[starts[wt] : starts[wt + 1]].tolist()
+            cols = slice(starts[wt], starts[wt + 1])
+            vals = own[cols]
+            yield (vals if keep is None else vals[tail_columns[cols] == keep]).tolist()
         for a, is_open, lo, hi in groups:
             b = wt - a
             if not 0 <= b <= tail:
@@ -237,8 +213,24 @@ def _bernoulli_selection_sum(x: np.ndarray, m: int, s: int, p: float, q: int) ->
             for cols in spans:
                 step = max(1, transform._CHUNK_ENTRIES // (cols.stop - cols.start))
                 for e0 in range(lo, hi, step):
-                    yield (scale * block(slice(e0, min(hi, e0 + step)), cols)).ravel().tolist()
+                    e = slice(e0, min(hi, e0 + step))
+                    if keep is None:
+                        yield (scale * block(e, cols)).ravel().tolist()
+                        continue
+                    hit = columns[e, None] + tail_columns[cols] == keep
+                    if hit.any():
+                        yield (scale * block(e, cols))[hit].tolist()
 
+    return values
+
+
+def _bernoulli_selection_sum(values, cells: int, p: float) -> float:
+    """Exact E over iid Bernoulli(p) selectors of ``cells`` cells of the sign-mean value of ``_row_class_values``.
+
+    The values of w >= 2 selected cells are summed by one exact
+    ``math.fsum`` and weighted p^w (1-p)^(cells-w) / 2^w; fewer than two
+    cells give exactly 0.
+    """
     return math.fsum(
         p**wt * (1.0 - p) ** (cells - wt) * (math.fsum(chain.from_iterable(values(wt))) / 2**wt)
         for wt in range(2, cells + 1)
@@ -254,7 +246,7 @@ class MomentSpec:
     q: int
 
     def __post_init__(self):
-        x = _real_vector(self.x)
+        x = check_real_vector("x", self.x)
         if len(x) > _MOMENT_MAX_DIM:
             raise BudgetError(
                 f"enumeration budget exceeded: dimension {len(x)} > {_MOMENT_MAX_DIM} "
@@ -263,6 +255,7 @@ class MomentSpec:
         if len(x) == 0:
             raise DomainError("x must be non-empty")
         _check_unit(x)
+        object.__setattr__(self, "x", tuple(x.tolist()))
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"selector rate p must lie in (0, 1), got {self.p}")
         object.__setattr__(self, "q", check_int("moment order q", self.q, 1, MAX_MOMENT_ORDER))
@@ -273,10 +266,11 @@ def exact_moment_Z(spec: MomentSpec) -> float:
 
     Per selector mask eta the identity Z = S^2 - T holds with
     S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i: this is the
-    Bernoulli-selection sum with one row and s = 1, over the (3^n+1)/2 row
-    classes.
+    Bernoulli-selection sum of ``_row_class_values`` with one row and
+    s = 1, over the (3^n+1)/2 row classes.
     """
-    return _bernoulli_selection_sum(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, spec.q)
+    x = np.asarray(spec.x, dtype=np.float64)
+    return _bernoulli_selection_sum(_row_class_values(x, 1, 1, spec.q), len(x), spec.p)
 
 
 def moment_bound_rhs(p: float, q: int) -> float:
@@ -366,17 +360,15 @@ class MajorizationSpec:
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         if self.q % 2:
             raise DomainError(f"q must be even, got {self.q}")
-        x = _real_vector(self.x)
+        x = check_real_vector("x", self.x)
         if len(x) != self.n:
             raise DomainError(f"x must have length n={self.n}, got {len(x)}")
         _check_unit(x)
-        # Left: C(m,s)^n row assignments, each with 2^(n s) sign patterns.
-        # Right: each of the m n cells is unselected, +1 or -1.
-        size = math.comb(self.m, self.s) ** self.n * 2 ** (self.n * self.s) + 3 ** (self.m * self.n)
+        object.__setattr__(self, "x", tuple(x.tolist()))
+        # One enumeration serves both sides: each of the m n cells is unselected, +1 or -1.
+        size = 3 ** (self.m * self.n)
         if size > MAJORIZATION_BUDGET:
-            raise BudgetError(
-                f"enumeration budget exceeded: C(m,s)^n * 2^(n s) + 3^(m n) = {size} > {MAJORIZATION_BUDGET}"
-            )
+            raise BudgetError(f"enumeration budget exceeded: 3^(m n) = {size} > {MAJORIZATION_BUDGET}")
 
 
 def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
@@ -384,21 +376,18 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
 
     The left value draws each column's s row indices uniformly without
     replacement; the right replaces the selectors by iid Bernoulli(s/m)
-    entries.  Both are full enumerations over selections and signs: the
-    left side sums the C(m,s)^n assignments, each with its 2^(ns-1) sign
-    patterns whose first sign is +; the right side is the Bernoulli-selection
-    sum over the m*n cells with p = s/m, ((3^n+1)/2)^m row-class
-    combinations.
+    entries.  Both come from one full enumeration over selections and
+    signs, ``_row_class_values`` of the m x n grid, ((3^n+1)/2)^m row-class
+    combinations: the right side is its Bernoulli-selection sum with
+    p = s/m, and the left side, iid selection conditioned on every column
+    holding exactly s cells, is one exact ``math.fsum`` over the values of
+    the n s cell selections with s cells in each column, divided by the
+    2^(ns) sign patterns and the C(m,s)^n assignments.
     """
-    x = np.asarray(spec.x, dtype=np.float64)
-    n, m, s, q = spec.n, spec.m, spec.s, spec.q
-
-    subsets = np.array(list(combinations(range(m), s)))
-    choices = np.array(list(product(range(len(subsets)), repeat=n)))
-    rows = subsets[choices].reshape(len(choices), n * s)
-    coeffs = np.broadcast_to(np.repeat(x, s), rows.shape)
-    lhs = _sign_average_sum(rows, coeffs, m, s, q) / len(choices)
-    return lhs, _bernoulli_selection_sum(x, m, s, s / m, q)
+    n, m, s = spec.n, spec.m, spec.s
+    values = _row_class_values(np.asarray(spec.x, dtype=np.float64), m, s, spec.q)
+    lhs = math.fsum(chain.from_iterable(values(n * s, s))) / 2 ** (n * s) / math.comb(m, s) ** n
+    return lhs, _bernoulli_selection_sum(values, m * n, s / m)
 
 
 @dataclass(frozen=True)
@@ -515,7 +504,7 @@ def squared_norm_samples(
     """
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)
     trials = check_int("trials", trials, 1)
-    x = _real_vector(x)
+    x = check_real_vector("x", x)
     if x.shape != (n,):
         raise DomainError(f"x must have shape ({n},), got {x.shape}")
     _check_unit(x)

@@ -61,6 +61,7 @@ from .errors import (
     MatrixInvariantError,
     TruncatedStreamError,
     check_int,
+    check_real_vector,
 )
 
 FORMAT_VERSION = 1
@@ -278,7 +279,7 @@ def _sign_csc(rows: np.ndarray, signs: np.ndarray, m: int) -> sparse.csc_array:
 
 
 def _vector(matrix: SparseJLMatrix, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = check_real_vector("x", x)
     if x.shape != (matrix.n,):
         raise DimensionMismatch(
             f"expected a vector of length n = {matrix.n}, got shape {x.shape}"
@@ -289,7 +290,9 @@ def _vector(matrix: SparseJLMatrix, x) -> np.ndarray:
 def apply(matrix: SparseJLMatrix, x) -> np.ndarray:
     """Apply the projection: y = A x, in O(s n) plus output allocation.
 
-    Raises DomainError when an entry of y is not finite.
+    ``x`` is a 1-D sequence of n real numbers (``errors.check_real_vector``,
+    else DomainError; a wrong length raises DimensionMismatch).  Raises
+    DomainError when an entry of y is not finite.
     """
     y = _sign_csc(matrix.rows, matrix.signs, matrix.m) @ _vector(matrix, x)
     y *= matrix.scale
@@ -302,15 +305,16 @@ def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
     """Apply the projection to every vector of a batch with one sparse product.
 
     Returns the rows of one (k, m) array; row i is bitwise equal to
-    ``apply(matrix, vectors[i])``.  Raises DomainError naming the first
-    batch element whose projection is not finite.
+    ``apply(matrix, vectors[i])``, and each vector is checked as ``apply``
+    checks it.  Errors name the batch element: the first that is not a
+    vector of n real numbers, or whose projection is not finite.
     """
     xs = []
     for i, x in enumerate(vectors):
         try:
             xs.append(_vector(matrix, x))
-        except DimensionMismatch as exc:
-            raise DimensionMismatch(f"batch element {i}: {exc}") from None
+        except (DimensionMismatch, DomainError) as exc:
+            raise type(exc)(f"batch element {i}: {exc}") from None
     x = np.array(xs).reshape(len(xs), matrix.n)
     y = _sign_csc(matrix.rows, matrix.signs, matrix.m) @ x.T
     y *= matrix.scale

@@ -225,6 +225,17 @@ class TestExactMomentZ:
             MomentSpec((1.0,), 0.1, 0)
 
 
+@pytest.mark.parametrize("make", [np.array, list])
+def test_specs_are_values(make):
+    """The specs keep x as a tuple of floats, so equal specs compare and hash equal."""
+    for build in (lambda: MomentSpec(make([0.6, 0.8]), 0.1, 2), lambda: MajorizationSpec(2, 2, 1, 2, make([0.6, 0.8]))):
+        a, b = build(), build()
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.x == (0.6, 0.8) and all(type(v) is float for v in a.x)
+    assert MomentSpec(make([1, 0]), 0.1, 2).x == (1.0, 0.0)
+
+
 class TestMomentBoundRhs:
     def test_single_term(self):
         assert moment_bound_rhs(0.1, 2) == pytest.approx(16 * 0.01, rel=1e-15)
@@ -339,25 +350,35 @@ class TestMajorization:
                     assert -1e-12 <= lhs <= rhs + 1e-12
 
     def test_matches_per_selection_loop(self):
-        """Every spec the budget accepts: n <= 4, m <= 5, s <= m, q in {2, 4, 6}."""
+        """Every spec the budget accepts: n <= 4, m <= 5, s <= m, q in {2, 4, 6}.
+
+        Each n >= 2 also runs a unit vector with a zero entry: a selected
+        cell with coefficient 0 still counts toward its column's s cells.
+        """
         rng = np.random.default_rng(77)
         checked = 0
         for n in range(1, 5):
             x = rng.standard_normal(n)
-            x = tuple(x / math.sqrt(float(x @ x)))
-            for m in range(1, 6):
-                for s in range(1, m + 1):
-                    try:
-                        specs = [MajorizationSpec(n, m, s, q, x) for q in (2, 4, 6)]
-                    except BudgetError:
-                        continue
-                    ref = loop_majorization(n, m, s, (2, 4, 6), x)
-                    for spec in specs:
-                        got = check_majorization(spec)
-                        assert_matches_loop(got[0], ref[spec.q][0])
-                        assert_matches_loop(got[1], ref[spec.q][1])
-                        checked += 1
-        assert checked == 138
+            x /= math.sqrt(float(x @ x))
+            vectors = [tuple(x)]
+            if n >= 2:
+                z = x.copy()
+                z[n // 2] = 0.0
+                vectors.append(tuple(z / math.sqrt(float(z @ z))))
+            for v in vectors:
+                for m in range(1, 6):
+                    for s in range(1, m + 1):
+                        try:
+                            specs = [MajorizationSpec(n, m, s, q, v) for q in (2, 4, 6)]
+                        except BudgetError:
+                            continue
+                        ref = loop_majorization(n, m, s, (2, 4, 6), v)
+                        for spec in specs:
+                            got = check_majorization(spec)
+                            assert_matches_loop(got[0], ref[spec.q][0])
+                            assert_matches_loop(got[1], ref[spec.q][1])
+                            checked += 1
+        assert checked == 231
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         from sparsejl import transform as tr
@@ -376,7 +397,7 @@ class TestMajorization:
         assert peak <= PEAK_BYTES
 
     def test_budget(self):
-        """The budget counts both enumerations, C(m,s)^n 2^(ns) + 3^(mn)."""
+        """The budget counts the one enumeration of both sides, 3^(mn) <= 10^7."""
         x4 = (0.5, 0.5, 0.5, 0.5)
         x3 = (0.6, 0.0, 0.8)
         for n, m, s, x in ((4, 5, 2, x4), (4, 5, 5, x4), (4, 4, 4, x4), (3, 5, 1, x3)):

@@ -3,7 +3,8 @@
 The JSON decoder's canonical path must also agree with the general decoder on
 every text, canonical or not.  Every integer argument accepts an ``int`` or a
 numpy integer in range and rejects anything else with a SparseJLError, and
-every oracle vector is a flat sequence of real numbers or a DomainError.
+every oracle or projection vector is a flat sequence of real numbers or a
+DomainError.
 """
 
 import json
@@ -21,6 +22,8 @@ from sparsejl import (
     MajorizationSpec,
     MomentSpec,
     SparseJLError,
+    apply,
+    apply_batch,
     build_matrix,
     check_majorization,
     check_multinomial_inequality,
@@ -279,10 +282,16 @@ def test_non_integer_argument_is_domain_error(call):
     lambda: MajorizationSpec(1, 2, 1, 2, ((1.0,),)),
     lambda: squared_norm_samples(2, 4, 2, ["a", "b"], 3, 0),
     lambda: estimate_failure_prob(4, 8, 2, ["a"] * 4, 0.1, 4, 1),
+    lambda: apply(build_matrix(3, 10, 2, 1), ["1", "2", "3"]),
+    lambda: apply(build_matrix(3, 10, 2, 1), [True, False, True]),
+    lambda: apply(build_matrix(3, 10, 2, 1), [1.0 + 0j, 2.0, 3.0]),
+    lambda: apply(build_matrix(3, 10, 2, 1), [[1.0], 2.0, 3.0]),
+    lambda: apply_batch(build_matrix(3, 10, 2, 1), [[1.0, 2.0, 3.0], ["1", "2", "3"]]),
 ], ids=[
     "MomentSpec-nested", "MomentSpec-strings", "MomentSpec-complex", "MomentSpec-None",
     "MomentSpec-ragged", "MomentSpec-bools", "MajorizationSpec-nested", "squared_norm_samples-strings",
-    "estimate_failure_prob-strings",
+    "estimate_failure_prob-strings", "apply-strings", "apply-bools", "apply-complex", "apply-ragged",
+    "apply_batch-strings",
 ])
 def test_non_real_vector_is_domain_error(call):
     """Each of these ended in a bare ValueError or TypeError, or was accepted."""
