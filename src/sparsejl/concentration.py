@@ -13,7 +13,8 @@ bound ``psi(t, p)`` on the reduced moment generating function of the
 single-row projection error together with its scale-K envelope.  The
 dimension bound is certified for one scale only, K = 50
 (``DEFAULT_ENVELOPE_SCALE``), so the row-MGF bound ``mgf_envelope_bound``
-fixes K at 50 and takes no scale argument.
+fixes K at 50 and takes no scale argument.  Every real argument goes
+through ``errors.check_real``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 #: Envelope scale used throughout; h(25 eps/p) in the dimension bound is
 #: h(DEFAULT_ENVELOPE_SCALE * eps / (2 p)).
@@ -51,8 +52,7 @@ def bennet_h(u: float) -> float:
     closed form loses roughly 2*log10(1/u) digits to cancellation, so a
     Taylor series is used there instead.  ``u`` must be finite.
     """
-    if not 0 <= u < math.inf:
-        raise DomainError(f"bennet_h requires finite u >= 0, got {u}")
+    u = check_real("u", u, 0.0, math.inf, low_open=False)
     if u < _H_SERIES_CUTOFF:
         return _bennet_h_series(u)
     return ((1.0 + u) * math.log1p(u) - u) / (u * u / 2.0)
@@ -64,10 +64,8 @@ def poisson_tail_bound(lam: float, eps: float) -> float:
     Dominates the exact upper tail for eps >= lam; the returned value is
     clamped to [0, 1] (the raw bound is vacuous for eps < lam).
     """
-    if not 0 < lam < math.inf:
-        raise DomainError(f"poisson_tail_bound requires finite lam > 0, got {lam}")
-    if not 0 < eps < math.inf:
-        raise DomainError(f"poisson_tail_bound requires finite eps > 0, got {eps}")
+    lam = check_real("lam", lam, 0.0, math.inf)
+    eps = check_real("eps", eps, 0.0, math.inf)
     log_bound = -lam + eps * (1.0 + math.log(lam) - math.log(eps))
     return min(1.0, math.exp(log_bound))
 
@@ -85,11 +83,8 @@ def psi(t: float, p: float) -> float:
     The shared cubic part is evaluated as expm1(4t) - 4t - 8t^2 so that
     psi(t, p) = O(t^3) survives in floating point as t -> 0.
     """
-    if not 0.0 < p <= MAX_SPARSITY:
-        raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
-    limit = math.log(1.0 / p) / 2.0
-    if not 0.0 < t < limit:
-        raise DomainError(f"t must lie in (0, log(1/p)/2) = (0, {limit:.6g}), got {t}")
+    p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
+    t = check_real("t", t, 0.0, math.log(1.0 / p) / 2.0)
     base = math.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
     if t < 0.5:
         tail = 8.0 * math.exp(3.0) * p * t**3 / (1.0 - 2.0 * math.e * p * t)
@@ -105,13 +100,8 @@ def mgf_envelope_bound(t: float, p: float) -> float:
     bound is certified for.  Valid for 0 < t <= log(1/(2p))/2 and
     p <= 1/30; always >= 1.
     """
-    if not 0.0 < p <= MAX_SPARSITY:
-        raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
-    limit = math.log(1.0 / (2.0 * p)) / 2.0
-    if not 0.0 < t <= limit:
-        raise DomainError(
-            f"t must lie in (0, log(1/(2p))/2] = (0, {limit:.6g}], got {t}"
-        )
+    p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
+    t = check_real("t", t, 0.0, math.log(1.0 / (2.0 * p)) / 2.0, high_open=False)
     k = DEFAULT_ENVELOPE_SCALE
     kt = k * t
     return 1.0 + 2.0 * p * p * (math.expm1(kt) - kt) / (k * k)
@@ -129,10 +119,8 @@ class TailEnvelope:
     k: float
 
     def __post_init__(self):
-        if not 0 <= self.v < math.inf:
-            raise DomainError(f"variance proxy v must be finite and >= 0, got {self.v}")
-        if not 0 < self.k < math.inf:
-            raise DomainError(f"envelope scale k must be finite and > 0, got {self.k}")
+        object.__setattr__(self, "v", check_real("variance proxy v", self.v, 0.0, math.inf, low_open=False))
+        object.__setattr__(self, "k", check_real("envelope scale k", self.k, 0.0, math.inf))
 
 
 def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
@@ -141,8 +129,7 @@ def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
     Coincides with the Gaussian bound exp(-u^2/2v) as ku/v -> 0.  A zero
     variance proxy is the point mass at 0, so the tail is 0 for u > 0.
     """
-    if not 0 < u < math.inf:
-        raise DomainError(f"sub_poisson_tail requires finite u > 0, got {u}")
+    u = check_real("u", u, 0.0, math.inf)
     if env.v == 0.0:
         return 0.0
     exponent = -(u * u / (2.0 * env.v)) * bennet_h(env.k * u / env.v)
@@ -157,8 +144,7 @@ def chernoff_optimum_check(env: TailEnvelope, u: float) -> float:
     Both routes describe the same quantity, so the residual is a pure
     floating-point check (<= 1e-12 for well-scaled inputs).
     """
-    if not 0 < u < math.inf:
-        raise DomainError(f"chernoff_optimum_check requires finite u > 0, got {u}")
+    u = check_real("u", u, 0.0, math.inf)
     if env.v == 0.0:
         raise DomainError("chernoff_optimum_check requires a positive variance proxy")
     v, k = env.v, env.k

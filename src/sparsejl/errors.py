@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer-argument and real-vector rules."""
+"""Exception types shared across the package, and the integer, real and real-vector argument rules."""
+
+import math
 
 import numpy as np
 
@@ -50,6 +52,40 @@ def check_int(name: str, value, low: int, high: int | None = None, error=DomainE
     else:
         span = f"in [{low}, " + ("2^64)" if high == (1 << 64) - 1 else f"{high}]")
     raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _bound_text(bound: float) -> str:
+    """A range end as text: 6 significant digits, or 1/k where that is exact and they are not."""
+    text = f"{bound:.6g}"
+    return f"1/{round(1 / bound)}" if float(text) != bound and (1 / bound).is_integer() else text
+
+
+def check_real(
+    name: str, value, low: float, high: float, *, low_open: bool = True, high_open: bool = True, error=DomainError
+) -> float:
+    """``float(value)`` for an ``int``, ``float`` or numpy integer or floating
+    scalar in the range from ``low`` to ``high``, each end open unless
+    ``low_open`` or ``high_open`` is False; ``bool``, arrays (even 0-d),
+    strings, ``None``, NaN and out-of-range values raise ``error``.  An
+    infinite end is left open, so every accepted value is finite.
+
+    The message names the argument, the range and the value, e.g.
+    ``eps must be finite and in (0, 1), got 2.0``.
+    """
+    if type(value) is float:  # tested first: psi runs this per grid point
+        number = value
+    elif isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.nan
+    else:
+        number = math.nan
+    if (low < number if low_open else low <= number) and (number < high if high_open else number <= high):
+        return number
+    ends = ("(" if low_open else "[") + f"{_bound_text(low)}, {_bound_text(high)}" + (")" if high_open else "]")
+    span = {"(-inf, inf)": "finite", "(0, inf)": "positive and finite", "[0, inf)": "finite and >= 0"}
+    raise error(f"{name} must be {span.get(ends, 'finite and in ' + ends)}, got {value!r}")
 
 
 def check_real_vector(name: str, value) -> np.ndarray:

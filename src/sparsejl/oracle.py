@@ -35,7 +35,8 @@ control.  The Chernoff optimizer identity is checked on a fixed 100-point
 (v, k, u) lattice.  Monte Carlo estimates carry the exact 99%
 Clopper-Pearson interval, whose endpoints are computed with
 ``scipy.special.betaincinv``.  Integer arguments go through
-``errors.check_int`` and vectors through ``errors.check_real_vector``.
+``errors.check_int``, real arguments through ``errors.check_real`` and
+vectors through ``errors.check_real_vector``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from scipy.special import betaincinv
 
 from . import streams, transform
 from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, chernoff_optimum_check, psi
-from .errors import BudgetError, ConstraintViolation, DomainError, check_int, check_real_vector
+from .errors import BudgetError, ConstraintViolation, DomainError, check_int, check_real, check_real_vector
 
 _UNIT_NORM_TOL = 1e-12
 _MOMENT_MAX_DIM = 14
@@ -256,8 +257,7 @@ class MomentSpec:
             raise DomainError("x must be non-empty")
         _check_unit(x)
         object.__setattr__(self, "x", tuple(x.tolist()))
-        if not 0.0 < self.p < 1.0:
-            raise DomainError(f"selector rate p must lie in (0, 1), got {self.p}")
+        object.__setattr__(self, "p", check_real("selector rate p", self.p, 0.0, 1.0))
         object.__setattr__(self, "q", check_int("moment order q", self.q, 1, MAX_MOMENT_ORDER))
 
 
@@ -276,8 +276,7 @@ def exact_moment_Z(spec: MomentSpec) -> float:
 def moment_bound_rhs(p: float, q: int) -> float:
     """Closed moment bound 2^q sum_{r=2}^{q} p^r r^q dominating E[Z^q], for q in [2, 100]."""
     q = check_int("moment order q", q, 2, MAX_MOMENT_ORDER)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"selector rate p must lie in (0, 1), got {p}")
+    p = check_real("selector rate p", p, 0.0, 1.0)
     return 2**q * math.fsum(p**r * r**q for r in range(2, q + 1))
 
 
@@ -414,12 +413,12 @@ def check_psi_envelope(
     The grid covers (0, log(1/(2p))/2] with ``grid_points`` equispaced
     points; a point counts as a violation when psi exceeds the envelope by
     more than ``PSI_ENVELOPE_SLACK`` = 1e-12.  ``scale`` must be positive
-    and finite, and ``grid_points`` an integer >= 1 (``int`` or numpy).
+    and finite, and ``grid_points`` an integer >= 1 (``int`` or numpy).  A
+    scale or p whose envelope leaves the float range on the grid raises
+    ``DomainError``.
     """
-    if not 0.0 < p <= MAX_SPARSITY:
-        raise DomainError(f"sparsity fraction p must lie in (0, 1/30], got {p}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"envelope scale must be positive and finite, got {scale}")
+    p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
+    scale = check_real("envelope scale", scale, 0.0, math.inf)
     grid_points = check_int("grid_points", grid_points, 1)
     t_max = math.log(1.0 / (2.0 * p)) / 2.0
     worst = -math.inf
@@ -428,7 +427,12 @@ def check_psi_envelope(
     for i in range(1, grid_points + 1):
         t = t_max * i / grid_points
         kt = scale * t
-        envelope = (math.expm1(kt) - kt - kt * kt / 2.0) * 2.0 / (scale * scale)
+        try:
+            envelope = (math.expm1(kt) - kt - kt * kt / 2.0) * 2.0 / (scale * scale)
+        except (OverflowError, ZeroDivisionError):  # scale * t above 709, or scale^2 below the float range
+            raise DomainError(
+                f"envelope scale {scale!r} at p = {p!r}: the envelope leaves the float range at t = {t!r}"
+            ) from None
         violation = psi(t, p) - envelope
         if violation > worst:
             worst, worst_t = violation, t
@@ -538,8 +542,7 @@ def estimate_failure_prob(
     Failures are counted with strict inequality; the report carries the
     exact 99% Clopper-Pearson interval and is reproducible from ``seed``.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+    eps = check_real("eps", eps, 0.0, math.inf)
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)
     trials = check_int("trials", trials, 1)
     samples = squared_norm_samples(n, m, s, x, trials, seed)

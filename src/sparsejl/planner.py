@@ -9,7 +9,8 @@ valid for p <= 1/30 and eps <= p log(1/(2p)).  Since h <= 1 this never
 beats the optimal dense-projection reference 4 log(2/delta)/eps^2, and it
 approaches it as eps/p -> 0.  A comparison table of published alternative
 bounds (evaluated with configurable leading constants where only an
-unspecified constant is known) is also provided.
+unspecified constant is known) is also provided.  Every real argument goes
+through ``errors.check_real``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, bennet_h
-from .errors import ConstraintViolation, DomainError
+from .errors import ConstraintViolation, DomainError, check_real
 
 #: Row label under which this package's own bound appears in the table.
 BENNET_ROW = "bennet"
@@ -32,7 +33,7 @@ class PlanRequest:
     """Validated (eps, delta, p) planning request.
 
     Requires 0 < eps < 1, 0 < delta < 1, 0 < p <= 1/30 and the validity
-    constraint eps <= p log(1/(2p)).
+    constraint eps <= p log(1/(2p)); the three are kept as floats.
     """
 
     eps: float
@@ -40,14 +41,11 @@ class PlanRequest:
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise DomainError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.p <= MAX_SPARSITY:
-            raise ConstraintViolation(
-                f"sparsity constraint p ⩽ 1/30 violated: p = {self.p}"
-            )
+        object.__setattr__(self, "eps", check_real("eps", self.eps, 0.0, 1.0))
+        object.__setattr__(self, "delta", check_real("delta", self.delta, 0.0, 1.0))
+        p = check_real("p (sparsity constraint p ⩽ 1/30)", self.p, 0.0, MAX_SPARSITY,
+                       high_open=False, error=ConstraintViolation)
+        object.__setattr__(self, "p", p)
         if self.eps > self.eps_limit:
             raise ConstraintViolation(
                 f"validity constraint ε ⩽ p log(1/2p) violated: "
@@ -103,30 +101,6 @@ def min_dimension(req: PlanRequest) -> PlanResult:
     )
 
 
-def sparsity_tradeoff(eps: float, delta: float, B: float) -> tuple[int, int]:
-    """Asymptotic dimension/sparsity pair trading dimension for sparsity.
-
-    Returns (ceil(4 B log(2/delta) / (eps^2 log B)), ceil(1 / (eps log B)))
-    for B > 2.  This is asymptotic guidance, not a certified bound: the
-    published sparsity carries an unspecified constant, taken here as 1.
-    """
-    if not B > 2.0:
-        raise DomainError(f"tradeoff parameter B must exceed 2, got {B}")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    log_b = math.log(B)
-    eps_sq = eps * eps
-    m = 4.0 * B * math.log(2.0 / delta) / (eps_sq * log_b) if eps_sq else math.inf
-    s = 1.0 / (eps * log_b)
-    if not (math.isfinite(m) and math.isfinite(s)):
-        raise DomainError(
-            f"eps = {eps}, B = {B}: the tradeoff dimension or sparsity overflows a float"
-        )
-    return math.ceil(m), math.ceil(s)
-
-
 @dataclass(frozen=True)
 class BoundsRow:
     """One evaluated dimension bound: label, value, constant used, validity."""
@@ -150,25 +124,22 @@ def bounds_table(
     """Published dimension bounds evaluated side by side.
 
     A finite ``constant`` > 0 replaces the unspecified leading constants; rows with
-    explicit published constants ignore it.  Rows whose preconditions fail
-    (the B > 2 requirement, this package's p and eps constraints, or inner
-    logarithms leaving their domain) are marked invalid rather than
-    omitted.  The two published lower bounds are rendered as the single
+    explicit published constants ignore it.  ``B`` must be finite.  Rows
+    whose preconditions fail (the B > 2 requirement, this package's p and
+    eps constraints, or inner logarithms leaving their domain) are marked
+    invalid rather than omitted.  The two published lower bounds are rendered as the single
     optimal-dimension reference line 4 log(2/delta)/eps^2.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"p must be positive and finite, got {p}")
-    if not 0.0 < constant < math.inf:
-        raise DomainError(f"constant must be positive and finite, got {constant}")
+    eps = check_real("eps", eps, 0.0, 1.0)
+    delta = check_real("delta", delta, 0.0, 1.0)
+    p = check_real("p", p, 0.0, math.inf)
+    B = check_real("B", B, -math.inf, math.inf)
+    constant = check_real("constant", constant, 0.0, math.inf)
 
     l2 = math.log(2.0 / delta)
     l1 = math.log(1.0 / delta)
     inv_eps2 = 1.0 / (eps * eps) if eps * eps else math.inf  # eps^2 may underflow to 0
-    inv_peps = 1.0 / (p * eps)
+    inv_peps = 1.0 / (p * eps) if p * eps else math.inf  # so may p * eps
     rows: list[BoundsRow] = []
 
     rows.append(_row("lower_bound_reference", 4.0 * l2 * inv_eps2, 1.0, True, ceil=False))

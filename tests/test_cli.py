@@ -313,13 +313,18 @@ class TestBounds:
         assert code == 0
         assert not any(row["valid"] for row in json.loads(out))
 
-    @pytest.mark.parametrize("p", ["nan", "inf"])
-    def test_non_finite_p_is_validation_error(self, capsys, p):
-        """With --p nan, max(a, nan) returned a and five rows were marked valid."""
-        code, out, err = invoke(capsys, "bounds", "--eps", "0.1", "--delta", "0.1", "--p", p)
+    @pytest.mark.parametrize("flags,message", [
+        (["--p", "nan"], "p must be positive and finite"),
+        (["--p", "inf"], "p must be positive and finite"),
+        (["--p", "0.01", "--B", "nan"], "B must be finite"),
+        (["--p", "0.01", "--B", "inf"], "B must be finite"),
+    ], ids=["nan", "inf", "B-nan", "B-inf"])
+    def test_non_finite_p_is_validation_error(self, capsys, flags, message):
+        """With --p nan, max(a, nan) returned a and five rows were marked valid; --B nan and inf exited 0."""
+        code, out, err = invoke(capsys, "bounds", "--eps", "0.1", "--delta", "0.1", *flags)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: p must be positive and finite") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_consistent_with_plan(self, capsys):
         code, out, _ = invoke(

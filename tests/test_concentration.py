@@ -253,7 +253,12 @@ class TestChernoffOptimumCheck:
     lambda v: TailEnvelope(1.0, v),
     lambda v: sub_poisson_tail(TailEnvelope(1.0, 1.0), v),
     lambda v: chernoff_optimum_check(TailEnvelope(1.0, 1.0), v),
-], ids=["bennet_h", "poisson_lam", "poisson_eps", "envelope_v", "envelope_k", "sub_poisson_u", "chernoff_u"])
+    lambda v: psi(v, 0.01),
+    lambda v: psi(0.5, v),
+    lambda v: mgf_envelope_bound(v, 0.01),
+    lambda v: mgf_envelope_bound(0.5, v),
+], ids=["bennet_h", "poisson_lam", "poisson_eps", "envelope_v", "envelope_k", "sub_poisson_u", "chernoff_u",
+        "psi_t", "psi_p", "mgf_t", "mgf_p"])
 def test_non_finite_argument_is_domain_error(call, value):
     """Range checks once written as x <= 0 let NaN through: poisson_tail_bound(nan, 1.0) returned 1.0."""
     with pytest.raises(DomainError, match="finite"):

@@ -451,6 +451,13 @@ class TestPsiEnvelope:
             check_psi_envelope(1 / 30, **{"grid_points": 10, **kwargs})
 
 
+    @pytest.mark.parametrize("scale", [1000.0, 1e-300], ids=["overflows", "squared-underflows"])
+    def test_envelope_beyond_float_range_is_domain_error(self, scale):
+        """The envelope at these scales ended in a bare OverflowError or ZeroDivisionError."""
+        with pytest.raises(DomainError, match="envelope scale .* leaves the float range"):
+            check_psi_envelope(1 / 30, scale=scale, grid_points=10)
+
+
 class TestChernoffGrid:
     def test_hundred_point_lattice(self):
         points, residual = chernoff_residual_grid()

@@ -17,7 +17,6 @@ from sparsejl import (
     bounds_table,
     bounds_to_csv,
     min_dimension,
-    sparsity_tradeoff,
 )
 
 P30 = 1.0 / 30.0
@@ -121,37 +120,6 @@ class TestMinDimension:
             assert result.s_implied >= 11
 
 
-class TestSparsityTradeoff:
-    def test_log_b_one_collapse(self):
-        """At B = e the dimension formula collapses to ceil(4 e log(2/delta)/eps^2)."""
-        m, s = sparsity_tradeoff(0.1, 0.01, math.e)
-        assert m == math.ceil(4.0 * math.e * math.log(200.0) / 0.01)
-        assert s == math.ceil(1.0 / 0.1)
-
-    def test_reference_instance(self):
-        m, s = sparsity_tradeoff(0.1, 0.01, 10.0)
-        assert m == math.ceil(4.0 * 10.0 * math.log(200.0) / (0.01 * math.log(10.0)))
-
-    def test_continuity_toward_two(self):
-        """Approaching B = 2 from above stays within ceiling slack of the
-        B = 2 formula value."""
-        m_near, _ = sparsity_tradeoff(0.1, 0.01, 2.0 + 1e-9)
-        m_at_two = 4.0 * 2.0 * math.log(200.0) / (0.01 * math.log(2.0))
-        assert m_at_two <= m_near <= m_at_two + 1.0
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            sparsity_tradeoff(0.1, 0.01, 2.0)
-
-    @pytest.mark.parametrize("eps,B", [
-        (1e-300, 4.0), (1e-160, 4.0), (0.1, math.inf), (0.1, math.nan), (0.1, 1e308),
-    ])
-    def test_overflow_is_domain_error(self, eps, B):
-        """eps^2 underflow and huge or non-finite B overflow the formulas."""
-        with pytest.raises(DomainError):
-            sparsity_tradeoff(eps, 0.01, B)
-
-
 class TestBoundsTable:
     def test_row_inventory(self):
         rows = bounds_table(0.05, 0.01, P30, B=4.0)
@@ -207,6 +175,11 @@ class TestBoundsTable:
         args = {"p": 0.01, "constant": 1.0, name: value}
         with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
             bounds_table(0.1, 0.1, args["p"], B=math.e, constant=args["constant"])
+
+    def test_underflowing_p_eps_marks_rows_invalid(self):
+        """1/(p eps) with p eps = 0 ended in a bare ZeroDivisionError."""
+        rows = bounds_table(0.02, 0.1, 5e-324, B=4.0)
+        assert [r.source for r in rows if r.valid] == ["lower_bound_reference"]
 
     def test_constant_scaling(self):
         base = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}

@@ -2,9 +2,10 @@
 
 The JSON decoder's canonical path must also agree with the general decoder on
 every text, canonical or not.  Every integer argument accepts an ``int`` or a
-numpy integer in range and rejects anything else with a SparseJLError, and
-every oracle or projection vector is a flat sequence of real numbers or a
-DomainError.
+numpy integer in range and rejects anything else with a SparseJLError, every
+real argument accepts a finite real scalar in range and rejects anything else
+with a SparseJLError, and every oracle or projection vector is a flat sequence
+of real numbers or a DomainError.
 """
 
 import json
@@ -21,21 +22,31 @@ from sparsejl import (
     DomainError,
     MajorizationSpec,
     MomentSpec,
+    PlanRequest,
     SparseJLError,
+    TailEnvelope,
     apply,
     apply_batch,
+    bennet_h,
+    bounds_table,
     build_matrix,
     check_majorization,
     check_multinomial_inequality,
     check_psi_envelope,
+    chernoff_optimum_check,
     clopper_pearson,
     deserialize,
     deserialize_json,
     estimate_failure_prob,
     exact_moment_Z,
+    mgf_envelope_bound,
+    min_dimension,
     moment_bound_rhs,
+    poisson_tail_bound,
+    psi,
     serialize_json,
     squared_norm_samples,
+    sub_poisson_tail,
 )
 from sparsejl.cli import read_vectors, run
 from sparsejl.transform import _HEADER, _check_header, _decode_document
@@ -296,4 +307,100 @@ def test_non_integer_argument_is_domain_error(call):
 def test_non_real_vector_is_domain_error(call):
     """Each of these ended in a bare ValueError or TypeError, or was accepted."""
     with pytest.raises(DomainError, match="1-D sequence of real numbers"):
+        call()
+
+
+# One call per real parameter, with the other arguments fixed, and an
+# in-range value for it.
+REAL_PARAMS = {
+    "bennet_h.u": (bennet_h, 0.5),
+    "poisson_tail_bound.lam": (lambda v: poisson_tail_bound(v, 2.0), 1.0),
+    "poisson_tail_bound.eps": (lambda v: poisson_tail_bound(1.0, v), 2.0),
+    "psi.p": (lambda v: psi(0.5, v), 0.01),
+    "psi.t": (lambda v: psi(v, 0.01), 0.5),
+    "mgf_envelope_bound.p": (lambda v: mgf_envelope_bound(0.5, v), 0.01),
+    "mgf_envelope_bound.t": (lambda v: mgf_envelope_bound(v, 0.01), 0.5),
+    "TailEnvelope.v": (lambda v: TailEnvelope(v, 1.0), 2.0),
+    "TailEnvelope.k": (lambda v: TailEnvelope(1.0, v), 2.0),
+    "sub_poisson_tail.u": (lambda v: sub_poisson_tail(TailEnvelope(1.0, 1.0), v), 1.0),
+    "chernoff_optimum_check.u": (lambda v: chernoff_optimum_check(TailEnvelope(1.0, 1.0), v), 1.0),
+    "PlanRequest.eps": (lambda v: min_dimension(PlanRequest(v, 0.1, 0.01)), 0.02),
+    "PlanRequest.delta": (lambda v: min_dimension(PlanRequest(0.02, v, 0.01)), 0.1),
+    "PlanRequest.p": (lambda v: min_dimension(PlanRequest(0.02, 0.1, v)), 0.01),
+    "bounds_table.eps": (lambda v: bounds_table(v, 0.1, 0.01, 4.0), 0.02),
+    "bounds_table.delta": (lambda v: bounds_table(0.02, v, 0.01, 4.0), 0.1),
+    "bounds_table.p": (lambda v: bounds_table(0.02, 0.1, v, 4.0), 0.01),
+    "bounds_table.B": (lambda v: bounds_table(0.02, 0.1, 0.01, v), 4.0),
+    "bounds_table.constant": (lambda v: bounds_table(0.02, 0.1, 0.01, 4.0, constant=v), 2.0),
+    "MomentSpec.p": (lambda v: exact_moment_Z(MomentSpec(X2, v, 2)), 0.1),
+    "moment_bound_rhs.p": (lambda v: moment_bound_rhs(v, 4), 0.1),
+    "check_psi_envelope.p": (lambda v: check_psi_envelope(v, grid_points=3), 0.01),
+    "check_psi_envelope.scale": (lambda v: check_psi_envelope(0.01, scale=v, grid_points=3), 50.0),
+    "estimate_failure_prob.eps": (lambda v: estimate_failure_prob(2, 4, 2, X2, v, 4, 0), 0.5),
+}
+
+real_like_values = st.one_of(
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-3, 8),
+    st.integers(-3, 8).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=2),
+    st.floats().map(lambda v: np.array([v])),
+    st.floats().map(np.array),
+)
+
+
+@pytest.mark.parametrize("param", sorted(REAL_PARAMS))
+@settings(max_examples=60, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(value=real_like_values)
+def test_real_parameter_returns_or_raises(param, value):
+    """Each call returns or raises a SparseJLError; a value that is not a finite real scalar never returns."""
+    try:
+        REAL_PARAMS[param][0](value)
+    except SparseJLError:
+        return
+    assert isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.float32, np.float16])
+@pytest.mark.parametrize("param", sorted(REAL_PARAMS))
+def test_numpy_float_acts_as_the_equal_float(param, kind):
+    call, value = REAL_PARAMS[param]
+    value = kind(value)
+    assert _same(call(value), call(float(value)))
+
+
+def test_plan_from_numpy_float_holds_python_floats():
+    """A np.float32 eps was kept, and min_dimension returned a np.float32 h_value."""
+    request = PlanRequest(np.float32(0.001), 0.1, 0.01)
+    assert type(request.eps) is float and request == PlanRequest(float(np.float32(0.001)), 0.1, 0.01)
+    assert type(min_dimension(request).h_value) is float
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MomentSpec(X2, "0.1", 2),
+    lambda: bennet_h("1"),
+    lambda: TailEnvelope("1", 1.0),
+    lambda: moment_bound_rhs("0.1", 2),
+    lambda: check_psi_envelope(0.01, scale="2"),
+    lambda: psi(np.array([0.1, 0.2]), 0.01),
+    lambda: MomentSpec(X2, np.array([0.1]), 2),
+    lambda: PlanRequest(np.array([0.001]), 0.1, 0.01),
+    lambda: bennet_h(True),
+    lambda: estimate_failure_prob(2, 4, 2, X2, True, 4, 1),
+    lambda: bounds_table(0.1, 0.1, 0.01, math.nan),
+    lambda: bounds_table(0.1, 0.1, 0.01, math.inf),
+], ids=[
+    "MomentSpec-p=str", "bennet_h-u=str", "TailEnvelope-v=str", "moment_bound_rhs-p=str",
+    "check_psi_envelope-scale=str", "psi-t=array", "MomentSpec-p=array", "PlanRequest-eps=array",
+    "bennet_h-u=True", "estimate_failure_prob-eps=True", "bounds_table-B=nan", "bounds_table-B=inf",
+])
+def test_non_real_argument_is_domain_error(call):
+    """Each of these ended in a bare TypeError or ValueError, or was accepted."""
+    with pytest.raises(DomainError):
         call()
