@@ -32,6 +32,9 @@ DEFAULT_ENVELOPE_SCALE = 50.0
 MAX_SPARSITY = 1.0 / 30.0
 
 _H_SERIES_CUTOFF = 1e-4
+# From this u on, h divides by u rather than by u^2/2, since u * u
+# overflows above about 1.3e154.
+_H_LARGE_CUTOFF = 1e150
 # Taylor coefficients of h at 0: h(u) = sum_j (-1)^j u^j / T_{j+1} with
 # triangular numbers T_k = k(k+1)/2.  Eight terms keep the truncation error
 # below 1e-17 for u <= 1e-2, well past the 1e-4 switch point.
@@ -50,11 +53,15 @@ def bennet_h(u: float) -> float:
 
     Strictly decreasing on (0, oo) with h(0+) = 1.  Below u = 1e-4 the
     closed form loses roughly 2*log10(1/u) digits to cancellation, so a
-    Taylor series is used there instead.  ``u`` must be finite.
+    Taylor series is used there instead.  From u = 1e150 on, where u^2
+    nears the float range, it is evaluated as 2((1 + 1/u) log(1+u) - 1)/u.
+    ``u`` must be finite.
     """
     u = check_real("u", u, 0.0, math.inf, low_open=False)
     if u < _H_SERIES_CUTOFF:
         return _bennet_h_series(u)
+    if u >= _H_LARGE_CUTOFF:
+        return 2.0 * ((1.0 + 1.0 / u) * math.log1p(u) - 1.0) / u
     return ((1.0 + u) * math.log1p(u) - u) / (u * u / 2.0)
 
 
@@ -81,15 +88,19 @@ def psi(t: float, p: float) -> float:
     ``p`` must lie in (0, 1/30] and ``t`` in the open interval
     (0, log(1/p)/2); both branch denominators are then strictly positive.
     The shared cubic part is evaluated as expm1(4t) - 4t - 8t^2 so that
-    psi(t, p) = O(t^3) survives in floating point as t -> 0.
+    psi(t, p) = O(t^3) survives in floating point as t -> 0.  Where e^{6t}
+    leaves the float range (p below about 2e-103) it raises ``DomainError``.
     """
     p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
     t = check_real("t", t, 0.0, math.log(1.0 / p) / 2.0)
-    base = math.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
-    if t < 0.5:
-        tail = 8.0 * math.exp(3.0) * p * t**3 / (1.0 - 2.0 * math.e * p * t)
-    else:
-        tail = p * math.exp(6.0 * t) / (1.0 - p * math.exp(2.0 * t))
+    try:
+        base = math.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
+        if t < 0.5:
+            tail = 8.0 * math.exp(3.0) * p * t**3 / (1.0 - 2.0 * math.e * p * t)
+        else:
+            tail = p * math.exp(6.0 * t) / (1.0 - p * math.exp(2.0 * t))
+    except OverflowError:
+        raise DomainError(f"psi at t = {t!r}, p = {p!r} leaves the float range") from None
     return base + tail
 
 
@@ -98,13 +109,17 @@ def mgf_envelope_bound(t: float, p: float) -> float:
 
     K is fixed at ``DEFAULT_ENVELOPE_SCALE`` = 50, the scale the dimension
     bound is certified for.  Valid for 0 < t <= log(1/(2p))/2 and
-    p <= 1/30; always >= 1.
+    p <= 1/30; always >= 1.  Where e^{Kt} leaves the float range (p below
+    about 2e-13) it raises ``DomainError``.
     """
     p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
     t = check_real("t", t, 0.0, math.log(1.0 / (2.0 * p)) / 2.0, high_open=False)
     k = DEFAULT_ENVELOPE_SCALE
     kt = k * t
-    return 1.0 + 2.0 * p * p * (math.expm1(kt) - kt) / (k * k)
+    try:
+        return 1.0 + 2.0 * p * p * (math.expm1(kt) - kt) / (k * k)
+    except OverflowError:
+        raise DomainError(f"mgf_envelope_bound at t = {t!r}, p = {p!r} leaves the float range") from None
 
 
 @dataclass(frozen=True)

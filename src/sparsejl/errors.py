@@ -37,6 +37,18 @@ class MatrixInvariantError(SparseJLError, ValueError):
     """A deserialized matrix violates a structural invariant."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the digit count of an int too long for ``repr``."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        size = abs(value)
+        digits = int(size.bit_length() * math.log10(2)) + 1
+        if 10 ** (digits - 1) > size:  # the estimate from the bit length is one too high
+            digits -= 1
+        return f"an integer of {digits} digits"
+
+
 def check_int(name: str, value, low: int, high: int | None = None, error=DomainError) -> int:
     """``int(value)`` for an ``int`` or numpy integer in [low, high] (no bound
     if ``high`` is None); ``bool``, floats (even 2.0) and all else raise ``error``.
@@ -51,7 +63,7 @@ def check_int(name: str, value, low: int, high: int | None = None, error=DomainE
         span = f">= {low}"
     else:
         span = f"in [{low}, " + ("2^64)" if high == (1 << 64) - 1 else f"{high}]")
-    raise error(f"{name} must be an integer {span}, got {value!r}")
+    raise error(f"{name} must be an integer {span}, got {_shown(value)}")
 
 
 def _bound_text(bound: float) -> str:
@@ -85,7 +97,7 @@ def check_real(
         return number
     ends = ("(" if low_open else "[") + f"{_bound_text(low)}, {_bound_text(high)}" + (")" if high_open else "]")
     span = {"(-inf, inf)": "finite", "(0, inf)": "positive and finite", "[0, inf)": "finite and >= 0"}
-    raise error(f"{name} must be {span.get(ends, 'finite and in ' + ends)}, got {value!r}")
+    raise error(f"{name} must be {span.get(ends, 'finite and in ' + ends)}, got {_shown(value)}")
 
 
 def check_real_vector(name: str, value) -> np.ndarray:

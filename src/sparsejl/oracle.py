@@ -9,21 +9,24 @@ probabilities with exact binomial confidence intervals.  Enumeration
 budgets are hard errors: an oracle that silently subsamples is not an
 oracle.
 
-The exact oracles form ((sum_i S_i^2 - T)/s)^q from its definition for
-every configuration they enumerate and sum the values with exact
-``math.fsum``.  E[Z^q] (``exact_moment_Z``) is the one-row case of the
-majorization right side, a sum over iid Bernoulli selections of the cells
-of an m x n grid.  The rows are independent and a value does not change
-when every sign of one row flips, so each row runs over its (3^n+1)/2
-classes (first selected sign +, a nonempty class counted twice) and the
-rows combine by outer sums, ((3^n+1)/2)^m values with one ``math.fsum``
-per number of selected cells.  The majorization left side, where each
-column picks exactly s rows, is iid selection conditioned on every column
-holding s cells: it is one more ``math.fsum``, over the values of the same
-enumeration whose count of selected cells is s in every column.  Working
-arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` values,
-and no result depends on the block size.  The majorization budget counts
-the one enumeration, 3^(mn) <= 10^7.  Every oracle vector ``x`` is a flat
+The exact oracles form z = (sum_i S_i^2 - T)/s from its definition for
+every configuration they enumerate, apply their statistic to it and sum
+with exact ``math.fsum``.  E[Z^q] (``exact_moment_Z``) is the one-row case
+of the majorization right side, a sum over iid Bernoulli selections of
+the cells of an m x n grid.  The rows are independent and a value does
+not change when every sign of one row flips, so each row runs over its
+(3^n+1)/2 classes (first selected sign +, a nonempty class counted twice)
+and the rows combine by outer sums, ((3^n+1)/2)^m raw values, each with
+its multiplicity, its number w of selected cells and its count of them
+per column.  A moment or a right side is one ``math.fsum`` of
+z^q * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells.  The
+majorization left side, where each column picks exactly s rows, is iid
+selection conditioned on every column holding s cells: it is one more
+``math.fsum``, in the same pass, of z^q * mult over the values whose
+count of selected cells is s in every column.  Working arrays stay within
+blocks of about ``transform._CHUNK_ENTRIES`` / 16 values, and no value
+depends on the block size.  The majorization budget counts the one
+enumeration, 3^(mn) <= 10^7.  Every oracle vector ``x`` is a flat
 sequence of real numbers (else ``DomainError``) and a unit vector (else
 ``ConstraintViolation``); the specs keep it as a tuple of floats.
 
@@ -77,40 +80,27 @@ def _check_unit(x: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_patterns(cells: int) -> tuple[np.ndarray, list[int]]:
-    """All 3^cells patterns of a run of cells in one row, one per column, and where each weight starts.
+def _sign_patterns(cells: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 3^cells patterns of a run of cells in one row, with the weight and column key of each.
 
-    A pattern holds 0 for an unselected cell and the sign +1 or -1 of a
-    selected one.  Columns [0, R), R = (3^cells+1)/2, are the row classes,
-    whose first selected sign is +; columns [R, 3^cells) negate classes 1..
-    in order.  The classes are sorted by weight (the number of selected
-    cells): weight w spans columns ``starts[w]:starts[w+1]``, so the empty
-    class is column 0.
+    A pattern holds 0.0 for an unselected cell and the sign +1.0 or -1.0 of
+    a selected one.  Columns [0, R), R = (3^cells+1)/2, are the row classes,
+    whose first selected sign is +, the empty class first; columns
+    [R, 3^cells) negate classes 1.. in order.  The weight of a pattern is
+    its number of selected cells, and its key counts them per column in
+    base ``base``: selected cell c adds base^c, whatever its sign.
     """
     classes = np.zeros((1, 0), dtype=np.int8)
     for _ in range(cells):
         k = len(classes)
         last = np.repeat(np.array([0, 1, -1], dtype=np.int8), (k, k, k - 1))
         classes = np.column_stack((np.concatenate((classes, classes, classes[1:])), last))
-    weights = np.count_nonzero(classes, axis=1)
-    classes = classes[np.argsort(weights, kind="stable")]
-    signs = np.ascontiguousarray(np.concatenate((classes, -classes[1:])).T)
-    signs.flags.writeable = False
-    return signs, [0] + np.cumsum(np.bincount(weights, minlength=cells + 1)).tolist()
-
-
-@functools.lru_cache(maxsize=None)
-def _column_keys(cells: int, base: int, offset: int) -> np.ndarray:
-    """The grid-column key of each pattern of ``_sign_patterns(cells)``, the run starting at grid column ``offset``.
-
-    A key counts the selected cells of each grid column in base ``base``:
-    the selected cell c adds base^(offset + c), whatever its sign or
-    coefficient.
-    """
-    signs, _ = _sign_patterns(cells)
-    keys = base ** np.arange(offset, offset + cells, dtype=np.int64) @ (signs != 0)
-    keys.flags.writeable = False
-    return keys
+    signs = np.ascontiguousarray(np.concatenate((classes, -classes[1:])).T, dtype=np.float64)
+    selected = signs != 0
+    table = signs, np.count_nonzero(selected, axis=0), base ** np.arange(cells, dtype=np.int64) @ selected
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _fold(start: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -121,35 +111,35 @@ def _fold(start: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_class_values(x: np.ndarray, m: int, s: int, q: int):
-    """Every value ((sum_i S_i^2 - T)/s)^q of a selection of cells of the m x n grid and a sign pattern.
+def _row_class_values(x: np.ndarray, m: int, s: int):
+    """Every value z = (sum_i S_i^2 - T)/s of a selection of cells of the m x n grid and a sign pattern, in blocks.
 
     Cell c of the grid lies at row c // n and grid column c % n, with
     coefficient x[c % n].  The rows are independent, and flipping every
-    sign of one row leaves the value unchanged, so each row runs over its
+    sign of one row leaves z unchanged, so each row runs over its
     (3^n+1)/2 classes (each cell unselected or selected, the first selected
     sign +), a nonempty class standing for its two sign patterns; the rows
     combine by outer sums in row order, ((3^n+1)/2)^m class combinations in
     all.  S_i accumulates in cell order, T in cell order over the whole
     grid, and sum_i S_i^2 in row order.
 
-    Returns ``values(w, per_column=None)``, which yields lists of the values
-    of the selections of w cells, each times the number of sign patterns it
-    stands for: their sum is 2^w times the sum over those selections of the
-    sign mean.  With ``per_column`` it keeps the selections that hold
-    exactly that many cells in every grid column.  For this each prefix
-    entry and tail pattern carries a key, its count of selected cells per
-    grid column packed in base m + 1, and the keys add as the weights do.
+    Yields blocks ``(z, mult, w, key)`` of arrays that broadcast together:
+    the values, the number of sign patterns each stands for, its number w
+    of selected cells, and its count of selected cells per grid column
+    packed in base m + 1.  A caller applies its statistic f: the sum of
+    f(z) * mult over the selections of w cells in a set is 2^w times the
+    sum of their sign means of f(z).
 
     The last ``tail`` cells of the last row, the longest run whose 3^tail
     patterns times tail fit in ``transform._CHUNK_ENTRIES``, are enumerated
     against the prefix, every class combination of the cells before them
-    (at most 2744 entries for the specs the budgets accept).  Weight w is
-    formed from the prefix entries of each weight a times the tail patterns
-    of weight w - a, in blocks of at most that many values (or one prefix
-    entry), so no sum depends on the block size.  The empty prefix's
-    values, the tail's own classes, are formed once, in one pass: at m = 1
-    and n <= 8 they are all the values.
+    (at most 2744 entries for the specs the budgets accept).  A prefix entry
+    whose head, the cells of the last row before the tail, is empty takes
+    the tail's classes, each doubled when nonempty; one with an open head
+    takes every tail pattern once.  A block holds the values of prefix
+    entries of one kind, at most ``transform._CHUNK_ENTRIES`` / 16 values
+    (or one entry's), since each value carries several working arrays.
+    Every value is formed elementwise, so none depends on the block size.
     """
     n = len(x)
     tail = 1
@@ -161,81 +151,44 @@ def _row_class_values(x: np.ndarray, m: int, s: int, q: int):
     # stands for.  Each segment starts a row, closing the one before.
     base = m + 1
     closed = row = t = np.zeros(1)
-    w = columns = np.zeros(1, dtype=np.int64)
     mult = np.ones(1)
+    w = key = np.zeros(1, dtype=np.int64)
     for width in (n,) * (m - 1) + (n - tail,):
-        signs, starts = _sign_patterns(width)
-        k = np.repeat(np.arange(width + 1), np.diff(starts))
-        coef = signs[:, : starts[-1]] * x[:width, None]
-        closed = np.repeat(closed + row * row, len(k))
+        signs, weights, keys = _sign_patterns(width, base)
+        classes = (len(weights) + 1) // 2
+        coef = signs[:, :classes] * x[:width, None]
+        closed = np.repeat(closed + row * row, classes)
         row = np.tile(_fold(np.zeros(1), coef)[0], len(t))
         t = _fold(t, coef * coef).ravel()
-        w = (w[:, None] + k).ravel()
-        columns = (columns[:, None] + _column_keys(width, base, 0)[: len(k)]).ravel()
-        mult = (mult[:, None] * np.where(k > 0, 2.0, 1.0)).ravel()
-    head_open = np.tile(k > 0, len(w) // len(k))
-    # An entry with an empty head takes the tail's classes, each doubled when
-    # nonempty; one with an open head takes every tail pattern.  Entries are
-    # grouped by (weight, open head); the empty prefix is entry 0.
-    group = 2 * w + head_open
-    order = np.argsort(group, kind="stable")
-    closed, row, t, mult, columns = closed[order], row[order], t[order], mult[order], columns[order]
-    bounds = [0] + np.cumsum(np.bincount(group)).tolist()
-    groups = [(g // 2, g % 2, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if g and hi > lo]
+        w = (w[:, None] + weights[:classes]).ravel()
+        key = (key[:, None] + keys[:classes]).ravel()
+        mult = (mult[:, None] * np.where(weights[:classes] > 0, 2.0, 1.0)).ravel()
+    head_open = np.tile(weights[:classes] > 0, len(t) // classes)
 
-    signs, starts = _sign_patterns(tail)
-    classes = starts[-1]
-    # The negated classes serve open entries only.
-    coef = signs[:, : signs.shape[1] if head_open.any() else classes] * x[n - tail :, None]
+    signs, weights, keys = _sign_patterns(tail, base)
+    classes = (len(weights) + 1) // 2
+    # The negated classes serve open heads only.
+    coef = signs[:, : len(weights) if head_open.any() else classes] * x[n - tail :, None]
     sq = coef * coef
-    tail_columns = _column_keys(tail, base, n - tail)
-
-    def block(e: slice, cols: slice) -> np.ndarray:
-        total = _fold(row[e], coef[:, cols])
-        return ((closed[e, None] + total * total - _fold(t[e], sq[:, cols])) / s) ** q * mult[e, None]
-
-    # Every nonempty class counts twice; the empty one's value is exactly 0.
-    own = 2.0 * block(slice(0, 1), slice(0, classes))[0]
-
-    def values(wt: int, per_column: int | None = None):
-        keep = None if per_column is None else per_column * ((base**n - 1) // m)
-        if wt <= tail:
-            cols = slice(starts[wt], starts[wt + 1])
-            vals = own[cols]
-            yield (vals if keep is None else vals[tail_columns[cols] == keep]).tolist()
-        for a, is_open, lo, hi in groups:
-            b = wt - a
-            if not 0 <= b <= tail:
-                continue
-            spans = [slice(starts[b], starts[b + 1])]
-            if is_open and b:
-                spans.append(slice(classes + starts[b] - 1, classes + starts[b + 1] - 1))
-            scale = 1.0 if is_open or not b else 2.0
-            for cols in spans:
-                step = max(1, transform._CHUNK_ENTRIES // (cols.stop - cols.start))
-                for e0 in range(lo, hi, step):
-                    e = slice(e0, min(hi, e0 + step))
-                    if keep is None:
-                        yield (scale * block(e, cols)).ravel().tolist()
-                        continue
-                    hit = columns[e, None] + tail_columns[cols] == keep
-                    if hit.any():
-                        yield (scale * block(e, cols))[hit].tolist()
-
-    return values
+    keys = keys * base ** (n - tail)
+    # An empty head takes the tail's classes, each doubled when nonempty;
+    # an open head takes every tail pattern once.
+    for chosen, cols, tail_mult in (
+        (~head_open, classes, np.where(weights[:classes] > 0, 2.0, 1.0)),
+        (head_open, coef.shape[1], 1.0),
+    ):
+        entries = np.flatnonzero(chosen)
+        step = max(1, (transform._CHUNK_ENTRIES >> 4) // cols)
+        for lo in range(0, len(entries), step):
+            e = entries[lo : lo + step]
+            total = _fold(row[e], coef[:, :cols])
+            z = (closed[e, None] + total * total - _fold(t[e], sq[:, :cols])) / s
+            yield z, mult[e, None] * tail_mult, w[e, None] + weights[:cols], key[e, None] + keys[:cols]
 
 
-def _bernoulli_selection_sum(values, cells: int, p: float) -> float:
-    """Exact E over iid Bernoulli(p) selectors of ``cells`` cells of the sign-mean value of ``_row_class_values``.
-
-    The values of w >= 2 selected cells are summed by one exact
-    ``math.fsum`` and weighted p^w (1-p)^(cells-w) / 2^w; fewer than two
-    cells give exactly 0.
-    """
-    return math.fsum(
-        p**wt * (1.0 - p) ** (cells - wt) * (math.fsum(chain.from_iterable(values(wt))) / 2**wt)
-        for wt in range(2, cells + 1)
-    )
+def _iid_weights(cells: int, p: float) -> np.ndarray:
+    """c[w] = p^w (1-p)^(cells-w) / 2^w, the probability of one selection of w iid Bernoulli(p) cells and one sign pattern."""
+    return np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
 
 
 @dataclass(frozen=True)
@@ -265,12 +218,15 @@ def exact_moment_Z(spec: MomentSpec) -> float:
     """Exact E[Z^q] by enumerating all selector masks and sign patterns.
 
     Per selector mask eta the identity Z = S^2 - T holds with
-    S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i: this is the
-    Bernoulli-selection sum of ``_row_class_values`` with one row and
-    s = 1, over the (3^n+1)/2 row classes.
+    S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i: this is
+    ``_row_class_values`` with one row and s = 1, over the (3^n+1)/2 row
+    classes, and E[Z^q] is one exact ``math.fsum`` of z^q * mult * c[w]
+    with the iid selection weights c of ``_iid_weights``.
     """
     x = np.asarray(spec.x, dtype=np.float64)
-    return _bernoulli_selection_sum(_row_class_values(x, 1, 1, spec.q), len(x), spec.p)
+    c = _iid_weights(len(x), spec.p)
+    blocks = _row_class_values(x, 1, 1)
+    return math.fsum(chain.from_iterable((z**spec.q * mult * c[w]).ravel().tolist() for z, mult, w, _ in blocks))
 
 
 def moment_bound_rhs(p: float, q: int) -> float:
@@ -375,18 +331,28 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
 
     The left value draws each column's s row indices uniformly without
     replacement; the right replaces the selectors by iid Bernoulli(s/m)
-    entries.  Both come from one full enumeration over selections and
-    signs, ``_row_class_values`` of the m x n grid, ((3^n+1)/2)^m row-class
-    combinations: the right side is its Bernoulli-selection sum with
-    p = s/m, and the left side, iid selection conditioned on every column
-    holding exactly s cells, is one exact ``math.fsum`` over the values of
-    the n s cell selections with s cells in each column, divided by the
-    2^(ns) sign patterns and the C(m,s)^n assignments.
+    entries.  Both come from one pass over ``_row_class_values`` of the
+    m x n grid, ((3^n+1)/2)^m row-class combinations.  The right side is one
+    exact ``math.fsum`` of z^q * mult * c[w], with the iid selection weights
+    c of ``_iid_weights`` at p = s/m.  The left side, iid selection
+    conditioned on every column holding exactly s cells, is one exact
+    ``math.fsum`` of z^q * mult over the values whose key is s in every
+    column, divided by the 2^(ns) sign patterns and the C(m,s)^n
+    assignments.
     """
-    n, m, s = spec.n, spec.m, spec.s
-    values = _row_class_values(np.asarray(spec.x, dtype=np.float64), m, s, spec.q)
-    lhs = math.fsum(chain.from_iterable(values(n * s, s))) / 2 ** (n * s) / math.comb(m, s) ** n
-    return lhs, _bernoulli_selection_sum(values, m * n, s / m)
+    n, m, s, q = spec.n, spec.m, spec.s, spec.q
+    c = _iid_weights(m * n, s / m)
+    keep = s * (((m + 1) ** n - 1) // m)  # the key of s cells in each of the n columns
+    lhs_terms = []
+
+    def rhs_terms():
+        for z, mult, w, key in _row_class_values(np.asarray(spec.x, dtype=np.float64), m, s):
+            v = z**q * mult
+            lhs_terms.extend(v[key == keep].tolist())
+            yield (v * c[w]).ravel().tolist()
+
+    rhs = math.fsum(chain.from_iterable(rhs_terms()))
+    return math.fsum(lhs_terms) / 2 ** (n * s) / math.comb(m, s) ** n, rhs
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ same closed forms and frozen here.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from sparsejl import (
     psi,
     sub_poisson_tail,
 )
-from sparsejl.concentration import _bennet_h_series
+from sparsejl.concentration import _H_LARGE_CUTOFF, _bennet_h_series
 
 H_37_5 = 0.14656048681217270582
 H_25 = 0.19107363196338730618
@@ -50,6 +51,20 @@ class TestBennetH:
         values = [bennet_h(float(u)) for u in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(0.0 < v < 1.0 for v in values)
+
+    def test_large_u_matches_decimal_reference(self):
+        """u * u overflowed above about 1.3e154: h(1e160) was 0.0 and h(1.7e308) nan."""
+        for u in (1e150, 1e160, 1e300, 1.7e308):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                d = Decimal(u)
+                ref = float(((1 + d) * (1 + d).ln() - d) / (d * d / 2))
+            assert bennet_h(u) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_strictly_decreasing_across_large_u_switch(self):
+        grid = sorted(np.geomspace(_H_LARGE_CUTOFF / 1.01, _H_LARGE_CUTOFF * 1.01, 200).tolist() + [_H_LARGE_CUTOFF])
+        values = [bennet_h(u) for u in grid]
+        assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_series_matches_references(self):
         """The Taylor evaluator agrees with 40-digit evaluations of h."""
@@ -263,3 +278,10 @@ def test_non_finite_argument_is_domain_error(call, value):
     """Range checks once written as x <= 0 let NaN through: poisson_tail_bound(nan, 1.0) returned 1.0."""
     with pytest.raises(DomainError, match="finite"):
         call(value)
+
+
+@pytest.mark.parametrize("call", [lambda: psi(150.0, 1e-300), lambda: mgf_envelope_bound(20.0, 1e-20)], ids=["psi", "mgf"])
+def test_float_range_overflow_is_domain_error(call):
+    """Valid arguments with e^{6t} or e^{50t} past the float range ended in a bare OverflowError."""
+    with pytest.raises(DomainError, match=r"float range"):
+        call()

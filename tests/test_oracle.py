@@ -144,8 +144,8 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-# Working arrays stay within blocks of about transform._CHUNK_ENTRIES values.
-PEAK_BYTES = 16 << 20
+# Working arrays stay within blocks of about transform._CHUNK_ENTRIES / 16 values.
+PEAK_BYTES = 4 << 20
 
 
 def assert_matches_loop(got, ref):

@@ -49,6 +49,7 @@ from sparsejl import (
     sub_poisson_tail,
 )
 from sparsejl.cli import read_vectors, run
+from sparsejl.errors import check_int, check_real
 from sparsejl.transform import _HEADER, _check_header, _decode_document
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
@@ -270,12 +271,13 @@ def test_numpy_integer_acts_as_the_equal_int(param, kind):
     lambda: estimate_failure_prob(2, 4, 2, X2, 0.5, True, 0),
     lambda: estimate_failure_prob(2, 4, 2, X2, 0.5, 2.5, 0),
     lambda: check_multinomial_inequality(True),
+    lambda: check_int("n", 10**5000, 1, 10),
 ], ids=[
     "build_matrix-n=2.5", "build_matrix-m=10.0", "build_matrix-n=True", "MomentSpec-q=True",
     "MomentSpec-q=2.0", "clopper_pearson-failures=1.5", "clopper_pearson-trials=inf",
     "MajorizationSpec-m=2.5", "squared_norm_samples-trials=True", "squared_norm_samples-trials=2.5",
     "estimate_failure_prob-trials=True", "estimate_failure_prob-trials=2.5",
-    "check_multinomial_inequality-q_max=True",
+    "check_multinomial_inequality-q_max=True", "check_int-n=10**5000",
 ])
 def test_non_integer_argument_is_domain_error(call):
     """Each of these was coerced, accepted or ended in a bare TypeError or AttributeError."""
@@ -395,10 +397,12 @@ def test_plan_from_numpy_float_holds_python_floats():
     lambda: estimate_failure_prob(2, 4, 2, X2, True, 4, 1),
     lambda: bounds_table(0.1, 0.1, 0.01, math.nan),
     lambda: bounds_table(0.1, 0.1, 0.01, math.inf),
+    lambda: check_real("p", 10**5000, 0.0, 1.0),
 ], ids=[
     "MomentSpec-p=str", "bennet_h-u=str", "TailEnvelope-v=str", "moment_bound_rhs-p=str",
     "check_psi_envelope-scale=str", "psi-t=array", "MomentSpec-p=array", "PlanRequest-eps=array",
     "bennet_h-u=True", "estimate_failure_prob-eps=True", "bounds_table-B=nan", "bounds_table-B=inf",
+    "check_real-p=10**5000",
 ])
 def test_non_real_argument_is_domain_error(call):
     """Each of these ended in a bare TypeError or ValueError, or was accepted."""
