@@ -138,17 +138,29 @@ class TailEnvelope:
         object.__setattr__(self, "k", check_real("envelope scale k", self.k, 0.0, math.inf))
 
 
+def _range_error(env: TailEnvelope, u: float) -> DomainError:
+    return DomainError(f"the Chernoff exponent at v = {env.v!r}, k = {env.k!r}, u = {u!r} leaves the float range")
+
+
+def _chernoff_exponent(env: TailEnvelope, u: float) -> float:
+    """-(u^2/2v) h(ku/v), the optimized Chernoff exponent under ``env`` (v > 0) at ``u``."""
+    ratio = env.k * u / env.v
+    if ratio == math.inf:
+        raise _range_error(env, u)
+    return -(u * u / (2.0 * env.v)) * bennet_h(ratio)
+
+
 def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
     """Optimized Chernoff tail exp(-(u^2/2v) h(ku/v)) under ``env``.
 
     Coincides with the Gaussian bound exp(-u^2/2v) as ku/v -> 0.  A zero
     variance proxy is the point mass at 0, so the tail is 0 for u > 0.
+    Where ku/v leaves the float range it raises ``DomainError``.
     """
     u = check_real("u", u, 0.0, math.inf)
     if env.v == 0.0:
         return 0.0
-    exponent = -(u * u / (2.0 * env.v)) * bennet_h(env.k * u / env.v)
-    return min(1.0, math.exp(exponent))
+    return min(1.0, math.exp(_chernoff_exponent(env, u)))
 
 
 def chernoff_optimum_check(env: TailEnvelope, u: float) -> float:
@@ -157,13 +169,18 @@ def chernoff_optimum_check(env: TailEnvelope, u: float) -> float:
     Evaluates the envelope exponent at the optimizer t* = log(1 + ku/v)/k
     and returns |(v (e^{kt*} - kt* - 1)/k^2 - t* u) - (-(u^2/2v) h(ku/v))|.
     Both routes describe the same quantity, so the residual is a pure
-    floating-point check (<= 1e-12 for well-scaled inputs).
+    floating-point check (<= 1e-12 for well-scaled inputs).  Where ku/v or
+    an intermediate of the optimizer route (k^2, e^{kt*}) leaves the float
+    range it raises ``DomainError``.
     """
     u = check_real("u", u, 0.0, math.inf)
     if env.v == 0.0:
         raise DomainError("chernoff_optimum_check requires a positive variance proxy")
+    closed_form = _chernoff_exponent(env, u)
     v, k = env.v, env.k
-    t_star = math.log1p(k * u / v) / k
-    optimized = v * (math.expm1(k * t_star) - k * t_star) / (k * k) - t_star * u
-    closed_form = -(u * u / (2.0 * v)) * bennet_h(k * u / v)
+    try:
+        t_star = math.log1p(k * u / v) / k
+        optimized = v * (math.expm1(k * t_star) - k * t_star) / (k * k) - t_star * u
+    except (OverflowError, ZeroDivisionError):
+        raise _range_error(env, u) from None
     return abs(optimized - closed_form)

@@ -18,17 +18,23 @@ not change when every sign of one row flips, so each row runs over its
 (3^n+1)/2 classes (first selected sign +, a nonempty class counted twice)
 and the rows combine by outer sums, ((3^n+1)/2)^m raw values, each with
 its multiplicity, its number w of selected cells and its count of them
-per column.  A moment or a right side is one ``math.fsum`` of
+per column; a row longer than eight cells takes every sign pattern of
+its first cells and the classes of its last eight, (3^n + 3^(n-8))/2
+values.  A moment or a right side is one ``math.fsum`` of
 z^q * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells.  The
 majorization left side, where each column picks exactly s rows, is iid
 selection conditioned on every column holding s cells: it is one more
 ``math.fsum``, in the same pass, of z^q * mult over the values whose
-count of selected cells is s in every column.  Working arrays stay within
-blocks of about ``transform._CHUNK_ENTRIES`` / 16 values, and no value
-depends on the block size.  The majorization budget counts the one
-enumeration, 3^(mn) <= 10^7.  Every oracle vector ``x`` is a flat
-sequence of real numbers (else ``DomainError``) and a unit vector (else
-``ConstraintViolation``); the specs keep it as a tuple of floats.
+count of selected cells is s in every column.  One budget,
+``ENUMERATION_BUDGET`` = 10^7, bounds both enumerations: 3^n <= 10^7 for
+a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization spec.  Working
+arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` / 16
+values, and no value depends on the block size; the Monte Carlo blocks
+its trials by the same ``transform._CHUNK_ENTRIES``.  Every oracle vector
+``x`` goes through one rule: a flat sequence of real numbers, of the
+length n where the caller fixes it, non-empty (else ``DomainError``) and
+a unit vector (else ``ConstraintViolation``); the specs keep it as a
+tuple of floats.
 
 The checks run at fixed settings.  Moments are accepted up to order
 ``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
@@ -57,47 +63,63 @@ from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, c
 from .errors import BudgetError, ConstraintViolation, DomainError, check_int, check_real, check_real_vector
 
 _UNIT_NORM_TOL = 1e-12
-_MOMENT_MAX_DIM = 14
 #: Highest moment order q accepted by ``MomentSpec`` and ``moment_bound_rhs``;
 #: 2^q p^r r^q overflows float64 near q = 150.
 MAX_MOMENT_ORDER = 100
-MAJORIZATION_BUDGET = 10**7
+#: Most configurations an exact enumeration may visit: 3^n for a moment,
+#: 3^(m n) for a majorization spec (each cell unselected, +1 or -1).
+ENUMERATION_BUDGET = 10**7
 #: A grid point fails the psi envelope check when psi exceeds the envelope by more.
 PSI_ENVELOPE_SLACK = 1e-12
 # Each tail of the exact 99% Clopper-Pearson interval.
 _CI_TAIL = (1.0 - 0.99) / 2
-# Monte Carlo trials run in blocks holding at most this many nonzeros
-# (t_blk*n*s, the entries of the block-diagonal product) and output rows
-# (t_blk*m, the dense y).
-_TRIAL_CHUNK_ENTRIES = 1 << 20
 
 
-def _check_unit(x: np.ndarray) -> None:
+def _check_unit(x, n: int | None = None) -> np.ndarray:
+    """``x`` as a float64 array: a flat sequence of real numbers, of length ``n`` where given, non-empty, unit."""
+    x = check_real_vector("x", x)
+    if n is not None and len(x) != n:
+        raise DomainError(f"x must have length n = {n}, got {len(x)}")
+    if len(x) == 0:
+        raise DomainError("x must be non-empty")
     norm_sq = float(np.dot(x, x))
     # Written so that a NaN norm fails: every comparison with NaN is false.
     if not abs(norm_sq - 1.0) <= _UNIT_NORM_TOL:
         raise ConstraintViolation(f"x must be a unit vector, got |x|^2 = {norm_sq!r}")
+    return x
+
+
+def _check_budget(count: str, cells: int) -> None:
+    """BudgetError unless the 3^cells configurations of an enumeration fit in ``ENUMERATION_BUDGET``."""
+    # Past the budget's bit length even 2^cells exceeds it, so no huge power is formed.
+    if cells > ENUMERATION_BUDGET.bit_length() or 3**cells > ENUMERATION_BUDGET:
+        raise BudgetError(f"enumeration budget exceeded: {count} = 3^{cells} > {ENUMERATION_BUDGET}")
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_patterns(cells: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All 3^cells patterns of a run of cells in one row, with the weight and column key of each.
+def _sign_patterns(cells: int, base: int, paired: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sign patterns of a run of cells in one row, with the weight, column key and multiplicity of each.
 
     A pattern holds 0.0 for an unselected cell and the sign +1.0 or -1.0 of
-    a selected one.  Columns [0, R), R = (3^cells+1)/2, are the row classes,
-    whose first selected sign is +, the empty class first; columns
-    [R, 3^cells) negate classes 1.. in order.  The weight of a pattern is
-    its number of selected cells, and its key counts them per column in
-    base ``base``: selected cell c adds base^c, whatever its sign.
+    a selected one.  A ``paired`` run takes its (3^cells+1)/2 classes, whose
+    first selected sign is +, the empty class first, a nonempty class
+    standing for its two patterns (multiplicity 2).  Any other run takes all
+    3^cells patterns once: the classes, then classes 1.. negated in order.
+    The weight of a pattern is its number of selected cells, and its key
+    counts them per column in base ``base``: selected cell c adds base^c,
+    whatever its sign.
     """
     classes = np.zeros((1, 0), dtype=np.int8)
     for _ in range(cells):
         k = len(classes)
         last = np.repeat(np.array([0, 1, -1], dtype=np.int8), (k, k, k - 1))
         classes = np.column_stack((np.concatenate((classes, classes, classes[1:])), last))
-    signs = np.ascontiguousarray(np.concatenate((classes, -classes[1:])).T, dtype=np.float64)
+    patterns = classes if paired else np.concatenate((classes, -classes[1:]))
+    signs = np.ascontiguousarray(patterns.T, dtype=np.float64)
     selected = signs != 0
-    table = signs, np.count_nonzero(selected, axis=0), base ** np.arange(cells, dtype=np.int64) @ selected
+    weights = np.count_nonzero(selected, axis=0)
+    mult = np.where(paired & (weights > 0), 2.0, 1.0)
+    table = signs, weights, base ** np.arange(cells, dtype=np.int64) @ selected, mult
     for array in table:
         array.flags.writeable = False
     return table
@@ -132,58 +154,51 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
 
     The last ``tail`` cells of the last row, the longest run whose 3^tail
     patterns times tail fit in ``transform._CHUNK_ENTRIES``, are enumerated
-    against the prefix, every class combination of the cells before them
-    (at most 2744 entries for the specs the budgets accept).  A prefix entry
-    whose head, the cells of the last row before the tail, is empty takes
-    the tail's classes, each doubled when nonempty; one with an open head
-    takes every tail pattern once.  A block holds the values of prefix
-    entries of one kind, at most ``transform._CHUNK_ENTRIES`` / 16 values
-    (or one entry's), since each value carries several working arrays.
-    Every value is formed elementwise, so none depends on the block size.
+    against the prefix: every class combination of rows 0..m-2 and every
+    pattern of the head, the cells of the last row before the tail (at most
+    2744 entries for the specs the budget accepts).  Each prefix entry takes
+    the tail's classes, each doubled when nonempty, so a last row (h, t)
+    and its negation (-h, -t) have one representative when t is nonempty,
+    and (h, 0) and (-h, 0) are each their own.  Only m = 1 and n > 8 have
+    a nonempty head, and there the row runs over (3^n + 3^(n-tail))/2
+    values rather than its classes.  A block holds the values of whole
+    prefix entries, at most ``transform._CHUNK_ENTRIES`` / 16 values (or
+    one entry's), since each value carries several working arrays.  Every
+    value is formed elementwise, so none depends on the block size.
     """
     n = len(x)
     tail = 1
     while tail < n and (tail + 1) * 3 ** (tail + 1) <= transform._CHUNK_ENTRIES:
         tail += 1
-    # Prefix entries, one per class combination of rows 0..m-2 and of the
-    # head (the first n - tail cells of row m-1): `closed` sums S_i^2 over
-    # rows 0..m-2, `row` is S of the head, `mult` the patterns an entry
+    # Prefix entries, one per class combination of rows 0..m-2 and pattern
+    # of the head (the first n - tail cells of row m-1): `closed` sums S_i^2
+    # over rows 0..m-2, `row` is S of the head, `mult` the patterns an entry
     # stands for.  Each segment starts a row, closing the one before.
     base = m + 1
     closed = row = t = np.zeros(1)
     mult = np.ones(1)
     w = key = np.zeros(1, dtype=np.int64)
-    for width in (n,) * (m - 1) + (n - tail,):
-        signs, weights, keys = _sign_patterns(width, base)
-        classes = (len(weights) + 1) // 2
-        coef = signs[:, :classes] * x[:width, None]
-        closed = np.repeat(closed + row * row, classes)
+    for width, paired in ((n, True),) * (m - 1) + ((n - tail, False),):
+        signs, weights, keys, factor = _sign_patterns(width, base, paired)
+        coef = signs * x[:width, None]
+        closed = np.repeat(closed + row * row, len(weights))
         row = np.tile(_fold(np.zeros(1), coef)[0], len(t))
         t = _fold(t, coef * coef).ravel()
-        w = (w[:, None] + weights[:classes]).ravel()
-        key = (key[:, None] + keys[:classes]).ravel()
-        mult = (mult[:, None] * np.where(weights[:classes] > 0, 2.0, 1.0)).ravel()
-    head_open = np.tile(weights[:classes] > 0, len(t) // classes)
+        w = (w[:, None] + weights).ravel()
+        key = (key[:, None] + keys).ravel()
+        mult = (mult[:, None] * factor).ravel()
 
-    signs, weights, keys = _sign_patterns(tail, base)
-    classes = (len(weights) + 1) // 2
-    # The negated classes serve open heads only.
-    coef = signs[:, : len(weights) if head_open.any() else classes] * x[n - tail :, None]
+    # Every prefix entry takes the tail's classes, each doubled when nonempty.
+    signs, weights, keys, factor = _sign_patterns(tail, base, True)
+    coef = signs * x[n - tail :, None]
     sq = coef * coef
     keys = keys * base ** (n - tail)
-    # An empty head takes the tail's classes, each doubled when nonempty;
-    # an open head takes every tail pattern once.
-    for chosen, cols, tail_mult in (
-        (~head_open, classes, np.where(weights[:classes] > 0, 2.0, 1.0)),
-        (head_open, coef.shape[1], 1.0),
-    ):
-        entries = np.flatnonzero(chosen)
-        step = max(1, (transform._CHUNK_ENTRIES >> 4) // cols)
-        for lo in range(0, len(entries), step):
-            e = entries[lo : lo + step]
-            total = _fold(row[e], coef[:, :cols])
-            z = (closed[e, None] + total * total - _fold(t[e], sq[:, :cols])) / s
-            yield z, mult[e, None] * tail_mult, w[e, None] + weights[:cols], key[e, None] + keys[:cols]
+    step = max(1, (transform._CHUNK_ENTRIES >> 4) // len(weights))
+    for lo in range(0, len(t), step):
+        e = slice(lo, lo + step)
+        total = _fold(row[e], coef)
+        z = (closed[e, None] + total * total - _fold(t[e], sq)) / s
+        yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
 
 
 def _iid_weights(cells: int, p: float) -> np.ndarray:
@@ -193,22 +208,18 @@ def _iid_weights(cells: int, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Exact moment query for Z: unit vector x, selector rate p, integer order q in [1, 100]."""
+    """Exact moment query for Z: unit vector x, selector rate p, integer order q in [1, 100].
+
+    The 3^n configurations of x must fit in ``ENUMERATION_BUDGET``, so n <= 14.
+    """
 
     x: tuple[float, ...]
     p: float
     q: int
 
     def __post_init__(self):
-        x = check_real_vector("x", self.x)
-        if len(x) > _MOMENT_MAX_DIM:
-            raise BudgetError(
-                f"enumeration budget exceeded: dimension {len(x)} > {_MOMENT_MAX_DIM} "
-                f"(3^n selector/sign configurations)"
-            )
-        if len(x) == 0:
-            raise DomainError("x must be non-empty")
-        _check_unit(x)
+        x = _check_unit(self.x)
+        _check_budget("3^n", len(x))
         object.__setattr__(self, "x", tuple(x.tolist()))
         object.__setattr__(self, "p", check_real("selector rate p", self.p, 0.0, 1.0))
         object.__setattr__(self, "q", check_int("moment order q", self.q, 1, MAX_MOMENT_ORDER))
@@ -315,15 +326,9 @@ class MajorizationSpec:
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         if self.q % 2:
             raise DomainError(f"q must be even, got {self.q}")
-        x = check_real_vector("x", self.x)
-        if len(x) != self.n:
-            raise DomainError(f"x must have length n={self.n}, got {len(x)}")
-        _check_unit(x)
-        object.__setattr__(self, "x", tuple(x.tolist()))
-        # One enumeration serves both sides: each of the m n cells is unselected, +1 or -1.
-        size = 3 ** (self.m * self.n)
-        if size > MAJORIZATION_BUDGET:
-            raise BudgetError(f"enumeration budget exceeded: 3^(m n) = {size} > {MAJORIZATION_BUDGET}")
+        object.__setattr__(self, "x", tuple(_check_unit(self.x, self.n).tolist()))
+        # One enumeration serves both sides.
+        _check_budget("3^(m n)", self.m * self.n)
 
 
 def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
@@ -468,20 +473,19 @@ def squared_norm_samples(
 ) -> np.ndarray:
     """|A_t x|^2 for independent matrices A_t, t = 0..trials-1.
 
-    Matrix t is exactly ``build_matrix(n, m, s, substream(seed, t))``;
-    trials are evaluated in vectorized blocks whose layout does not affect
-    the result.
+    Matrix t is exactly ``build_matrix(n, m, s, substream(seed, t))``.
+    Trials are evaluated in vectorized blocks of at most
+    ``transform._CHUNK_ENTRIES`` nonzeros (t_blk*n*s, the entries of the
+    block-diagonal product) and output rows (t_blk*m, the dense y), or one
+    trial; the layout does not affect the result.
     """
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)
     trials = check_int("trials", trials, 1)
-    x = check_real_vector("x", x)
-    if x.shape != (n,):
-        raise DomainError(f"x must have shape ({n},), got {x.shape}")
-    _check_unit(x)
+    x = _check_unit(x, n)
     scale = 1.0 / math.sqrt(s)
 
     samples = np.empty(trials, dtype=np.float64)
-    block = max(1, min(_TRIAL_CHUNK_ENTRIES // (n * s), _TRIAL_CHUNK_ENTRIES // m))
+    block = max(1, min(transform._CHUNK_ENTRIES // (n * s), transform._CHUNK_ENTRIES // m))
     col_ids = np.arange(n, dtype=np.int64)
     for start in range(0, trials, block):
         stop = min(trials, start + block)

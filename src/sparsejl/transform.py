@@ -71,8 +71,11 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # Column sampling works on blocks of lanes with at most this many Fisher-Yates
 # steps (or one lane when s is larger), so its 64-bit work arrays stay near
 # 512 KB whatever m is.  Blocks of 2^14 to 2^16 steps measured fastest.  The
-# JSON encoder and the general JSON decoder work in blocks of the same number
-# of entries.
+# other users of this one block size: the JSON encoder and the general JSON
+# decoder (blocks of this many entries), ``oracle.squared_norm_samples``
+# (Monte Carlo trials in blocks of at most this many nonzeros and output
+# rows), and ``oracle._row_class_values`` (a tail of at most this many
+# pattern cells, and blocks of a sixteenth as many values).
 _CHUNK_ENTRIES = 1 << 16
 
 _JSON_WHITESPACE = re.compile(rb"[ \t\r\n]*")

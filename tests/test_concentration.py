@@ -285,3 +285,21 @@ def test_float_range_overflow_is_domain_error(call):
     """Valid arguments with e^{6t} or e^{50t} past the float range ended in a bare OverflowError."""
     with pytest.raises(DomainError, match=r"float range"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sub_poisson_tail(TailEnvelope(1e-300, 1e10), 1e10),
+    lambda: chernoff_optimum_check(TailEnvelope(1e-300, 1e10), 1e10),
+    lambda: chernoff_optimum_check(TailEnvelope(1.0, 1e-200), 1.0),
+    lambda: chernoff_optimum_check(TailEnvelope(1e-300, 1e-300), 1e10),
+], ids=["sub_poisson-ratio", "chernoff-ratio", "chernoff-k_squared", "chernoff-tiny_v_k"])
+def test_chernoff_exponent_beyond_float_range_is_domain_error(call):
+    """k u / v past the float range was reported as a bad u the caller never gave,
+    and k^2 below it ended in a bare ZeroDivisionError."""
+    with pytest.raises(DomainError, match=r"v = .*, k = .*, u = .* leaves the float range"):
+        call()
+
+
+def test_tiny_scale_tail_stays_gaussian():
+    """k u / v underflowing toward 0 keeps the Gaussian tail exp(-u^2/2v)."""
+    assert sub_poisson_tail(TailEnvelope(1.0, 1e-200), 1.0) == math.exp(-0.5)

@@ -202,7 +202,7 @@ class TestExactMomentZ:
                     for q in range(1, 7):
                         assert_matches_loop(exact_moment_Z(MomentSpec(x, p, q)), loop_moment(x, p, q))
         # Past eight cells numpy's pairwise sum no longer adds T in cell order, and the
-        # row splits into classes of its first cells and patterns of its last eight.
+        # row splits into patterns of its first cells and classes of its last eight.
         for n in range(9, 12):
             for x in (np.full(n, 1 / math.sqrt(n)), rng.standard_normal(n)):
                 x = tuple(x / math.sqrt(float(x @ x)))
@@ -390,6 +390,27 @@ class TestMajorization:
             monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
             assert [check_majorization(MajorizationSpec(3, 3, 2, 4, x3)), exact_moment_Z(MomentSpec(x, 0.1, 5))] == full
 
+    @pytest.mark.parametrize("n, m, s, entries", [
+        (9, 1, 1, None), (10, 1, 1, None), (11, 1, 1, None), (12, 1, 1, None),
+        (2, 3, 2, None), (3, 4, 2, None), (4, 3, 1, None),
+        # Tails of one cell, so that the rows of these grids have a head too.
+        (2, 3, 2, 7), (3, 2, 1, 7), (4, 2, 2, 7),
+    ])
+    def test_representatives_count_every_pattern_once(self, monkeypatch, n, m, s, entries):
+        """The multiplicities add up to the 3^(mn) patterns of the grid, and over
+        the values with s cells in every column to the C(m,s)^n 2^(ns) of the left side."""
+        if entries is not None:
+            monkeypatch.setattr(transform, "_CHUNK_ENTRIES", entries)
+        x = np.full(n, 1 / math.sqrt(n))
+        keep = s * (((m + 1) ** n - 1) // m)
+        total = kept = 0
+        for z, mult, _, key in oracle._row_class_values(x, m, s):
+            mult = np.broadcast_to(mult, z.shape)
+            total += int(mult.sum())
+            kept += int(mult[np.broadcast_to(key, z.shape) == keep].sum())
+        assert total == 3 ** (m * n)
+        assert kept == math.comb(m, s) ** n * 2 ** (n * s)
+
     @pytest.mark.parametrize("n, m, s, x", [(4, 3, 2, (0.5, -0.5, 0.1, math.sqrt(0.49))), (3, 4, 2, (0.6, 0.0, 0.8))])
     def test_working_memory_stays_in_blocks(self, n, m, s, x):
         (lhs, rhs), peak = traced_peak(lambda: check_majorization(MajorizationSpec(n, m, s, 4, x)))
@@ -532,24 +553,24 @@ class TestMonteCarlo:
         assert a.ci_low <= a.p_hat <= a.ci_high
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        from sparsejl import oracle as orc
         from sparsejl import transform as tr
 
         x = np.full(6, 1 / math.sqrt(6.0))
         full = squared_norm_samples(6, 12, 2, x, trials=40, seed=5)
-        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 5)
-        monkeypatch.setattr(orc, "_TRIAL_CHUNK_ENTRIES", 64)
-        chunked = squared_norm_samples(6, 12, 2, x, trials=40, seed=5)
-        assert np.array_equal(full, chunked)
+        for entries in (5, 64):  # blocks of one trial and of five
+            monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+            chunked = squared_norm_samples(6, 12, 2, x, trials=40, seed=5)
+            assert np.array_equal(full, chunked)
 
     @pytest.mark.parametrize("n, m, s", [(1, 5, 2), (6, 12, 1), (5, 7, 7), (16, 40, 3)])
-    @pytest.mark.parametrize("chunk", [1, 60, 1 << 20])
+    # At each shape 1 gives blocks of one trial, 120 of several and 2^20 of all 30.
+    @pytest.mark.parametrize("chunk", [1, 60, 120, 1 << 20])
     def test_matches_bincount_scatter(self, monkeypatch, n, m, s, chunk):
         """Blocks of 1 to all 30 trials give the scatter's samples bit for bit."""
         x = np.random.default_rng(n).standard_normal(n) * np.logspace(-2, 2, n)
         x /= math.sqrt(float(x @ x))
         expect = bincount_samples(n, m, s, x, 30, seed=11)
-        monkeypatch.setattr(oracle, "_TRIAL_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", chunk)
         samples = squared_norm_samples(n, m, s, x, trials=30, seed=11)
         assert np.array_equal(samples.view(np.int64), expect.view(np.int64))
 

@@ -312,6 +312,18 @@ def test_non_real_vector_is_domain_error(call):
         call()
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda: MajorizationSpec(3, 2, 1, 2, X2),
+    lambda: squared_norm_samples(3, 4, 2, X2, 3, 0),
+    lambda: estimate_failure_prob(3, 4, 2, X2, 0.1, 3, 0),
+], ids=["MajorizationSpec", "squared_norm_samples", "estimate_failure_prob"])
+def test_wrong_length_vector_is_domain_error(call):
+    """One message for an oracle vector whose length differs from the n its caller fixes."""
+    with pytest.raises(DomainError, match=r"^x must have length n = 3, got 2$"):
+        call()
+
+
 # One call per real parameter, with the other arguments fixed, and an
 # in-range value for it.
 REAL_PARAMS = {
