@@ -12,6 +12,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import oracle, planner, transform
+from ._csvtext import csv_text
 from .errors import BudgetError, DomainError, SparseJLError, check_int
 
 _VALIDATION_EXIT = 1
@@ -30,18 +31,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_vectors(path) -> list[np.ndarray]:
-    """Read one comma-separated vector per line."""
+    """Read one comma-separated vector per line; blank lines are skipped.
+
+    Lines with a non-ASCII character or a digit separator are rejected, not
+    coerced: ``float()`` reads Arabic-Indic digits as digits, a no-break
+    space as a space and "1_0" as 10.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                text = line.strip()
+                if not text and line.isascii():
                     continue
                 try:
-                    if "_" in line:  # float() takes digit separators: "1_0" would read as 10
+                    if "_" in text or not line.isascii():
                         raise ValueError
-                    vec = np.array([float(tok) for tok in line.split(",")])
+                    vec = np.array([float(tok) for tok in text.split(",")])
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: not a comma-separated list of numbers") from None
                 if not np.isfinite(vec).all():
@@ -53,9 +59,15 @@ def read_vectors(path) -> list[np.ndarray]:
 
 
 def write_vectors(path, vectors) -> None:
+    """Write one comma-separated vector per line.
+
+    Each value is written as ``repr`` of it as a float64, the shortest text
+    that reads back to the same double, so the file is byte-stable.  The
+    text is computed in blocks (see ``_csvtext``) and is byte for byte the
+    per-value ``repr`` join.  Vectors are 1-D and may differ in length.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for vec in vectors:
-            fh.write(",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist())) + "\n")
+        fh.writelines(csv_text(vectors))
 
 
 def _emit(obj: dict, fmt: str) -> None:

@@ -143,11 +143,18 @@ def _range_error(env: TailEnvelope, u: float) -> DomainError:
 
 
 def _chernoff_exponent(env: TailEnvelope, u: float) -> float:
-    """-(u^2/2v) h(ku/v), the optimized Chernoff exponent under ``env`` (v > 0) at ``u``."""
+    """-(u^2/2v) h(ku/v), the optimized Chernoff exponent under ``env`` (v > 0) at ``u``.
+
+    u^2/2v is (u * u) / 2v unless u * u or 2v overflows (u above about
+    1.3e154, v above about 9e307); then it is (u / v / 2) * u, which stays
+    finite as long as u^2/2v does.
+    """
     ratio = env.k * u / env.v
     if ratio == math.inf:
         raise _range_error(env, u)
-    return -(u * u / (2.0 * env.v)) * bennet_h(ratio)
+    square, twice = u * u, 2.0 * env.v
+    gauss = square / twice if max(square, twice) < math.inf else u / env.v / 2.0 * u
+    return -gauss * bennet_h(ratio)
 
 
 def sub_poisson_tail(env: TailEnvelope, u: float) -> float:
@@ -169,14 +176,16 @@ def chernoff_optimum_check(env: TailEnvelope, u: float) -> float:
     Evaluates the envelope exponent at the optimizer t* = log(1 + ku/v)/k
     and returns |(v (e^{kt*} - kt* - 1)/k^2 - t* u) - (-(u^2/2v) h(ku/v))|.
     Both routes describe the same quantity, so the residual is a pure
-    floating-point check (<= 1e-12 for well-scaled inputs).  Where ku/v or
-    an intermediate of the optimizer route (k^2, e^{kt*}) leaves the float
-    range it raises ``DomainError``.
+    floating-point check (<= 1e-12 for well-scaled inputs).  Where ku/v,
+    u^2/2v or an intermediate of the optimizer route (k^2, e^{kt*}) leaves
+    the float range it raises ``DomainError``.
     """
     u = check_real("u", u, 0.0, math.inf)
     if env.v == 0.0:
         raise DomainError("chernoff_optimum_check requires a positive variance proxy")
     closed_form = _chernoff_exponent(env, u)
+    if closed_form == -math.inf:
+        raise _range_error(env, u)
     v, k = env.v, env.k
     try:
         t_star = math.log1p(k * u / v) / k

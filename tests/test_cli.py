@@ -1,13 +1,18 @@
 """End-to-end CLI checks: subcommands, exit codes, output determinism."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsejl import PlanRequest, SparseJLMatrix, min_dimension, read_matrix
+from sparsejl import DomainError, PlanRequest, SparseJLMatrix, min_dimension, read_matrix
 from sparsejl.cli import run, write_vectors
-from sparsejl.transform import write_matrix
+from sparsejl.transform import _CHUNK_ENTRIES, write_matrix
 
 
 def invoke(capsys, *argv):
@@ -347,6 +352,58 @@ class TestWriteVectors:
         expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
         assert (tmp_path / "y.csv").read_text() == expect
         assert expect.startswith("-0.0,5e-324,1e+16,1e-05,1e+22,")
+
+    @staticmethod
+    def assert_per_value_repr(rows):
+        """write_vectors writes exactly the per-value repr join of ``rows``."""
+        expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.csv"
+            write_vectors(path, rows)
+            assert path.read_bytes() == expect.encode("ascii")
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=40), max_size=4))
+    def test_raw_bit_patterns(self, patterns):
+        """Any 64-bit pattern, so nan, inf, ±0 and subnormals appear among the normals."""
+        self.assert_per_value_repr([np.array(row, dtype=np.uint64).view(np.float64) for row in patterns])
+
+    @pytest.mark.parametrize("value", [
+        9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16, 2.0**-1022, 2.0**53 - 1, 2.0**53 + 2,
+        5e-324, 1.7976931348623157e308, 0.1, 0.5, 123456.0, 1e15,
+    ], ids=repr)
+    def test_layout_boundaries(self, value):
+        """Each side of the switches between 0.000ddd, dd.ddd, ddd00.0 and exponent form, the
+        narrower interval below a power of two (0.5, 2^53), the smallest normal and the largest double."""
+        near = [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
+        self.assert_per_value_repr([near, [-v for v in near]])
+
+    def test_rows_across_blocks(self):
+        """A row longer than one block, one of exactly one block, and short rows that straddle a block end."""
+        rng = np.random.default_rng(11)
+        rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 16, n)
+                for n in (2 * _CHUNK_ENTRIES + 17, _CHUNK_ENTRIES, 3, _CHUNK_ENTRIES - 2, 5)]
+        self.assert_per_value_repr(rows)
+
+    def test_ragged_and_empty_rows(self):
+        rng = np.random.default_rng(12)
+        short = [rng.standard_normal(n) for n in rng.integers(0, 40, 4000)]
+        rows = [[], [1.5], [], [], [2.0, -3.25, 1e-7], *short, [], np.array([0.25], dtype=np.float32), []]
+        self.assert_per_value_repr(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_vectors(Path(tmp) / "y.csv", [[], []])
+            assert (Path(tmp) / "y.csv").read_bytes() == b"\n\n"
+
+    def test_seeded_sweep(self):
+        """About 10^6 values: scaled normals over every fixed-layout decade, and raw bit patterns."""
+        rng = np.random.default_rng(2024)
+        scaled = rng.standard_normal(800_000) * 10.0 ** rng.uniform(-6, 18, 800_000)
+        patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        self.assert_per_value_repr([scaled, patterns])
+
+    def test_row_of_another_dimension_is_rejected(self, tmp_path):
+        with pytest.raises(DomainError, match="1-D"):
+            write_vectors(tmp_path / "y.csv", [np.zeros((2, 2))])
 
 
 class TestCheck:

@@ -5,6 +5,7 @@ same closed forms and frozen here.
 """
 
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -303,3 +304,33 @@ def test_chernoff_exponent_beyond_float_range_is_domain_error(call):
 def test_tiny_scale_tail_stays_gaussian():
     """k u / v underflowing toward 0 keeps the Gaussian tail exp(-u^2/2v)."""
     assert sub_poisson_tail(TailEnvelope(1.0, 1e-200), 1.0) == math.exp(-0.5)
+
+
+@pytest.mark.parametrize("v, u, exponent", [(1e308, 1e155, -50.0), (1e308, 1e154, -0.5), (1e300, 1e160, -5e19)],
+                         ids=["u_squared", "two_v", "both_large"])
+def test_chernoff_exponent_past_u_squared_overflow(v, u, exponent):
+    """u * u or 2v past the float range made u^2/2v inf or nan, though it is finite:
+    the tail read 1.0 (nan through min) or 0.0, and the optimum check inf or nan."""
+    env = TailEnvelope(v, 1.0)
+    assert sub_poisson_tail(env, u) == pytest.approx(math.exp(exponent), rel=1e-12)
+    residual = chernoff_optimum_check(env, u)
+    # The optimizer route cancels to -t* u = -2 u^2/2v here, so the residual is about u^2/2v.
+    assert residual == pytest.approx(-exponent, rel=1e-12)
+
+
+def test_chernoff_exponent_keeps_its_bits_below_overflow():
+    """Where u * u and 2v are finite the exponent is still (u * u) / 2v, bit for bit."""
+    rnd = random.Random(5)
+    for _ in range(2000):
+        v, k, u = (10 ** rnd.uniform(-100, 100) for _ in range(3))
+        env = TailEnvelope(v, k)
+        expect = min(1.0, math.exp(-(u * u / (2.0 * v)) * bennet_h(k * u / v)))
+        assert sub_poisson_tail(env, u) == expect
+
+
+def test_u_squared_over_2v_past_float_range():
+    """u^2/2v itself past the float range: the tail is 0 and the optimum check, which returned inf, raises."""
+    env = TailEnvelope(1.0, 1.0)
+    assert sub_poisson_tail(env, 1e200) == 0.0
+    with pytest.raises(DomainError, match=r"v = 1.0, k = 1.0, u = 1e\+200 leaves the float range"):
+        chernoff_optimum_check(env, 1e200)

@@ -176,6 +176,17 @@ def test_vector_reader(data):
         assert all(v.ndim == 1 and v.dtype == np.float64 for v in vectors)
 
 
+@pytest.mark.parametrize("line", ["\u0661.5,2", "1.0,\xa02.0", "\u3000"],
+                         ids=["arabic_indic_digit", "no_break_space", "ideographic_space_line"])
+def test_vector_reader_rejects_non_ascii(tmp_path, line):
+    """float() reads Unicode digits and spaces: "\u0661.5,2" read as [1.5, 2.0], "1.0,\xa02.0"
+    as [1.0, 2.0], and a line of Unicode spaces was skipped as blank."""
+    path = tmp_path / "in.csv"
+    path.write_text(f"1.0,2.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(DomainError, match=r"in\.csv:2: not a comma-separated list of numbers"):
+        read_vectors(path)
+
+
 @FUZZ
 @given(
     st.one_of(binary_matrices, json_documents.map(lambda d: json.dumps(d).encode())),
