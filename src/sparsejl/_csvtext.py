@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import transform
 from .errors import DomainError
-from .transform import _CHUNK_ENTRIES
 
 _U = np.uint64
 _MASK32 = _U(0xFFFF_FFFF)
@@ -199,9 +199,10 @@ def csv_text(rows):
     print as their float64 values; rows may differ in length, an empty row
     is an empty line, and a row of another dimension raises ``DomainError``.
     Values are comma-separated and each line ends with ``"\\n"``.  Rows are
-    cut and joined into blocks of ``_CHUNK_ENTRIES`` values, so memory stays
-    bounded whatever the shape.
+    cut and joined into blocks of ``transform._CHUNK_ENTRIES`` values, read
+    when the generator starts, so memory stays bounded whatever the shape.
     """
+    block = transform._CHUNK_ENTRIES
     pieces, closes, filled = [], [], 0
     for row in rows:
         vec = np.asarray(row, dtype=np.float64)
@@ -214,12 +215,12 @@ def csv_text(rows):
             yield "\n"
         done = 0
         while done < vec.size:
-            take = min(vec.size - done, _CHUNK_ENTRIES - filled)
+            take = min(vec.size - done, block - filled)
             pieces.append(vec[done:done + take])
             done += take
             closes.append(done == vec.size)
             filled += take
-            if filled == _CHUNK_ENTRIES:
+            if filled == block:
                 yield _format_pieces(pieces, closes)
                 pieces, closes, filled = [], [], 0
     if pieces:

@@ -128,7 +128,9 @@ def _cmd_bounds(args) -> int:
     if args.format == "csv":
         sys.stdout.write(planner.bounds_to_csv(rows))
     else:
-        print(json.dumps([asdict(r) for r in rows], sort_keys=True))
+        # A non-finite value (an invalid row) is null: NaN and Infinity are not JSON.
+        rows = [dict(asdict(r), value=r.value if math.isfinite(r.value) else None) for r in rows]
+        print(json.dumps(rows, sort_keys=True))
     return 0
 
 
@@ -244,22 +246,16 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the exit code, 1 for a rejected input and 2 for a runtime failure."""
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (BudgetError, MemoryError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return _RUNTIME_EXIT
+    except (_UsageError, SparseJLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
-    except SparseJLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _VALIDATION_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
 
 
 def main() -> None:

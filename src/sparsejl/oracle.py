@@ -30,7 +30,7 @@ count of selected cells is s in every column.  One budget,
 a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization spec.  Working
 arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` / 16
 values, and no value depends on the block size; the Monte Carlo blocks
-its trials by the same ``transform._CHUNK_ENTRIES``.  Every oracle vector
+its trials by the same rule, ``transform._blocks``.  Every oracle vector
 ``x`` goes through one rule: a flat sequence of real numbers, of the
 length n where the caller fixes it, non-empty (else ``DomainError``) and
 a unit vector (else ``ConstraintViolation``); the specs keep it as a
@@ -162,9 +162,10 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     and (h, 0) and (-h, 0) are each their own.  Only m = 1 and n > 8 have
     a nonempty head, and there the row runs over (3^n + 3^(n-tail))/2
     values rather than its classes.  A block holds the values of whole
-    prefix entries, at most ``transform._CHUNK_ENTRIES`` / 16 values (or
-    one entry's), since each value carries several working arrays.  Every
-    value is formed elementwise, so none depends on the block size.
+    prefix entries, ``transform._blocks`` of 16 entries a value (at most
+    ``transform._CHUNK_ENTRIES`` / 16 values, or one entry's), since each
+    value carries several working arrays.  Every value is formed
+    elementwise, so none depends on the block size.
     """
     n = len(x)
     tail = 1
@@ -193,9 +194,8 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     coef = signs * x[n - tail :, None]
     sq = coef * coef
     keys = keys * base ** (n - tail)
-    step = max(1, (transform._CHUNK_ENTRIES >> 4) // len(weights))
-    for lo in range(0, len(t), step):
-        e = slice(lo, lo + step)
+    for lo, hi in transform._blocks(len(t), 16 * len(weights)):
+        e = slice(lo, hi)
         total = _fold(row[e], coef)
         z = (closed[e, None] + total * total - _fold(t[e], sq)) / s
         yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
@@ -473,34 +473,25 @@ def squared_norm_samples(
 ) -> np.ndarray:
     """|A_t x|^2 for independent matrices A_t, t = 0..trials-1.
 
-    Matrix t is exactly ``build_matrix(n, m, s, substream(seed, t))``.
-    Trials are evaluated in vectorized blocks of at most
-    ``transform._CHUNK_ENTRIES`` nonzeros (t_blk*n*s, the entries of the
-    block-diagonal product) and output rows (t_blk*m, the dense y), or one
-    trial; the layout does not affect the result.
+    Matrix t is exactly ``build_matrix(n, m, s, substream(seed, t))``, with
+    the same column-root call and the same ``transform._project``.  Each of
+    the ``transform._blocks`` of max(n s, m) entries a trial (its nonzeros
+    or output rows) is one block-diagonal product; the layout does not
+    affect the result.
     """
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)
     trials = check_int("trials", trials, 1)
     x = _check_unit(x, n)
-    scale = 1.0 / math.sqrt(s)
 
     samples = np.empty(trials, dtype=np.float64)
-    block = max(1, min(transform._CHUNK_ENTRIES // (n * s), transform._CHUNK_ENTRIES // m))
-    col_ids = np.arange(n, dtype=np.int64)
-    for start in range(0, trials, block):
-        stop = min(trials, start + block)
-        t_blk = stop - start
-        trial_seeds = streams.substream_vec(seed, np.arange(start, stop, dtype=np.uint64))
-        roots = streams.substream_pairs_vec(
-            np.repeat(trial_seeds, n), np.tile(col_ids, t_blk).astype(np.uint64)
-        )
+    for lo, hi in transform._blocks(trials, max(n * s, m)):
+        trial_seeds = streams.substream_vec(seed, np.arange(lo, hi))
+        roots = streams.substream_vec(trial_seeds[:, None], np.arange(n)).ravel()
         rows, signs = transform.sample_columns(m, s, roots)
         # One block-diagonal product: trial t's rows are offset by t*m.
-        rows = np.repeat(np.arange(t_blk, dtype=np.int64) * m, n)[:, None] + rows
-        y = transform._sign_csc(rows, signs, t_blk * m) @ np.tile(x, t_blk)
-        y = y.reshape(t_blk, m)
-        y *= scale
-        samples[start:stop] = (y * y).sum(axis=1)
+        rows = np.repeat(np.arange(hi - lo, dtype=np.int64) * m, n)[:, None] + rows
+        y = transform._project(rows, signs, (hi - lo) * m, np.tile(x, hi - lo)).reshape(hi - lo, m)
+        samples[lo:hi] = (y * y).sum(axis=1)
     return samples
 
 

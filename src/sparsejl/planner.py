@@ -18,7 +18,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, bennet_h
@@ -75,29 +74,24 @@ def min_dimension(req: PlanRequest) -> PlanResult:
     ``DEFAULT_ENVELOPE_SCALE`` = 50, the only scale the bound is certified
     for, together with the h value, the eps/p -> 0 Gaussian reference
     4 log(2/delta)/eps^2, the slack in the validity constraint, and the
-    implied per-column sparsity round(p * m).
+    implied per-column sparsity round(p * m), at least 11 on the valid domain.
+    Raises ``DomainError`` where 4 log(2/delta)/(eps^2 h) leaves the float range.
     """
     h_value = bennet_h(DEFAULT_ENVELOPE_SCALE * req.eps / (2.0 * req.p))
     eps_sq = req.eps * req.eps
     gaussian_reference = 4.0 * math.log(2.0 / req.delta) / eps_sq if eps_sq else math.inf
-    if math.isinf(gaussian_reference):
+    bound = gaussian_reference / h_value
+    if not math.isfinite(bound):
         raise DomainError(
-            f"eps = {req.eps} is too small: 4 log(2/delta)/eps^2 overflows a float"
+            f"eps = {req.eps}, p = {req.p}: 4 log(2/delta)/(eps^2 h) leaves the float range"
         )
-    m_min = math.ceil(gaussian_reference / h_value)
-    s_exact = req.p * m_min
-    if s_exact < 1.0:
-        warnings.warn(
-            f"p * m_min = {s_exact:.3g} < 1; implied sparsity clamped to s = 1",
-            stacklevel=2,
-        )
-    s_implied = max(1, round(s_exact))
+    m_min = math.ceil(bound)
     return PlanResult(
         m_min=m_min,
         h_value=h_value,
         gaussian_reference=gaussian_reference,
         slack=req.eps_limit - req.eps,
-        s_implied=s_implied,
+        s_implied=round(req.p * m_min),
     )
 
 

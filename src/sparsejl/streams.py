@@ -59,16 +59,11 @@ def mix64_vec(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def substream_vec(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`substream` for an array of child indices."""
-    idx = indices.astype(_U, copy=False)
-    return substream_pairs_vec(np.full_like(idx, seed & MASK64), idx)
-
-
-def substream_pairs_vec(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`substream` over paired (seed, index) arrays."""
+def substream_vec(seeds, indices: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`substream`: an int seed, or a uint64 array of them, broadcast against ``indices``."""
+    seeds = _U(seeds & MASK64) if isinstance(seeds, int) else seeds.astype(_U, copy=False)
     idx = indices.astype(_U, copy=False) + _V_1
-    return mix64_vec(seeds.astype(_U, copy=False) ^ mix64_vec(idx * _V_GAMMA))
+    return mix64_vec(seeds ^ mix64_vec(idx * _V_GAMMA))
 
 
 class Stream:

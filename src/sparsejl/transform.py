@@ -10,9 +10,9 @@ across platforms and independent of evaluation order, and only the +-1
 signs are stored; the 1/sqrt(s) scale is applied once per output entry.
 
 ``apply``, ``apply_batch`` and the Monte Carlo oracle share one sparse
-kernel: the stored arrays, taken as they are, form a CSC matrix
-(``data = signs``, ``indices = rows.ravel()``, ``indptr`` stepping by s),
-and one CSC product computes A X for a whole stack of vectors.  The
+kernel, ``_project``: the stored arrays, taken as they are, form a CSC
+matrix (``data = signs``, ``indices = rows.ravel()``, ``indptr`` stepping
+by s), and one CSC product computes A X for a whole stack of vectors.  The
 product adds the terms of each output entry in increasing column order,
 then the result is scaled, so outputs are bitwise equal to the per-vector
 ``np.bincount`` scatter.  ``apply_batch`` returns the rows of one (k, m)
@@ -29,11 +29,11 @@ Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
 [0, 2^64)) before sizing any array.  The JSON text is encoded with array
-operations in blocks of at most ``_CHUNK_ENTRIES`` entries.  The JSON
-decoder first tries the canonical path: it parses every integer of the text
-in one array call and accepts the matrix only if encoding it reproduces the
-text byte for byte.  Any other text, such as a pretty-printed document or
-one with its keys reordered, goes to the general decoder, which parses with
+operations, block by block.  The JSON decoder first tries the canonical
+path: it parses every integer of the text in one array call and accepts
+the matrix only if encoding it reproduces the text byte for byte.  Any
+other text, such as a pretty-printed document or one with its keys
+reordered, goes to the general decoder, which parses with
 :func:`json.loads` and converts the columns in blocks, accepting only lists
 of ``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows
 in [0, m); floats and bools are rejected rather than coerced.
@@ -68,14 +68,14 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IQQQQ")  # version, n, m, s, seed
 _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 
-# Column sampling works on blocks of lanes with at most this many Fisher-Yates
-# steps (or one lane when s is larger), so its 64-bit work arrays stay near
-# 512 KB whatever m is.  Blocks of 2^14 to 2^16 steps measured fastest.  The
-# other users of this one block size: the JSON encoder and the general JSON
-# decoder (blocks of this many entries), ``oracle.squared_norm_samples``
-# (Monte Carlo trials in blocks of at most this many nonzeros and output
-# rows), and ``oracle._row_class_values`` (a tail of at most this many
-# pattern cells, and blocks of a sixteenth as many values).
+# The one block size, read when called.  ``_blocks(count, per_item)`` cuts
+# items of ``per_item`` entries into blocks of at most this many entries (or
+# one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
+# arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
+# JSON encoder and general decoder (s entries a column),
+# ``oracle.squared_norm_samples`` (max(n s, m) a trial) and
+# ``oracle._row_class_values`` (16 a value).  The enumeration's tail (pattern
+# cells) and ``_csvtext`` (values) read the constant itself.
 _CHUNK_ENTRIES = 1 << 16
 
 _JSON_WHITESPACE = re.compile(rb"[ \t\r\n]*")
@@ -147,6 +147,13 @@ class SparseJLMatrix:
         )
 
 
+def _blocks(count: int, per_item: int):
+    """(lo, hi) bounds of the blocks of ``count`` items: ``_CHUNK_ENTRIES // per_item`` items each, at least one."""
+    step = max(1, _CHUNK_ENTRIES // per_item)
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)
+
+
 def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample one column per stream root: s distinct rows of [0, m) plus signs.
 
@@ -154,7 +161,7 @@ def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.nd
     modulo rejection) over its own virtual copy of the row range, then
     draws ``s`` sign words.  Returns (rows, signs) of shape (lanes, s).
 
-    Lanes are processed in blocks of about ``_CHUNK_ENTRIES`` steps.  A block
+    Lanes are processed in ``_blocks`` of s steps per lane.  A block
     draws every step's word at once (counters 1..s, signs at s+1..2s) and
     resolves the swaps with one sort, so memory is O(block) whatever m is.
     A lane in which any bounded draw hits the rejection zone (probability
@@ -167,15 +174,14 @@ def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.nd
     bounds = np.uint64(m) - steps
     # 2^64 mod bound: a draw z is rejected when z >= 2^64 - rem, i.e. ~z < rem.
     rem = (np.uint64(streams.MASK64) % bounds + np.uint64(1)) % bounds
-    block = max(1, _CHUNK_ENTRIES // s)
-    for lo in range(0, lanes, block):
-        blk = roots[lo:lo + block]
+    for lo, hi in _blocks(lanes, s):
+        blk = roots[lo:hi]
         ctrs = np.zeros(blk.shape[0], dtype=np.uint64)
         z = streams.next_u64_block_vec(blk, ctrs, s)
         rejected = np.nonzero((~z < rem).any(axis=1))[0]
-        rows[lo:lo + block] = _fisher_yates_rows(z % bounds + steps, m, s)
+        rows[lo:hi] = _fisher_yates_rows(z % bounds + steps, m, s)
         z = streams.next_u64_block_vec(blk, ctrs, s)
-        signs[lo:lo + block] = (z & np.uint64(1)).astype(np.int8) * 2 - 1
+        signs[lo:hi] = (z & np.uint64(1)).astype(np.int8) * 2 - 1
         for lane in rejected:
             rows[lo + lane], signs[lo + lane] = sample_column_scalar(m, s, int(blk[lane]))
     return rows, signs
@@ -256,7 +262,7 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
     1 <= s <= m <= 2^32 and seed in [0, 2^64), as in the stored header.
     """
     n, m, s, seed = _validate_build_args(n, m, s, seed)
-    roots = streams.substream_vec(seed, np.arange(n, dtype=np.uint64))
+    roots = streams.substream_vec(seed, np.arange(n))
     rows, signs = sample_columns(m, s, roots)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
@@ -281,6 +287,13 @@ def _sign_csc(rows: np.ndarray, signs: np.ndarray, m: int) -> sparse.csc_array:
     )
 
 
+def _project(rows: np.ndarray, signs: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
+    """A x for the pattern (rows, signs) and a vector, or a vector per column, x: the CSC product times 1/sqrt(s)."""
+    y = _sign_csc(rows, signs, m) @ x
+    y *= 1.0 / math.sqrt(rows.shape[1])
+    return y
+
+
 def _vector(matrix: SparseJLMatrix, x) -> np.ndarray:
     x = check_real_vector("x", x)
     if x.shape != (matrix.n,):
@@ -297,8 +310,7 @@ def apply(matrix: SparseJLMatrix, x) -> np.ndarray:
     else DomainError; a wrong length raises DimensionMismatch).  Raises
     DomainError when an entry of y is not finite.
     """
-    y = _sign_csc(matrix.rows, matrix.signs, matrix.m) @ _vector(matrix, x)
-    y *= matrix.scale
+    y = _project(matrix.rows, matrix.signs, matrix.m, _vector(matrix, x))
     if not np.isfinite(y).all():
         raise DomainError("projected vector is not finite")
     return y
@@ -319,9 +331,7 @@ def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
         except (DimensionMismatch, DomainError) as exc:
             raise type(exc)(f"batch element {i}: {exc}") from None
     x = np.array(xs).reshape(len(xs), matrix.n)
-    y = _sign_csc(matrix.rows, matrix.signs, matrix.m) @ x.T
-    y *= matrix.scale
-    y = np.ascontiguousarray(y.T)
+    y = np.ascontiguousarray(_project(matrix.rows, matrix.signs, matrix.m, x.T).T)
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
         raise DomainError(f"batch element {int(np.argmin(finite))}: projected vector is not finite")
@@ -405,7 +415,7 @@ def _json_tail(n: int, m: int, s: int, seed: int) -> str:
 def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int):
     """Yield the canonical text of the columns as uint8 arrays, block by block.
 
-    A block holds at most ``_CHUNK_ENTRIES`` entries (or one column).  Each
+    A block is one of ``_blocks`` of s entries per column.  Each
     entry ``[row, sign]`` is followed by ``, `` inside a column, by ``], [``
     at a column end (closing the column and opening the next) and by ``]``
     after the last entry of the matrix.  Per block, each row's digits are
@@ -414,16 +424,15 @@ def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int):
     """
     n, s = rows.shape
     tens = [10**j for j in range(len(str(m - 1)))]
-    block = max(1, _CHUNK_ENTRIES // s)
-    for lo in range(0, n, block):
-        r = rows[lo:lo + block].ravel()
-        neg = signs[lo:lo + block].ravel() < 0
+    for lo, hi in _blocks(n, s):
+        r = rows[lo:hi].ravel()
+        neg = signs[lo:hi].ravel() < 0
         width = np.ones(r.size, dtype=np.int8)
         for ten in tens[1:]:
             width += r >= ten
         length = width + neg + 7  # "[", digits, ", ", "-"?, "1", "]", ", "
         length[s - 1::s] += 2  # "], [" in place of ", "
-        final = lo + block >= n
+        final = hi == n
         if final:
             length[-1] -= 3  # "]" in place of "], ["
         end = np.cumsum(length, dtype=np.intp)
@@ -463,18 +472,17 @@ def _first_failure(items, ok, per_column: int, lo: int) -> int:
 def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Convert parsed ``[[row, sign], ...]`` columns to (rows, signs) arrays.
 
-    Works in blocks of at most ``_CHUNK_ENTRIES`` entries (or one column) so
-    the int64 staging copy stays small.  Every value must be an exact
-    ``int``: floats and bools are rejected, not coerced.
+    Works in ``_blocks`` of s entries per column, so the int64 staging copy
+    stays small.  Every value must be an exact ``int``: floats and bools are
+    rejected, not coerced.
     """
     if set(map(type, columns)) - {list} or set(map(len, columns)) - {s}:
         i = _first_failure(columns, lambda c: type(c) is list and len(c) == s, 1, 0)
         raise MatrixInvariantError(f"entry count mismatch: column {i} is not a list of {s} entries")
     rows = np.empty((n, s), dtype=np.uint32)
     signs = np.empty((n, s), dtype=np.int8)
-    block = max(1, _CHUNK_ENTRIES // s)
-    for lo in range(0, n, block):
-        entries = list(itertools.chain.from_iterable(columns[lo:lo + block]))
+    for lo, hi in _blocks(n, s):
+        entries = list(itertools.chain.from_iterable(columns[lo:hi]))
         if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
             i = _first_failure(entries, lambda e: type(e) is list and len(e) == 2, s, lo)
             raise MatrixInvariantError(f"column {i} has an entry that is not a [row, sign] pair")
@@ -486,7 +494,7 @@ def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, 
             pairs = np.array(values, dtype=np.int64).reshape(-1, s, 2)
         except OverflowError:
             raise MatrixInvariantError(
-                f"row index or sign outside the int64 range in columns {lo}..{lo + block - 1}"
+                f"row index or sign outside the int64 range in columns {lo}..{hi - 1}"
             ) from None
         blk_rows, blk_signs = pairs[..., 0], pairs[..., 1]
         bad = np.nonzero((blk_signs != 1) & (blk_signs != -1))
@@ -499,8 +507,8 @@ def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, 
             raise MatrixInvariantError(
                 f"row index {blk_rows[bad][0]} outside [0, m={m}) in column {lo + bad[0][0]}"
             )
-        rows[lo:lo + block] = blk_rows
-        signs[lo:lo + block] = blk_signs
+        rows[lo:hi] = blk_rows
+        signs[lo:hi] = blk_signs
     return rows, signs
 
 

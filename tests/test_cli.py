@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsejl import DomainError, PlanRequest, SparseJLMatrix, min_dimension, read_matrix
+from sparsejl import transform
+from sparsejl._csvtext import csv_text
 from sparsejl.cli import run, write_vectors
 from sparsejl.transform import _CHUNK_ENTRIES, write_matrix
 
@@ -43,6 +45,14 @@ class TestPlan:
         code, _, err = invoke(capsys, "plan", "--eps", "1e-300", "--delta", "0.01", "--p", str(1 / 30))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_bound_beyond_float_range_is_validation_error(self, capsys):
+        """4 log(2/delta)/(eps^2 h) overflowed here, and math.ceil(inf) raised OverflowError."""
+        code, out, err = invoke(capsys, "plan", "--eps", "1.07e-153", "--delta", "0.5", "--p", "3e-156")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "leaves the float range" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = invoke(
@@ -226,6 +236,14 @@ class TestBuildTransform:
         assert err.startswith("error: batch element 1:") and "not finite" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_out_of_memory_is_runtime_error(self, capsys, tmp_path):
+        """n = 10^14 columns need 728 TiB, beyond a 47-bit address space, so the allocator refuses at once."""
+        code, _, err = invoke(capsys, "build", "--n", "100000000000000", "--m", "10", "--s", "10",
+                              "--seed", "1", "--out", str(tmp_path / "A.bin"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "A.bin").exists()
+
     def test_invalid_sparsity_exit_code(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "build", "--n", "2", "--m", "4", "--s", "5",
@@ -302,6 +320,14 @@ class TestVerify:
         assert "exactly one vector" in err
 
 
+    def test_out_of_memory_is_runtime_error(self, capsys):
+        """10^14 trials need 728 TiB of samples, beyond a 47-bit address space, so the allocator refuses at once."""
+        code, _, err = invoke(capsys, "verify", "--n", "2", "--m", "4", "--s", "2", "--eps", "0.5",
+                              "--trials", "100000000000000", "--seed", "1")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestBounds:
     def test_csv_table(self, capsys):
         code, out, _ = invoke(
@@ -330,6 +356,21 @@ class TestBounds:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps,p,B", [("0.05", str(1 / 30), "1.5"), ("1e-300", str(1 / 30), "4"),
+                                         ("1.07e-153", "3e-156", "4")],
+                             ids=["B-below-2", "eps-underflow", "bound-overflow"])
+    def test_json_is_strict(self, capsys, eps, p, B):
+        """Invalid rows were written with NaN or Infinity, which RFC 8259 JSON does not allow."""
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, _ = invoke(capsys, "bounds", "--eps", eps, "--delta", "0.5", "--p", p,
+                              "--B", B, "--format", "json")
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject)
+        assert any(row["value"] is None for row in rows)
+        assert all(not row["valid"] for row in rows if row["value"] is None)
 
     def test_consistent_with_plan(self, capsys):
         code, out, _ = invoke(
@@ -383,6 +424,14 @@ class TestWriteVectors:
         rng = np.random.default_rng(11)
         rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 16, n)
                 for n in (2 * _CHUNK_ENTRIES + 17, _CHUNK_ENTRIES, 3, _CHUNK_ENTRIES - 2, 5)]
+        self.assert_per_value_repr(rows)
+
+    def test_block_size_is_read_when_called(self, monkeypatch):
+        """csv_text kept an import-time copy of the block size, so patching transform's never reached it."""
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 5)
+        rows = [np.arange(12.0) / 7, [0.5, -2.0]]
+        pieces = list(csv_text(rows))
+        assert [piece.count(",") + piece.count("\n") for piece in pieces] == [5, 5, 4]
         self.assert_per_value_repr(rows)
 
     def test_ragged_and_empty_rows(self):

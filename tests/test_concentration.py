@@ -259,6 +259,11 @@ class TestChernoffOptimumCheck:
     def test_small_u(self):
         assert chernoff_optimum_check(TailEnvelope(1.0, 1.0), 1e-8) <= 1e-12
 
+    def test_zero_variance_proxy_is_domain_error(self):
+        """TailEnvelope accepts v = 0 (a point mass); the optimizer identity needs v > 0."""
+        with pytest.raises(DomainError, match="positive variance proxy"):
+            chernoff_optimum_check(TailEnvelope(0.0, 1.0), 1.0)
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [

@@ -48,7 +48,7 @@ def bincount_samples(n, m, s, x, trials, seed):
     x = np.asarray(x, dtype=np.float64)
     col_ids = np.arange(n, dtype=np.int64)
     trial_seeds = streams.substream_vec(seed, np.arange(trials, dtype=np.uint64))
-    roots = streams.substream_pairs_vec(np.repeat(trial_seeds, n), np.tile(col_ids, trials).astype(np.uint64))
+    roots = streams.substream_vec(np.repeat(trial_seeds, n), np.tile(col_ids, trials).astype(np.uint64))
     rows, signs = transform.sample_columns(m, s, roots)
     weights = signs * x[np.tile(col_ids, trials)][:, None]
     flat = np.repeat(np.arange(trials, dtype=np.int64), n)[:, None] * m + rows

@@ -119,6 +119,19 @@ class TestMinDimension:
             result = min_dimension(PlanRequest(eps, 0.999, p))
             assert result.s_implied >= 11
 
+    @pytest.mark.parametrize("p", [P30, 1e-3, 1e-30, 1e-100, 1e-150])
+    def test_implied_sparsity_floor_at_the_validity_limit(self, p):
+        """At eps = p log(1/2p), the smallest p * m_min for its p, the floor still holds."""
+        result = min_dimension(PlanRequest(PlanRequest(0.5 * p, 0.999, p).eps_limit, 0.999, p))
+        assert result.s_implied >= 11
+
+    @pytest.mark.parametrize("eps,p", [(1.07e-153, 3e-156), (1e-300, P30)],
+                             ids=["bound-overflow", "eps-squared-underflow"])
+    def test_bound_beyond_float_range_is_domain_error(self, eps, p):
+        """4 log(2/delta)/(eps^2 h) overflowed to inf, and math.ceil(inf) raised OverflowError."""
+        with pytest.raises(DomainError, match="leaves the float range"):
+            min_dimension(PlanRequest(eps, 0.5, p))
+
 
 class TestBoundsTable:
     def test_row_inventory(self):
@@ -138,6 +151,10 @@ class TestBoundsTable:
         rows = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}
         assert rows[BENNET_ROW].value == min_dimension(PlanRequest(0.05, 0.01, P30)).m_min
         assert rows[BENNET_ROW].valid
+
+    def test_bound_beyond_float_range_marks_bennet_invalid(self):
+        rows = {r.source: r for r in bounds_table(1.07e-153, 0.5, 3e-156, B=4.0)}
+        assert not rows[BENNET_ROW].valid and math.isnan(rows[BENNET_ROW].value)
 
     def test_graph_enumeration_row(self):
         eps, delta, p = 0.05, 0.01, P30

@@ -60,7 +60,7 @@ class TestSubstream:
     def test_pairs_variant(self):
         seeds = np.array([5, 6, 7], dtype=np.uint64)
         idx = np.array([1, 1, 2], dtype=np.uint64)
-        vec = streams.substream_pairs_vec(seeds, idx)
+        vec = streams.substream_vec(seeds, idx)
         for k in range(3):
             assert int(vec[k]) == streams.substream(int(seeds[k]), int(idx[k]))
 

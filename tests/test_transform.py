@@ -330,6 +330,39 @@ class TestSerialization:
         with pytest.raises(MatrixInvariantError, match="entry count"):
             deserialize_json(json.dumps(doc))
 
+    def test_json_column_count(self):
+        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+        doc["columns"].append(doc["columns"][0])
+        with pytest.raises(MatrixInvariantError, match="entry count mismatch: 3 columns, header says 2"):
+            deserialize_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("rows", np.zeros((2, 1), dtype=np.uint32), "entry count mismatch"),
+        ("signs", np.ones((3, 2), dtype=np.int8), "entry count mismatch"),
+        ("m", 1, "sparsity s=2 outside"),
+        ("rows", np.array([[0, 4], [1, 2]], dtype=np.uint32), "row index 4 outside"),
+        ("signs", np.array([[1, 0], [-1, 1]], dtype=np.int8), "sign domain"),
+    ], ids=["rows-shape", "signs-shape", "s-above-m", "row-range", "sign-zero"])
+    def test_validate_hand_built(self, field, value, message):
+        """Matrices built by hand, not decoded, go through every check of validate()."""
+        parts = dict(n=2, m=4, s=2, seed=1, rows=np.array([[0, 1], [2, 3]], dtype=np.uint32),
+                     signs=np.array([[1, -1], [-1, 1]], dtype=np.int8))
+        SparseJLMatrix(**parts).validate()
+        parts[field] = value
+        with pytest.raises(MatrixInvariantError, match=message):
+            SparseJLMatrix(**parts).validate()
+
+    def test_validate_s_outside_range(self):
+        matrix = SparseJLMatrix(n=1, m=4, s=0, seed=1, rows=np.zeros((1, 0), dtype=np.uint32),
+                                signs=np.zeros((1, 0), dtype=np.int8))
+        with pytest.raises(MatrixInvariantError, match=r"sparsity s=0 outside \[1, m=4\]"):
+            matrix.validate()
+
+    def test_write_matrix_unknown_format(self, tmp_path):
+        with pytest.raises(DomainError, match="unknown matrix format 'csv'"):
+            write_matrix(tmp_path / "A.csv", build_matrix(2, 4, 2, seed=1), fmt="csv")
+        assert not (tmp_path / "A.csv").exists()
+
     def test_json_sign_domain(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][0][0][1] = 2
