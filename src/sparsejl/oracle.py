@@ -20,14 +20,17 @@ and the rows combine by outer sums, ((3^n+1)/2)^m raw values, each with
 its multiplicity, its number w of selected cells and its count of them
 per column; a row longer than eight cells takes every sign pattern of
 its first cells and the classes of its last eight, (3^n + 3^(n-8))/2
-values.  A moment or a right side is one ``math.fsum`` of
-z^q * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells.  The
-majorization left side, where each column picks exactly s rows, is iid
-selection conditioned on every column holding s cells: it is one more
-``math.fsum``, in the same pass, of z^q * mult over the values whose
-count of selected cells is s in every column.  One budget,
-``ENUMERATION_BUDGET`` = 10^7, bounds both enumerations: 3^n <= 10^7 for
-a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization spec.  Working
+values.  One private engine, ``_exact_sums``, makes the pass and
+returns two exact ``math.fsum`` sums of a statistic f: the iid sum of
+f(z) * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells, and the kept
+sum of f(z) * mult over the values whose count of selected cells is s in
+every column.  A moment and a majorization right side are iid sums of
+z^q; the left side, where each column picks exactly s rows, is iid
+selection conditioned on every column holding s cells, the kept sum over
+its 2^(ns) C(m,s)^n selections and sign patterns.  One budget,
+``ENUMERATION_BUDGET`` = 10^7, is the one rule on the size of a spec:
+3^n <= 10^7 for a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization
+spec (mn <= 14), whose order q is even and at most 100.  Working
 arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` / 16
 values, and no value depends on the block size; the Monte Carlo blocks
 its trials by the same rule, ``transform._blocks``.  Every oracle vector
@@ -156,10 +159,11 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     patterns times tail fit in ``transform._CHUNK_ENTRIES``, are enumerated
     against the prefix: every class combination of rows 0..m-2 and every
     pattern of the head, the cells of the last row before the tail (at most
-    2744 entries for the specs the budget accepts).  Each prefix entry takes
-    the tail's classes, each doubled when nonempty, so a last row (h, t)
-    and its negation (-h, -t) have one representative when t is nonempty,
-    and (h, 0) and (-h, 0) are each their own.  Only m = 1 and n > 8 have
+    15625 entries for the specs the budget accepts, at (n, m) = (2, 7)).
+    Each prefix entry takes the tail's classes, each doubled when
+    nonempty, so a last row (h, t) and its negation (-h, -t) have one
+    representative when t is nonempty, and (h, 0) and (-h, 0) are each
+    their own.  Only m = 1 and n > 8 have
     a nonempty head, and there the row runs over (3^n + 3^(n-tail))/2
     values rather than its classes.  A block holds the values of whole
     prefix entries, ``transform._blocks`` of 16 entries a value (at most
@@ -201,9 +205,29 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
         yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
 
 
-def _iid_weights(cells: int, p: float) -> np.ndarray:
-    """c[w] = p^w (1-p)^(cells-w) / 2^w, the probability of one selection of w iid Bernoulli(p) cells and one sign pattern."""
-    return np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
+def _exact_sums(x: np.ndarray, m: int, s: int, p: float, f) -> tuple[float, float]:
+    """The two exact sums of a statistic f over one pass of ``_row_class_values(x, m, s)``: (iid, kept).
+
+    ``iid`` is the ``math.fsum`` of f(z) * mult * c[w], where
+    c[w] = p^w (1-p)^(N-w) / 2^w is the probability of one selection of w
+    iid Bernoulli(p) cells out of N = m n and one sign pattern: E[f(Z)]
+    under iid selection.  ``kept`` is the ``math.fsum`` of f(z) * mult over
+    the values whose count of selected cells is s in every column, left
+    undivided.  f(z) * mult is formed once per block and then weighted.
+    """
+    cells = m * len(x)
+    c = np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
+    keep = s * (((m + 1) ** len(x) - 1) // m)  # the key of s cells in each column
+    kept = []
+
+    def iid_terms():
+        for z, mult, w, key in _row_class_values(x, m, s):
+            v = f(z) * mult
+            kept.extend(v[key == keep].tolist())
+            yield (v * c[w]).ravel().tolist()
+
+    iid = math.fsum(chain.from_iterable(iid_terms()))
+    return iid, math.fsum(kept)
 
 
 @dataclass(frozen=True)
@@ -231,13 +255,9 @@ def exact_moment_Z(spec: MomentSpec) -> float:
     Per selector mask eta the identity Z = S^2 - T holds with
     S = sum_i x_i eta_i r_i and T = sum_i x_i^2 eta_i: this is
     ``_row_class_values`` with one row and s = 1, over the (3^n+1)/2 row
-    classes, and E[Z^q] is one exact ``math.fsum`` of z^q * mult * c[w]
-    with the iid selection weights c of ``_iid_weights``.
+    classes, and E[Z^q] is the iid sum of ``_exact_sums`` of z^q at rate p.
     """
-    x = np.asarray(spec.x, dtype=np.float64)
-    c = _iid_weights(len(x), spec.p)
-    blocks = _row_class_values(x, 1, 1)
-    return math.fsum(chain.from_iterable((z**spec.q * mult * c[w]).ravel().tolist() for z, mult, w, _ in blocks))
+    return _exact_sums(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, lambda z: z**spec.q)[0]
 
 
 def moment_bound_rhs(p: float, q: int) -> float:
@@ -312,7 +332,12 @@ def check_multinomial_inequality(q_max: int) -> MultinomialCheckReport:
 
 @dataclass(frozen=True)
 class MajorizationSpec:
-    """Exact comparison instance: without-replacement columns vs iid entries."""
+    """Exact comparison instance: without-replacement columns vs iid entries.
+
+    Accepts integers n >= 1, m >= 1 and 1 <= s <= m, an even order q in
+    [2, ``MAX_MOMENT_ORDER``] and a unit vector x of length n, whose
+    3^(m n) configurations fit in ``ENUMERATION_BUDGET`` (m n <= 14).
+    """
 
     n: int
     m: int
@@ -322,7 +347,7 @@ class MajorizationSpec:
 
     def __post_init__(self):
         # m is checked before s is compared with it.
-        for name, low, high in (("n", 1, 4), ("m", 1, 5), ("s", 1, self.m), ("q", 2, 6)):
+        for name, low, high in (("n", 1, None), ("m", 1, None), ("s", 1, self.m), ("q", 2, MAX_MOMENT_ORDER)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         if self.q % 2:
             raise DomainError(f"q must be even, got {self.q}")
@@ -336,28 +361,15 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
 
     The left value draws each column's s row indices uniformly without
     replacement; the right replaces the selectors by iid Bernoulli(s/m)
-    entries.  Both come from one pass over ``_row_class_values`` of the
-    m x n grid, ((3^n+1)/2)^m row-class combinations.  The right side is one
-    exact ``math.fsum`` of z^q * mult * c[w], with the iid selection weights
-    c of ``_iid_weights`` at p = s/m.  The left side, iid selection
-    conditioned on every column holding exactly s cells, is one exact
-    ``math.fsum`` of z^q * mult over the values whose key is s in every
-    column, divided by the 2^(ns) sign patterns and the C(m,s)^n
-    assignments.
+    entries.  Both come from one ``_exact_sums`` pass of z^q at p = s/m
+    over the m x n grid, ((3^n+1)/2)^m row-class combinations.  The right
+    side is its iid sum.  The left side, iid selection conditioned on every
+    column holding exactly s cells, is its kept sum divided by the 2^(ns)
+    sign patterns and the C(m,s)^n assignments.
     """
     n, m, s, q = spec.n, spec.m, spec.s, spec.q
-    c = _iid_weights(m * n, s / m)
-    keep = s * (((m + 1) ** n - 1) // m)  # the key of s cells in each of the n columns
-    lhs_terms = []
-
-    def rhs_terms():
-        for z, mult, w, key in _row_class_values(np.asarray(spec.x, dtype=np.float64), m, s):
-            v = z**q * mult
-            lhs_terms.extend(v[key == keep].tolist())
-            yield (v * c[w]).ravel().tolist()
-
-    rhs = math.fsum(chain.from_iterable(rhs_terms()))
-    return math.fsum(lhs_terms) / 2 ** (n * s) / math.comb(m, s) ** n, rhs
+    rhs, kept = _exact_sums(np.asarray(spec.x, dtype=np.float64), m, s, s / m, lambda z: z**q)
+    return kept / 2 ** (n * s) / math.comb(m, s) ** n, rhs
 
 
 @dataclass(frozen=True)
@@ -502,6 +514,13 @@ def estimate_failure_prob(
 
     Failures are counted with strict inequality; the report carries the
     exact 99% Clopper-Pearson interval and is reproducible from ``seed``.
+    When eps equals an atom of |Ax|^2 - 1, float rounding decides the
+    count, not the strict inequality: the samples that equal the atom in
+    exact arithmetic read a few ulps to either side of it.  At n = 2,
+    uniform x, (m, s, eps) = (200, 20, 0.15), 20000 trials and seed 12345
+    (atoms j/20), samples read -0.15000000000000047, which counts, and
+    0.1499999999999997, which does not; p_hat = 0.0419 lies between the
+    exact probabilities with > (0.0142) and with >= (0.0728).
     """
     eps = check_real("eps", eps, 0.0, math.inf)
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)

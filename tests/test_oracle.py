@@ -15,7 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -133,6 +133,38 @@ def loop_majorization(n, m, s, qs, x):
         rhs_terms.append([weight * v for v in _loop_sign_means(positions, coeffs, s, qs)])
     return {q: (math.fsum(t[i] for t in lhs_terms), math.fsum(t[i] for t in rhs_terms))
             for i, q in enumerate(qs)}
+
+
+def unshared_sums(x, m, s, p, q):
+    """(iid, kept) as the moment and majorization oracles each summed them before their shared engine."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    c = np.array([p**w * (1.0 - p) ** (m * n - w) / 2**w for w in range(m * n + 1)])
+    keep = s * (((m + 1) ** n - 1) // m)
+    kept = []
+
+    def iid_terms():
+        for z, mult, w, key in oracle._row_class_values(x, m, s):
+            kept.extend((z**q * mult)[key == keep].tolist())
+            yield (z**q * mult * c[w]).ravel().tolist()
+
+    iid = math.fsum(chain.from_iterable(iid_terms()))
+    return iid, math.fsum(kept)
+
+
+def overlap_failure_prob(a, b, m, s, eps):
+    """Exact P{| |Ax|^2 - 1 | > eps} for x = (a, b), n = 2, as a Fraction.
+
+    |Ax|^2 - 1 = 2ab (L - 2k)/s, where the two columns share L rows
+    (hypergeometric: C(s,L) C(m-s,s-L)/C(m,s)) and k of the L sign
+    products are -1 (binomial: C(L,k)/2^L).
+    """
+    two_ab, bound = 2 * Fraction(a) * Fraction(b), Fraction(eps) * s
+    total = Fraction(0)
+    for shared in range(s + 1):
+        count = sum(math.comb(shared, k) for k in range(shared + 1) if abs(two_ab * (shared - 2 * k)) > bound)
+        total += Fraction(math.comb(s, shared) * math.comb(m - s, s - shared) * count, 2**shared)
+    return total / math.comb(m, s)
 
 
 def traced_peak(call):
@@ -380,6 +412,18 @@ class TestMajorization:
                             checked += 1
         assert checked == 231
 
+    @pytest.mark.parametrize("n, m, s, qs", [(5, 2, 1, (2, 4, 8)), (2, 6, 2, (2, 4, 8, 100))])
+    def test_specs_past_the_former_caps_match_loop(self, n, m, s, qs):
+        """The budget alone bounds n, m and q: specs with n > 4, m > 5 or q > 6 match the loop too."""
+        x = np.random.default_rng(n * m).standard_normal(n)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        ref = loop_majorization(n, m, s, qs, x)
+        for q in qs:
+            lhs, rhs = check_majorization(MajorizationSpec(n, m, s, q, x))
+            assert_matches_loop(lhs, ref[q][0])
+            assert_matches_loop(rhs, ref[q][1])
+            assert lhs <= rhs
+
     def test_block_size_does_not_change_results(self, monkeypatch):
         from sparsejl import transform as tr
 
@@ -411,7 +455,9 @@ class TestMajorization:
         assert total == 3 ** (m * n)
         assert kept == math.comb(m, s) ** n * 2 ** (n * s)
 
-    @pytest.mark.parametrize("n, m, s, x", [(4, 3, 2, (0.5, -0.5, 0.1, math.sqrt(0.49))), (3, 4, 2, (0.6, 0.0, 0.8))])
+    @pytest.mark.parametrize("n, m, s, x", [
+        (4, 3, 2, (0.5, -0.5, 0.1, math.sqrt(0.49))), (3, 4, 2, (0.6, 0.0, 0.8)), (2, 7, 3, (0.6, 0.8)),
+    ])
     def test_working_memory_stays_in_blocks(self, n, m, s, x):
         (lhs, rhs), peak = traced_peak(lambda: check_majorization(MajorizationSpec(n, m, s, 4, x)))
         assert lhs <= rhs
@@ -426,14 +472,41 @@ class TestMajorization:
                 MajorizationSpec(n, m, s, 2, x)
         for s in range(1, 5):  # the largest specs of criterion 5 stay accepted
             MajorizationSpec(3, 4, s, 4, x3)
+        for s in range(1, 8):  # the budget alone decides: 3^14 <= 10^7
+            MajorizationSpec(2, 7, s, 2, (0.6, 0.8))
 
     def test_validation(self):
         with pytest.raises(DomainError):
             MajorizationSpec(2, 2, 1, 3, (1.0, 0.0))  # odd q
-        with pytest.raises(DomainError):
-            MajorizationSpec(2, 6, 1, 2, (1.0, 0.0))  # m too large
+        with pytest.raises(BudgetError):
+            MajorizationSpec(2, 8, 1, 2, (1.0, 0.0))  # 3^16 > 10^7
         with pytest.raises(ConstraintViolation, match="unit"):
             MajorizationSpec(2, 2, 1, 2, (math.nan, math.nan))
+
+
+class TestExactSums:
+    """The shared engine gives the sums each oracle wrote for itself, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_moments(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        for p in (1 / 30, 0.5):
+            for q in (1, 2, 3, 4, 6):
+                assert exact_moment_Z(MomentSpec(x, p, q)) == unshared_sums(x, 1, 1, p, q)[0]
+
+    def test_majorization_at_criterion_5(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            for _ in range(2):
+                x = rng.standard_normal(n)
+                x = tuple((x / math.sqrt(float(x @ x))).tolist())
+                for m in (1, 2, 3, 4):
+                    for s in range(1, m + 1):
+                        for q in (2, 4):
+                            rhs, kept = unshared_sums(x, m, s, s / m, q)
+                            lhs = kept / 2 ** (n * s) / math.comb(m, s) ** n
+                            assert check_majorization(MajorizationSpec(n, m, s, q, x)) == (lhs, rhs)
 
 
 class TestPsiEnvelope:
@@ -542,6 +615,20 @@ class TestMonteCarlo:
         exact = 0.5
         se = math.sqrt(exact * (1 - exact) / report.trials)
         assert abs(report.p_hat - exact) <= 4.0 * se
+        assert report.ci_low <= exact <= report.ci_high
+
+    @pytest.mark.parametrize("m, s, eps", [
+        (64, 8, 0.2), (64, 8, 0.3), (200, 20, 0.16), (1000, 30, 0.11), (2000, 40, 0.06), (8176, 273, 0.02),
+    ])
+    def test_row_sets_match_overlap_distribution(self, m, s, eps):
+        """The exact failure probability at n = 2 lies in the 99% interval.
+
+        It rests on the law of the set of rows each column takes, through
+        the number of rows the two share.  Every eps lies off the atoms j/s.
+        """
+        x = np.full(2, 1 / math.sqrt(2.0))
+        report = estimate_failure_prob(2, m, s, x, eps, trials=20000, seed=12345)
+        exact = float(overlap_failure_prob(x[0], x[1], m, s, eps))
         assert report.ci_low <= exact <= report.ci_high
 
     def test_reproducible(self):
