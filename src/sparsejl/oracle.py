@@ -22,12 +22,13 @@ per column; a row longer than eight cells takes every sign pattern of
 its first cells and the classes of its last eight, (3^n + 3^(n-8))/2
 values.  One private engine, ``_exact_sums``, makes the pass and
 returns two exact ``math.fsum`` sums of a statistic f: the iid sum of
-f(z) * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells, and the kept
-sum of f(z) * mult over the values whose count of selected cells is s in
-every column.  A moment and a majorization right side are iid sums of
-z^q; the left side, where each column picks exactly s rows, is iid
-selection conditioned on every column holding s cells, the kept sum over
-its 2^(ns) C(m,s)^n selections and sign patterns.  One budget,
+f(z) * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells, and, for a
+caller that asks for it, the kept sum of f(z) * mult over the values whose
+count of selected cells is s in every column.  A moment and a majorization
+right side are iid sums of z^q; the left side, where each column picks
+exactly s rows, is iid selection conditioned on every column holding s
+cells, the kept sum over its 2^(ns) C(m,s)^n selections and sign
+patterns.  One budget,
 ``ENUMERATION_BUDGET`` = 10^7, is the one rule on the size of a spec:
 3^n <= 10^7 for a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization
 spec (mn <= 14), whose order q is even and at most 100.  Working
@@ -205,7 +206,7 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
         yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
 
 
-def _exact_sums(x: np.ndarray, m: int, s: int, p: float, f) -> tuple[float, float]:
+def _exact_sums(x: np.ndarray, m: int, s: int, p: float, f, kept: bool) -> tuple[float, float | None]:
     """The two exact sums of a statistic f over one pass of ``_row_class_values(x, m, s)``: (iid, kept).
 
     ``iid`` is the ``math.fsum`` of f(z) * mult * c[w], where
@@ -213,21 +214,23 @@ def _exact_sums(x: np.ndarray, m: int, s: int, p: float, f) -> tuple[float, floa
     iid Bernoulli(p) cells out of N = m n and one sign pattern: E[f(Z)]
     under iid selection.  ``kept`` is the ``math.fsum`` of f(z) * mult over
     the values whose count of selected cells is s in every column, left
-    undivided.  f(z) * mult is formed once per block and then weighted.
+    undivided; it is collected only when ``kept`` is true, and is None
+    otherwise.  f(z) * mult is formed once per block and then weighted.
     """
     cells = m * len(x)
     c = np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
     keep = s * (((m + 1) ** len(x) - 1) // m)  # the key of s cells in each column
-    kept = []
+    kept_terms = []
 
     def iid_terms():
         for z, mult, w, key in _row_class_values(x, m, s):
             v = f(z) * mult
-            kept.extend(v[key == keep].tolist())
+            if kept:
+                kept_terms.extend(v[key == keep].tolist())
             yield (v * c[w]).ravel().tolist()
 
     iid = math.fsum(chain.from_iterable(iid_terms()))
-    return iid, math.fsum(kept)
+    return iid, math.fsum(kept_terms) if kept else None
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,7 @@ def exact_moment_Z(spec: MomentSpec) -> float:
     ``_row_class_values`` with one row and s = 1, over the (3^n+1)/2 row
     classes, and E[Z^q] is the iid sum of ``_exact_sums`` of z^q at rate p.
     """
-    return _exact_sums(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, lambda z: z**spec.q)[0]
+    return _exact_sums(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, lambda z: z**spec.q, kept=False)[0]
 
 
 def moment_bound_rhs(p: float, q: int) -> float:
@@ -368,7 +371,7 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
     sign patterns and the C(m,s)^n assignments.
     """
     n, m, s, q = spec.n, spec.m, spec.s, spec.q
-    rhs, kept = _exact_sums(np.asarray(spec.x, dtype=np.float64), m, s, s / m, lambda z: z**q)
+    rhs, kept = _exact_sums(np.asarray(spec.x, dtype=np.float64), m, s, s / m, lambda z: z**q, kept=True)
     return kept / 2 ** (n * s) / math.comb(m, s) ** n, rhs
 
 

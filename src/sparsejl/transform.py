@@ -29,11 +29,13 @@ Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
 [0, 2^64)) before sizing any array.  The JSON text is encoded with array
-operations, block by block.  The JSON decoder first tries the canonical
-path: it parses every integer of the text in one array call and accepts
-the matrix only if encoding it reproduces the text byte for byte.  Any
-other text, such as a pretty-printed document or one with its keys
-reordered, goes to the general decoder, which parses with
+operations, block by block, and a file is written and read as bytes.  The
+JSON decoder first tries the canonical path on the bytes, one block at a
+time: it finds each entry by the ``]`` that follows its sign's ``1``,
+reads the row's digits leftwards from the comma, and accepts the block
+only if encoding it reproduces the text byte for byte.  Any other text,
+such as a pretty-printed document or one with its keys reordered, is
+decoded as UTF-8 and goes to the general decoder, which parses with
 :func:`json.loads` and converts the columns in blocks, accepting only lists
 of ``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows
 in [0, m); floats and bools are rejected rather than coerced.
@@ -72,7 +74,7 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # items of ``per_item`` entries into blocks of at most this many entries (or
 # one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
 # arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
-# JSON encoder and general decoder (s entries a column),
+# JSON encoder and both JSON decoders (s entries a column),
 # ``oracle.squared_norm_samples`` (max(n s, m) a trial) and
 # ``oracle._row_class_values`` (16 a value).  The enumeration's tail (pattern
 # cells) and ``_csvtext`` (values) read the constant itself.
@@ -82,15 +84,8 @@ _JSON_WHITESPACE = re.compile(rb"[ \t\r\n]*")
 # The header that ends a canonical text; the decoder compares it with the
 # re-encoded header, which also fixes the version.
 _JSON_TAIL = re.compile(
-    r'\], "format_version": \d{1,20}, "m": (\d{1,20}), "n": (\d{1,20}), '
-    r'"s": (\d{1,20}), "seed": (\d{1,20})\}', re.ASCII)
-# Maps the columns of a canonical text to integers separated by spaces: the
-# brackets and commas become spaces and "-" becomes "2", so a sign -1 reads
-# as 21.  Every other byte becomes "x".
-_JSON_TOKENS = bytes(
-    c if chr(c) in "0123456789 " else ord(" ") if chr(c) in "[]," else ord("2") if chr(c) == "-"
-    else ord("x") for c in range(256)
-)
+    rb'\], "format_version": \d{1,20}, "m": (\d{1,20}), "n": (\d{1,20}), '
+    rb'"s": (\d{1,20}), "seed": (\d{1,20})\}')
 
 
 @dataclass(eq=False)
@@ -126,16 +121,10 @@ class SparseJLMatrix:
             )
         if not 1 <= self.s <= self.m:
             raise MatrixInvariantError(f"sparsity s={self.s} outside [1, m={self.m}]")
-        if self.rows.size and int(self.rows.max()) >= self.m:
-            raise MatrixInvariantError(
-                f"row index {int(self.rows.max())} outside [0, m={self.m})"
-            )
-        if not np.isin(self.signs, (-1, 1)).all():
+        _check_row_range(self.rows, self.m)
+        if ((self.signs != 1) & (self.signs != -1)).any():
             raise MatrixInvariantError("sign domain violated: signs must be -1 or +1")
-        if self.s > 1:
-            sorted_rows = np.sort(self.rows, axis=1)
-            if (np.diff(sorted_rows.astype(np.int64), axis=1) == 0).any():
-                raise MatrixInvariantError("duplicate row index within a column")
+        _check_distinct(self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseJLMatrix):
@@ -145,6 +134,19 @@ class SparseJLMatrix:
             and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.signs, other.signs)
         )
+
+
+def _check_row_range(rows: np.ndarray, m: int) -> None:
+    if rows.size and int(rows.max()) >= m:
+        raise MatrixInvariantError(f"row index {int(rows.max())} outside [0, m={m})")
+
+
+def _check_distinct(rows: np.ndarray) -> None:
+    """Raise MatrixInvariantError when a column (row of ``rows``) repeats an index."""
+    if rows.shape[1] > 1:
+        rows = np.sort(rows, axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise MatrixInvariantError("duplicate row index within a column")
 
 
 def _blocks(count: int, per_item: int):
@@ -378,16 +380,20 @@ def deserialize(data: bytes) -> SparseJLMatrix:
             f"entry count mismatch: {n} columns of {s} entries need {expected} bytes, "
             f"stream has {len(data)}"
         )
-    entries = np.frombuffer(data, dtype=_ENTRY_DTYPE, offset=_HEADER.size)
+    entries = np.frombuffer(data, dtype=_ENTRY_DTYPE, offset=_HEADER.size).reshape(n, s)
     sign_bytes = entries["sign"]
-    if not np.isin(sign_bytes, (0, 1)).all():
-        bad = int(sign_bytes[~np.isin(sign_bytes, (0, 1))][0])
+    wrong = sign_bytes > 1
+    if wrong.any():
+        bad = int(sign_bytes[wrong][0])
         raise MatrixInvariantError(f"sign domain violated: byte {bad:#x} is not 0x00/0x01")
-    rows = entries["row"].reshape(n, s).astype(np.uint32)
-    signs = np.where(sign_bytes.reshape(n, s) == 1, 1, -1).astype(np.int8)
-    matrix = SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
-    matrix.validate()
-    return matrix
+    signs = sign_bytes.astype(np.int8)
+    signs += signs
+    signs -= 1
+    rows = entries["row"].astype(np.uint32)
+    # The header fixed the shapes and s, and the sign bytes the signs.
+    _check_row_range(rows, m)
+    _check_distinct(rows)
+    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
 def serialize_json(matrix: SparseJLMatrix) -> str:
@@ -397,71 +403,75 @@ def serialize_json(matrix: SparseJLMatrix) -> str:
     of the document ``{"columns": [[[row, sign], ...], ...], "format_version",
     "m", "n", "s", "seed"}``, written directly from the arrays.
     """
-    parts = [_json_head(matrix.n).encode(),
-             *_json_columns(matrix.rows, matrix.signs, matrix.m),
-             _json_tail(matrix.n, matrix.m, matrix.s, matrix.seed).encode()]
-    return b"".join(parts).decode("ascii")
+    return b"".join(_json_parts(matrix)).decode("ascii")
 
 
-def _json_head(n: int) -> str:
-    return '{"columns": [' + "[" * (n > 0)
-
-
-def _json_tail(n: int, m: int, s: int, seed: int) -> str:
-    header = {"format_version": FORMAT_VERSION, "n": n, "m": m, "s": s, "seed": seed}
-    return "], " + json.dumps(header, sort_keys=True)[1:]
-
-
-def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int):
-    """Yield the canonical text of the columns as uint8 arrays, block by block.
-
-    A block is one of ``_blocks`` of s entries per column.  Each
-    entry ``[row, sign]`` is followed by ``, `` inside a column, by ``], [``
-    at a column end (closing the column and opening the next) and by ``]``
-    after the last entry of the matrix.  Per block, each row's digits are
-    counted, the entries are laid out with one cumsum, and the digits and
-    then every byte other than a space are scattered into the buffer.
-    """
-    n, s = rows.shape
-    tens = [10**j for j in range(len(str(m - 1)))]
+def _json_parts(matrix: SparseJLMatrix):
+    """The canonical text as bytes: the head, each block of ``_json_columns``, the tail."""
+    yield _json_head(matrix.n)
+    n, s = matrix.rows.shape
     for lo, hi in _blocks(n, s):
-        r = rows[lo:hi].ravel()
-        neg = signs[lo:hi].ravel() < 0
-        width = np.ones(r.size, dtype=np.int8)
-        for ten in tens[1:]:
-            width += r >= ten
-        length = width + neg + 7  # "[", digits, ", ", "-"?, "1", "]", ", "
-        length[s - 1::s] += 2  # "], [" in place of ", "
-        final = hi == n
-        if final:
-            length[-1] -= 3  # "]" in place of "], ["
-        end = np.cumsum(length, dtype=np.intp)
-        first = end - length + 1  # first digit of each row
-        buf = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
-        # Digit j (counted from the right) lands at last - j; a row with fewer
-        # digits writes a 0 to its first digit, which its leading digit,
-        # written in a later pass, overwrites.
-        for j in range(len(tens) - 1, -1, -1):
-            q = r // tens[j]
-            digit = (q - q // 10 * 10).astype(np.uint8)  # q % 10, measured faster
-            digit += ord("0")
-            buf[first + np.maximum(width - 1 - j, 0)] = digit
-        buf[first - 1] = ord("[")
-        comma = first + width
-        buf[comma] = ord(",")
-        buf[comma + 2] = ord("-")  # a positive sign's "1" overwrites it
-        close = comma + 3 + neg
-        buf[close - 1] = ord("1")
-        buf[close] = ord("]")
-        follow = close[:-1] + 1 if final else close + 1
-        buf[follow] = ord(",")
-        col_end = follow[s - 1::s]  # ", " becomes "], ["
-        buf[col_end] = ord("]")
-        buf[col_end + 1] = ord(",")
-        buf[col_end + 3] = ord("[")
-        if final:
-            buf[-1] = ord("]")
-        yield buf
+        yield _json_columns(matrix.rows[lo:hi], matrix.signs[lo:hi], matrix.m, hi == n)
+    yield _json_tail(matrix.n, matrix.m, matrix.s, matrix.seed)
+
+
+def _json_head(n: int) -> bytes:
+    return b'{"columns": [' + b"[" * (n > 0)
+
+
+def _json_tail(n: int, m: int, s: int, seed: int) -> bytes:
+    header = {"format_version": FORMAT_VERSION, "n": n, "m": m, "s": s, "seed": seed}
+    return b"], " + json.dumps(header, sort_keys=True)[1:].encode()
+
+
+def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int, final: bool) -> np.ndarray:
+    """The canonical text of a block of columns as a uint8 array.
+
+    Each entry ``[row, sign]`` is followed by ``, `` inside a column, by
+    ``], [`` at a column end (closing the column and opening the next) and,
+    when the block is ``final``, by ``]`` after its last entry.  Each row's
+    digits are counted, the entries are laid out with one cumsum, and the
+    digits and then every byte other than a space are scattered into the
+    buffer.
+    """
+    s = rows.shape[1]
+    tens = [10**j for j in range(len(str(m - 1)))]
+    r = rows.ravel()
+    neg = signs.ravel() < 0
+    width = np.ones(r.size, dtype=np.int8)
+    for ten in tens[1:]:
+        width += r >= ten
+    length = width + neg + 7  # "[", digits, ", ", "-"?, "1", "]", ", "
+    length[s - 1::s] += 2  # "], [" in place of ", "
+    if final:
+        length[-1] -= 3  # "]" in place of "], ["
+    end = np.cumsum(length, dtype=np.intp)
+    first = end - length + 1  # first digit of each row
+    buf = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
+    # Digit j (counted from the right) lands at last - j; a row with fewer
+    # digits writes a 0 to its first digit, which its leading digit,
+    # written in a later pass, overwrites.
+    for j in range(len(tens) - 1, -1, -1):
+        q = r // tens[j]
+        digit = (q - q // 10 * 10).astype(np.uint8)  # q % 10, measured faster
+        digit += ord("0")
+        buf[first + np.maximum(width - 1 - j, 0)] = digit
+    buf[first - 1] = ord("[")
+    comma = first + width
+    buf[comma] = ord(",")
+    buf[comma + 2] = ord("-")  # a positive sign's "1" overwrites it
+    close = comma + 3 + neg
+    buf[close - 1] = ord("1")
+    buf[close] = ord("]")
+    follow = close[:-1] + 1 if final else close + 1
+    buf[follow] = ord(",")
+    col_end = follow[s - 1::s]  # ", " becomes "], ["
+    buf[col_end] = ord("]")
+    buf[col_end + 1] = ord(",")
+    buf[col_end + 3] = ord("[")
+    if final:
+        buf[-1] = ord("]")
+    return buf
 
 
 def _first_failure(items, ok, per_column: int, lo: int) -> int:
@@ -518,26 +528,32 @@ def deserialize_json(text: str) -> SparseJLMatrix:
     Canonical text takes the array path; any other JSON document is decoded
     by :func:`json.loads` with the same checks and error messages.
     """
-    matrix = _decode_canonical(text)
+    canonical = type(text) is str and text.isascii()
+    matrix = _decode_canonical(text.encode("ascii")) if canonical else None
     if matrix is None:
         matrix = _decode_document(text)
     matrix.validate()
     return matrix
 
 
-def _decode_canonical(text) -> SparseJLMatrix | None:
-    """The matrix whose canonical text is exactly ``text``, or None.
+def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
+    """The matrix whose canonical text is exactly ``data``, or None.
 
     The canonical text of M is ``json.dumps`` of M's document, so
     :func:`json.loads` gives that document back and the general decoder
-    returns M too: when encoding M reproduces ``text``, both paths agree.
+    returns M too: when encoding M reproduces ``data``, both paths agree.
     Every other text, valid or not, returns None and is left to the general
     decoder, which keeps its behaviour and its error messages.
+
+    The body is read in ``_blocks`` of s entries per column.  In a canonical
+    block each entry ends at a ``]`` that follows its sign's ``1``; the sign
+    is -1 when a ``-`` precedes that ``1``, and the row's digits run
+    leftwards from the comma before the sign.  The block is then re-encoded
+    and compared with the text, so whatever a malformed text makes of these
+    steps, it is never accepted.
     """
-    if type(text) is not str or not text.isascii():
-        return None
-    i = text.rfind('], "format_version": ')
-    header = _JSON_TAIL.fullmatch(text, i) if i >= 0 else None
+    i = data.rfind(b'], "format_version": ')
+    header = _JSON_TAIL.fullmatch(data, i) if i >= 0 else None
     if header is None:
         return None
     m, n, s, seed = map(int, header.groups())
@@ -546,28 +562,38 @@ def _decode_canonical(text) -> SparseJLMatrix | None:
     except MatrixInvariantError:
         return None
     head = _json_head(n)
-    if not text.startswith(head) or text[i:] != _json_tail(n, m, s, seed):
+    pos = len(head)  # 14 when n > 0, so the reads below, at most 14 bytes back, stay in view
+    # Every entry takes at least the 6 bytes of "[0, 1]", so a header that
+    # claims more entries than the body can hold sizes no array.
+    if not data.startswith(head) or data[i:] != _json_tail(n, m, s, seed) or 6 * n * s > i - pos:
         return None
-    data = text.encode("ascii")
-    tokens = data[len(head):i].translate(_JSON_TOKENS)
-    if b"x" in tokens:
-        return None
-    # Only digits and spaces are left, so every token is a run of digits and
-    # fromstring reads exactly as many integers as there are runs.
-    space = np.frombuffer(tokens, dtype=np.uint8) == ord(" ")
-    runs = np.count_nonzero(space[:-1] & ~space[1:]) + (space.size > 0 and not space[0])
-    if runs != 2 * n * s:
-        return None
-    values = np.fromstring(tokens, dtype=np.int64, sep=" ", count=runs)
-    rows, signs = values[0::2], values[1::2]
-    neg = signs == 21
-    if runs and (rows.max() >= m or not (neg | (signs == 1)).all()):
-        return None
-    signs = np.where(neg, -1, 1).astype(np.int8).reshape(n, s)
-    rows = rows.astype(np.uint32).reshape(n, s)
-    pos = len(head)
     view = np.frombuffer(data, dtype=np.uint8)
-    for block in _json_columns(rows, signs, m):
+    tens = np.uint64(10) ** np.arange(len(str(m - 1)), dtype=np.uint64)
+    rows = np.empty((n, s), dtype=np.uint32)
+    signs = np.empty((n, s), dtype=np.int8)
+    for lo, hi in _blocks(n, s):
+        count = (hi - lo) * s
+        # At most digits + 8 bytes an entry and 2 more a column.
+        window = view[pos:min(i, pos + count * (tens.size + 8) + 2 * (hi - lo))]
+        close = np.flatnonzero(window == ord("]"))
+        ends = close[window[close - 1] == ord("1")][:count] + pos
+        if ends.size != count:
+            return None
+        neg = view[ends - 2] == ord("-")
+        comma = ends - 3 - neg
+        row = np.zeros(count, dtype=np.uint64)
+        digits = np.ones(count, dtype=bool)
+        for j, ten in enumerate(tens):
+            digit = view[comma - 1 - j].astype(np.uint64) - np.uint64(ord("0"))
+            digits &= digit < 10
+            digit *= digits
+            digit *= ten
+            row += digit
+        if row.max() >= m:
+            return None
+        rows[lo:hi] = row.reshape(-1, s)
+        signs[lo:hi] = (1 - 2 * neg.view(np.int8)).reshape(-1, s)
+        block = _json_columns(rows[lo:hi], signs[lo:hi], m, hi == n)
         if not np.array_equal(view[pos:pos + block.size], block):
             return None
         pos += block.size
@@ -611,8 +637,8 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
         with open(path, "wb") as fh:
             fh.write(serialize(matrix))
     elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_json(matrix))
+        with open(path, "wb") as fh:
+            fh.writelines(_json_parts(matrix))
     else:
         raise DomainError(f"unknown matrix format {fmt!r}, expected 'binary' or 'json'")
 
@@ -621,15 +647,20 @@ def read_matrix(path) -> SparseJLMatrix:
     """Load a matrix file, accepting either the binary or the JSON encoding.
 
     A file whose first byte after JSON whitespace is ``{`` is JSON; a binary
-    file starts with its version byte 0x01.
+    file starts with its version byte 0x01.  A canonical JSON file is
+    decoded from its bytes; any other is decoded as UTF-8 and parsed.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     start = _JSON_WHITESPACE.match(data).end()
-    if data[start:start + 1] == b"{":
+    if data[start:start + 1] != b"{":
+        return deserialize(data)
+    matrix = _decode_canonical(data)
+    if matrix is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
-        return deserialize_json(text)
-    return deserialize(data)
+        matrix = _decode_document(text)
+    matrix.validate()
+    return matrix

@@ -514,6 +514,32 @@ class TestSerialization:
         with pytest.raises(MatrixInvariantError, match="column 6 has sign 0"):
             deserialize_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("entries", [1, 5, 7, 1 << 16])
+    def test_json_file_bytes_match_serialize_json(self, tmp_path, monkeypatch, entries):
+        """``write_matrix`` writes the canonical text block by block, and ``read_matrix`` reads it back."""
+        matrices = [deserialize(tr._HEADER.pack(1, 0, 4, 2, 7)), digit_matrix(-1), digit_matrix(1),
+                    digit_matrix(0), build_matrix(3, 7, 7, seed=2), build_matrix(40, 1000, 4, seed=9)]
+        texts = [serialize_json(matrix).encode() for matrix in matrices]
+        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+        path = tmp_path / "a.json"
+        for matrix, text in zip(matrices, texts):
+            write_matrix(path, matrix, fmt="json")
+            assert path.read_bytes() == text
+            assert read_matrix(path) == matrix
+
+    def test_canonical_file_skips_json_loads(self, tmp_path, monkeypatch):
+        """A canonical file is decoded from its bytes; any other JSON file is parsed."""
+        matrix = build_matrix(7, 2**32, 3, seed=5)
+        canonical, pretty = tmp_path / "a.json", tmp_path / "b.json"
+        write_matrix(canonical, matrix, fmt="json")
+        pretty.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
+        loads, calls = json.loads, []
+        monkeypatch.setattr(tr.json, "loads", lambda doc: calls.append(doc) or loads(doc))
+        assert read_matrix(canonical) == matrix
+        assert calls == []
+        assert read_matrix(pretty) == matrix
+        assert len(calls) == 1
+
     def test_file_round_trip_both_formats(self, tmp_path):
         matrix = build_matrix(5, 9, 2, seed=77)
         bin_path = tmp_path / "a.bin"

@@ -1,7 +1,7 @@
 """Property tests: decoders and the CLI turn arbitrary input into a result or a SparseJLError.
 
 The JSON decoder's canonical path must also agree with the general decoder on
-every text, canonical or not.  Every integer argument accepts an ``int`` or a
+every text, canonical or not, and on every file, UTF-8 or not.  Every integer argument accepts an ``int`` or a
 numpy integer in range and rejects anything else with a SparseJLError, every
 real argument accepts a finite real scalar in range and rejects anything else
 with a SparseJLError, and every oracle or projection vector is a flat sequence
@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 from sparsejl import (
     DomainError,
     MajorizationSpec,
+    MatrixInvariantError,
     MomentSpec,
     PlanRequest,
     SparseJLError,
+    SparseJLMatrix,
     TailEnvelope,
     apply,
     apply_batch,
@@ -50,7 +52,7 @@ from sparsejl import (
 )
 from sparsejl.cli import read_vectors, run
 from sparsejl.errors import check_int, check_real
-from sparsejl.transform import _HEADER, _check_header, _decode_document
+from sparsejl.transform import _ENTRY_DTYPE, _HEADER, _check_header, _decode_document, read_matrix
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -103,6 +105,38 @@ def test_binary_decoder(data):
         matrix.validate()
 
 
+@st.composite
+def binary_entries(draw):
+    """A small header and its entries: rows in [0, 8), sign bytes mostly 0x00/0x01."""
+    m = draw(st.integers(1, 6))
+    s = draw(st.integers(1, m))
+    n = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.integers(0, 7), min_size=n * s, max_size=n * s))
+    sign_bytes = draw(st.lists(st.sampled_from([0, 1, 0, 1, 2, 0xFF]), min_size=n * s, max_size=n * s))
+    return n, m, s, rows, sign_bytes
+
+
+@FUZZ
+@given(binary_entries())
+def test_binary_decoder_checks_as_validate(case):
+    """``deserialize`` raises what the sign-byte check and then ``validate()`` raise, or returns the matrix."""
+    n, m, s, rows, sign_bytes = case
+    entries = np.empty(n * s, dtype=_ENTRY_DTYPE)
+    entries["row"], entries["sign"] = rows, sign_bytes
+    data = _HEADER.pack(1, n, m, s, 5) + entries.tobytes()
+
+    def reference(data):
+        bad = [byte for byte in sign_bytes if byte not in (0, 1)]
+        if bad:
+            raise MatrixInvariantError(f"sign domain violated: byte {bad[0]:#x} is not 0x00/0x01")
+        matrix = SparseJLMatrix(n=n, m=m, s=s, seed=5, rows=np.array(rows, dtype=np.uint32).reshape(n, s),
+                                signs=np.array([2 * b - 1 for b in sign_bytes], dtype=np.int8).reshape(n, s))
+        matrix.validate()
+        return matrix
+
+    assert _outcome(deserialize, data) == _outcome(reference, data)
+
+
 @FUZZ
 @given(st.one_of(st.text(max_size=80), json_documents.map(json.dumps), mutated_documents()))
 def test_json_decoder(text):
@@ -151,11 +185,47 @@ def test_json_decode_paths_agree(text):
     assert _outcome(deserialize_json, text) == _outcome(_general, text)
 
 
+@st.composite
+def edited_canonical_files(draw):
+    """The canonical file of a small random matrix with one byte inserted, deleted or replaced."""
+    m = draw(st.sampled_from([1, 3, 12, 100, 2**32]))
+    s = draw(st.integers(1, min(m, 4)))
+    matrix = build_matrix(draw(st.integers(1, 3)), m, s, seed=draw(st.integers(0, 2**64 - 1)))
+    data = serialize_json(matrix).encode()
+    i = draw(st.randoms(use_true_random=False)).randrange(len(data))  # uniform, unlike st.integers
+    byte = bytes([draw(st.one_of(st.sampled_from(b"0123456789-[], "), st.integers(0, 255)))])
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    return data[:i] + (b"" if edit == "delete" else byte) + data[i + (edit != "insert"):]
+
+
+def _read_as_text(path):
+    """``read_matrix`` as the text decoder ran it: UTF-8 text, then the general decoder."""
+    data = path.read_bytes()
+    if not data.lstrip(b" \t\r\n").startswith(b"{"):
+        return deserialize(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
+    return _general(text)
+
+
+@FUZZ
+@given(edited_canonical_files())
+def test_read_matrix_of_edited_file_matches_text_decoder(data):
+    """The byte decoder accepts only canonical files and leaves every other file's outcome as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "A.json"
+        path.write_bytes(data)
+        assert _outcome(read_matrix, path) == _outcome(_read_as_text, path)
+
+
 @pytest.mark.parametrize("edit", [
     ("[[", "[[ "), ("[[", "[[0"), ("[[[10", "[[[40"), ("], [", "]  ["), (", -1]", ", -01]"),
     (", 1]", ", +1]"), (", 1]", ", 11]"),
     ('], "format_version"', '] ], "format_version"'), ('], "format_version"', ']], "format_version"'),
     ('"format_version": 1', '"format_version": 2'), ('"m": 40', '"m": 040'), ('"seed": 2', '"seed": 2.0'),
+    ('"n": 9', '"n": 1099511627776'),
     ("}", "} "), ("{", " {"),
 ], ids=lambda edit: edit[1])
 def test_near_canonical_texts_match_general_decoder(edit):
