@@ -4,8 +4,7 @@ A value's text is CPython's ``repr`` of it as a float64: the shortest
 decimal that reads back to the same double, the closest such one to it,
 laid out as ``0.000ddd``, ``dd.ddd`` or ``ddd00.0`` (``repr`` picks the
 exponent form for decimal exponents below -4 and above 16).  Values are
-formatted a block of at most ``transform._CHUNK_ENTRIES`` at a time with
-array operations:
+formatted with array operations, a ``transform._blocks`` block at a time:
 
 - The digits come from Schubfach (R. Giulietti, "The Schubfach way to
   render doubles", 2020), the algorithm behind ``Double.toString`` in JDK
@@ -27,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import transform
-from .errors import DomainError
+from .errors import DomainError, check_real_vector
 
 _U = np.uint64
 _MASK32 = _U(0xFFFF_FFFF)
@@ -184,44 +183,26 @@ def _format_block(values: np.ndarray, ends: np.ndarray) -> str:
     return rows[np.arange(_ROW) >= start[:, None]].tobytes().decode("ascii")
 
 
-def _format_pieces(pieces: list, closes: list) -> str:
-    """Text of consecutive pieces of rows; ``closes[i]`` says piece i ends its row."""
-    values = np.concatenate(pieces)
-    ends = np.zeros(values.size, dtype=bool)
-    ends[np.cumsum([piece.size for piece in pieces])[closes] - 1] = True
-    return _format_block(values, ends)
-
-
 def csv_text(rows):
     """Yield the CSV text of ``rows``, one line per row, in blocks.
 
-    Each row is read as a 1-D float64 array, so float32, int and list rows
-    print as their float64 values; rows may differ in length, an empty row
-    is an empty line, and a row of another dimension raises ``DomainError``.
-    Values are comma-separated and each line ends with ``"\\n"``.  Rows are
-    cut and joined into blocks of ``transform._CHUNK_ENTRIES`` values, read
-    when the generator starts, so memory stays bounded whatever the shape.
+    Each row must be a non-empty 1-D sequence of real numbers (see
+    ``errors.check_real_vector``) and is printed as its float64 values;
+    rows may differ in length.  Any other row raises ``DomainError`` naming
+    its index, before any text is yielded.  Values are comma-separated and
+    each line ends with ``"\\n"``.  Rows are formatted in
+    ``transform._blocks`` of whole rows, and a row longer than a block is
+    cut by ``transform._blocks`` of single values; no float64 row is
+    copied, so memory stays bounded by the block size whatever the shape.
     """
-    block = transform._CHUNK_ENTRIES
-    pieces, closes, filled = [], [], 0
-    for row in rows:
-        vec = np.asarray(row, dtype=np.float64)
-        if vec.ndim != 1:
-            raise DomainError(f"a vector must be 1-D, got shape {vec.shape}")
+    vecs = [check_real_vector(f"row {i}", row) for i, row in enumerate(rows)]
+    for i, vec in enumerate(vecs):
         if vec.size == 0:
-            if pieces:
-                yield _format_pieces(pieces, closes)
-                pieces, closes, filled = [], [], 0
-            yield "\n"
-        done = 0
-        while done < vec.size:
-            take = min(vec.size - done, block - filled)
-            pieces.append(vec[done:done + take])
-            done += take
-            closes.append(done == vec.size)
-            filled += take
-            if filled == block:
-                yield _format_pieces(pieces, closes)
-                pieces, closes, filled = [], [], 0
-    if pieces:
-        yield _format_pieces(pieces, closes)
+            raise DomainError(f"row {i} must be a non-empty vector")
+    for lo, hi in transform._blocks(len(vecs), max((vec.size for vec in vecs), default=1)):
+        values = vecs[lo] if hi - lo == 1 else np.concatenate(vecs[lo:hi])
+        stops = np.cumsum([vec.size for vec in vecs[lo:hi]]) - 1  # each row's last value
+        for a, b in transform._blocks(values.size, 1):
+            ends = np.zeros(b - a, dtype=bool)
+            ends[stops[(a <= stops) & (stops < b)] - a] = True
+            yield _format_block(values[a:b], ends)

@@ -64,7 +64,9 @@ def write_vectors(path, vectors) -> None:
     Each value is written as ``repr`` of it as a float64, the shortest text
     that reads back to the same double, so the file is byte-stable.  The
     text is computed in blocks (see ``_csvtext``) and is byte for byte the
-    per-value ``repr`` join.  Vectors are 1-D and may differ in length.
+    per-value ``repr`` join.  Vectors may differ in length; each must be a
+    non-empty 1-D sequence of real numbers, else ``DomainError`` names its
+    index.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(csv_text(vectors))

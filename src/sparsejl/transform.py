@@ -75,9 +75,10 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
 # arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
 # JSON encoder and both JSON decoders (s entries a column),
-# ``oracle.squared_norm_samples`` (max(n s, m) a trial) and
-# ``oracle._row_class_values`` (16 a value).  The enumeration's tail (pattern
-# cells) and ``_csvtext`` (values) read the constant itself.
+# ``oracle.squared_norm_samples`` (max(n s, m) a trial),
+# ``oracle._row_class_values`` (16 a value) and the CSV writer (whole rows of
+# the longest row's length, and a longer row in blocks of single values).
+# Only the enumeration's tail (pattern cells) reads the constant itself.
 _CHUNK_ENTRIES = 1 << 16
 
 _JSON_WHITESPACE = re.compile(rb"[ \t\r\n]*")
@@ -530,10 +531,7 @@ def deserialize_json(text: str) -> SparseJLMatrix:
     """
     canonical = type(text) is str and text.isascii()
     matrix = _decode_canonical(text.encode("ascii")) if canonical else None
-    if matrix is None:
-        matrix = _decode_document(text)
-    matrix.validate()
-    return matrix
+    return _decode_document(text) if matrix is None else matrix
 
 
 def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
@@ -543,7 +541,8 @@ def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
     :func:`json.loads` gives that document back and the general decoder
     returns M too: when encoding M reproduces ``data``, both paths agree.
     Every other text, valid or not, returns None and is left to the general
-    decoder, which keeps its behaviour and its error messages.
+    decoder, which keeps its behaviour and its error messages.  A column
+    that repeats a row raises here what the general decoder raises.
 
     The body is read in ``_blocks`` of s entries per column.  In a canonical
     block each entry ends at a ``]`` that follows its sign's ``1``; the sign
@@ -599,6 +598,8 @@ def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
         pos += block.size
     if pos != i:
         return None
+    # The header fixed the shapes and s, and the decoder the row range and the signs.
+    _check_distinct(rows)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
@@ -629,6 +630,7 @@ def _decode_document(text: str) -> SparseJLMatrix:
     if len(columns) != n:
         raise MatrixInvariantError(f"entry count mismatch: {len(columns)} columns, header says {n}")
     rows, signs = _decode_columns(columns, n, m, s)
+    _check_distinct(rows)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
@@ -662,5 +664,4 @@ def read_matrix(path) -> SparseJLMatrix:
         except UnicodeDecodeError as exc:
             raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
         matrix = _decode_document(text)
-    matrix.validate()
     return matrix

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -403,11 +405,22 @@ class TestWriteVectors:
             write_vectors(path, rows)
             assert path.read_bytes() == expect.encode("ascii")
 
+    @staticmethod
+    def assert_rejected(rows, message):
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(DomainError, match=message):
+                write_vectors(Path(tmp) / "y.csv", rows)
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=40), max_size=4))
     def test_raw_bit_patterns(self, patterns):
         """Any 64-bit pattern, so nan, inf, ±0 and subnormals appear among the normals."""
-        self.assert_per_value_repr([np.array(row, dtype=np.uint64).view(np.float64) for row in patterns])
+        rows = [np.array(row, dtype=np.uint64).view(np.float64) for row in patterns]
+        empty = [i for i, row in enumerate(rows) if row.size == 0]
+        if empty:
+            self.assert_rejected(rows, f"row {empty[0]} must be a non-empty vector")
+        else:
+            self.assert_per_value_repr(rows)
 
     @pytest.mark.parametrize("value", [
         9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16, 2.0**-1022, 2.0**53 - 1, 2.0**53 + 2,
@@ -426,22 +439,57 @@ class TestWriteVectors:
                 for n in (2 * _CHUNK_ENTRIES + 17, _CHUNK_ENTRIES, 3, _CHUNK_ENTRIES - 2, 5)]
         self.assert_per_value_repr(rows)
 
-    def test_block_size_is_read_when_called(self, monkeypatch):
-        """csv_text kept an import-time copy of the block size, so patching transform's never reached it."""
-        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 5)
-        rows = [np.arange(12.0) / 7, [0.5, -2.0]]
-        pieces = list(csv_text(rows))
-        assert [piece.count(",") + piece.count("\n") for piece in pieces] == [5, 5, 4]
+    def test_ragged_rows_around_a_long_row(self):
+        """Short rows grouped whole into blocks, and one row longer than a block cut across blocks."""
+        rng = np.random.default_rng(13)
+        rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 16, n) for n in rng.integers(1, 40, 3000)]
+        rows.insert(1700, rng.standard_normal(_CHUNK_ENTRIES + 3))
         self.assert_per_value_repr(rows)
 
+    def test_block_size_is_read_when_called(self, monkeypatch):
+        """Blocks hold whole rows; a row longer than a block is cut across blocks of its own."""
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 5)
+        long_row = np.arange(12.0) / 7
+        pieces = list(csv_text([long_row]))
+        assert [piece.count(",") + piece.count("\n") for piece in pieces] == [5, 5, 2]
+        assert [piece[-1] for piece in pieces] == [",", ",", "\n"]
+        short = [[0.5, -2.0], [1.0], [3.0, 4.0], [5.0], [6.0]]
+        assert list(csv_text(short)) == ["0.5,-2.0\n1.0\n", "3.0,4.0\n5.0\n", "6.0\n"]
+        self.assert_per_value_repr([long_row, *short])
+
     def test_ragged_and_empty_rows(self):
+        """Ragged rows are written; an empty row could not be read back, so it is rejected."""
         rng = np.random.default_rng(12)
         short = [rng.standard_normal(n) for n in rng.integers(0, 40, 4000)]
         rows = [[], [1.5], [], [], [2.0, -3.25, 1e-7], *short, [], np.array([0.25], dtype=np.float32), []]
-        self.assert_per_value_repr(rows)
-        with tempfile.TemporaryDirectory() as tmp:
-            write_vectors(Path(tmp) / "y.csv", [[], []])
-            assert (Path(tmp) / "y.csv").read_bytes() == b"\n\n"
+        self.assert_rejected(rows, "row 0 must be a non-empty vector")
+        self.assert_rejected([[1.5], [2.0, 3.0], []], "row 2 must be a non-empty vector")
+        self.assert_rejected([[], []], "row 0 must be a non-empty vector")
+        self.assert_per_value_repr([row for row in rows if len(row)])
+
+    @pytest.mark.parametrize("row", [["1.5", True], [True, False], [None], [1.0, None], [1 + 2j],
+                                     np.array([1.0, 2.0], dtype=complex), np.array(["1.5"]),
+                                     np.array([1.5], dtype=object)],
+                             ids=["str", "bool", "None", "float-None", "complex", "complex-array", "str-array",
+                                  "object-array"])
+    def test_non_real_rows_are_rejected(self, row):
+        """Strings, bools, None and complex values are rejected, not coerced to floats."""
+        self.assert_rejected([[0.5], row], "row 1 must be a 1-D sequence of real numbers")
+
+    def test_long_row_memory_stays_in_blocks(self):
+        """One row of 8 * 2^20 values takes no more traced memory than one block of values:
+        neither a copy of the row (8 bytes a value) nor a row-sized mask (1 byte a value)."""
+        def peak(size):
+            row = np.random.default_rng(14).standard_normal(size)
+            tracemalloc.start()
+            try:
+                write_vectors(os.devnull, [row])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        size = 8 << 20
+        assert peak(size) < peak(_CHUNK_ENTRIES) + size // 8
 
     def test_seeded_sweep(self):
         """About 10^6 values: scaled normals over every fixed-layout decade, and raw bit patterns."""

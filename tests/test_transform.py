@@ -324,6 +324,19 @@ class TestSerialization:
         with pytest.raises(MatrixInvariantError, match="duplicate row"):
             deserialize(bytes(data))
 
+    def test_json_duplicate_row(self, tmp_path):
+        """Both JSON decoders, from text and from a file, reject a column that repeats a row."""
+        matrix = SparseJLMatrix(n=2, m=4, s=2, seed=1, rows=np.array([[0, 3], [2, 2]], dtype=np.uint32),
+                                signs=np.ones((2, 2), dtype=np.int8))
+        canonical = serialize_json(matrix)
+        indented = json.dumps(json.loads(canonical), indent=1)
+        for text in (canonical, indented):
+            with pytest.raises(MatrixInvariantError, match="duplicate row"):
+                deserialize_json(text)
+            (tmp_path / "A.json").write_text(text)
+            with pytest.raises(MatrixInvariantError, match="duplicate row"):
+                read_matrix(tmp_path / "A.json")
+
     def test_json_entry_count(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][1] = doc["columns"][1][:-1]
