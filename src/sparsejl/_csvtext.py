@@ -184,21 +184,27 @@ def _format_block(values: np.ndarray, ends: np.ndarray) -> str:
 
 
 def csv_text(rows):
-    """Yield the CSV text of ``rows``, one line per row, in blocks.
+    """Check ``rows`` and return an iterator over their CSV text, one line per row, in blocks.
 
     Each row must be a non-empty 1-D sequence of real numbers (see
     ``errors.check_real_vector``) and is printed as its float64 values;
     rows may differ in length.  Any other row raises ``DomainError`` naming
-    its index, before any text is yielded.  Values are comma-separated and
-    each line ends with ``"\\n"``.  Rows are formatted in
-    ``transform._blocks`` of whole rows, and a row longer than a block is
-    cut by ``transform._blocks`` of single values; no float64 row is
-    copied, so memory stays bounded by the block size whatever the shape.
+    its index when ``csv_text`` is called, before any text is formed.
+    Values are comma-separated and each line ends with ``"\\n"``.  Rows are
+    formatted in ``transform._blocks`` of whole rows, and a row longer than
+    a block is cut by ``transform._blocks`` of single values; no float64
+    row is copied, so memory stays bounded by the block size whatever the
+    shape.
     """
     vecs = [check_real_vector(f"row {i}", row) for i, row in enumerate(rows)]
     for i, vec in enumerate(vecs):
         if vec.size == 0:
             raise DomainError(f"row {i} must be a non-empty vector")
+    return _text_blocks(vecs)
+
+
+def _text_blocks(vecs):
+    """Yield the CSV text of the checked float64 rows ``vecs``, a block at a time."""
     for lo, hi in transform._blocks(len(vecs), max((vec.size for vec in vecs), default=1)):
         values = vecs[lo] if hi - lo == 1 else np.concatenate(vecs[lo:hi])
         stops = np.cumsum([vec.size for vec in vecs[lo:hi]]) - 1  # each row's last value

@@ -66,10 +66,11 @@ def write_vectors(path, vectors) -> None:
     text is computed in blocks (see ``_csvtext``) and is byte for byte the
     per-value ``repr`` join.  Vectors may differ in length; each must be a
     non-empty 1-D sequence of real numbers, else ``DomainError`` names its
-    index.
+    index before the file is opened, so an existing file is left as it was.
     """
+    text = csv_text(vectors)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(csv_text(vectors))
+        fh.writelines(text)
 
 
 def _emit(obj: dict, fmt: str) -> None:

@@ -18,17 +18,18 @@ not change when every sign of one row flips, so each row runs over its
 (3^n+1)/2 classes (first selected sign +, a nonempty class counted twice)
 and the rows combine by outer sums, ((3^n+1)/2)^m raw values, each with
 its multiplicity, its number w of selected cells and its count of them
-per column; a row longer than eight cells takes every sign pattern of
-its first cells and the classes of its last eight, (3^n + 3^(n-8))/2
-values.  One private engine, ``_exact_sums``, makes the pass and
-returns two exact ``math.fsum`` sums of a statistic f: the iid sum of
-f(z) * mult * p^w (1-p)^(N-w) / 2^w over the N = m n cells, and, for a
-caller that asks for it, the kept sum of f(z) * mult over the values whose
-count of selected cells is s in every column.  A moment and a majorization
-right side are iid sums of z^q; the left side, where each column picks
-exactly s rows, is iid selection conditioned on every column holding s
-cells, the kept sum over its 2^(ns) C(m,s)^n selections and sign
-patterns.  One budget,
+per column.  Only a single row of more than seven cells, the longest row
+a grid of two or more rows can have under the budget, is split: it takes
+every sign pattern of its first n - 7 cells and the classes of its last
+seven, (3^n + 3^(n-7))/2 values.  One private engine, ``_exact_sums``,
+makes the pass and returns two exact ``math.fsum`` sums of a statistic
+f: the iid sum of f(z) * mult * p^w (1-p)^(N-w) / 2^w over the N = m n
+cells, and, for a caller that asks for it, the kept sum of f(z) * mult
+over the values whose count of selected cells is s in every column.  A
+moment and a majorization right side are iid sums of z^q; the left side,
+where each column picks exactly s rows, is iid selection conditioned on
+every column holding s cells, the kept sum over its 2^(ns) C(m,s)^n
+selections and sign patterns.  One budget,
 ``ENUMERATION_BUDGET`` = 10^7, is the one rule on the size of a spec:
 3^n <= 10^7 for a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization
 spec (mn <= 14), whose order q is even and at most 100.  Working
@@ -77,6 +78,10 @@ ENUMERATION_BUDGET = 10**7
 PSI_ENVELOPE_SLACK = 1e-12
 # Each tail of the exact 99% Clopper-Pearson interval.
 _CI_TAIL = (1.0 - 0.99) / 2
+# Cells of a row's tail in ``_row_class_values``: the longest row of a grid of
+# two or more rows under ``ENUMERATION_BUDGET`` (3^(2*7) <= 10^7 < 3^(2*8)), so
+# only a single row of more cells is split.
+_TAIL_CELLS = 7
 
 
 def _check_unit(x, n: int | None = None) -> np.ndarray:
@@ -156,26 +161,24 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     f(z) * mult over the selections of w cells in a set is 2^w times the
     sum of their sign means of f(z).
 
-    The last ``tail`` cells of the last row, the longest run whose 3^tail
-    patterns times tail fit in ``transform._CHUNK_ENTRIES``, are enumerated
-    against the prefix: every class combination of rows 0..m-2 and every
-    pattern of the head, the cells of the last row before the tail (at most
-    15625 entries for the specs the budget accepts, at (n, m) = (2, 7)).
-    Each prefix entry takes the tail's classes, each doubled when
-    nonempty, so a last row (h, t) and its negation (-h, -t) have one
-    representative when t is nonempty, and (h, 0) and (-h, 0) are each
-    their own.  Only m = 1 and n > 8 have
-    a nonempty head, and there the row runs over (3^n + 3^(n-tail))/2
-    values rather than its classes.  A block holds the values of whole
-    prefix entries, ``transform._blocks`` of 16 entries a value (at most
-    ``transform._CHUNK_ENTRIES`` / 16 values, or one entry's), since each
-    value carries several working arrays.  Every value is formed
-    elementwise, so none depends on the block size.
+    The last row splits into a head, its first n - tail cells, and a tail,
+    its last tail = min(n, 7) cells (``_TAIL_CELLS``), so only m = 1 and
+    n > 7 have a nonempty head.  The tail is enumerated against the
+    prefix: every class combination of rows 0..m-2 and every pattern of
+    the head (at most 15625 entries for the specs the budget accepts, at
+    (n, m) = (2, 7)).  Each prefix entry takes the tail's classes, each
+    doubled when nonempty, so a last row (h, t) and its negation (-h, -t)
+    have one representative when t is nonempty, and (h, 0) and (-h, 0)
+    are each their own; a nonempty head thus runs its row over
+    (3^n + 3^(n-7))/2 values rather than its classes.  A block holds the
+    values of whole prefix entries, ``transform._blocks`` of 16 entries a
+    value (at most ``transform._CHUNK_ENTRIES`` / 16 values, or one
+    entry's), since each value carries several working arrays.  Every
+    value is formed elementwise, so the block size decides only how the
+    values are grouped, never which values are formed or their bits.
     """
     n = len(x)
-    tail = 1
-    while tail < n and (tail + 1) * 3 ** (tail + 1) <= transform._CHUNK_ENTRIES:
-        tail += 1
+    tail = min(n, _TAIL_CELLS)
     # Prefix entries, one per class combination of rows 0..m-2 and pattern
     # of the head (the first n - tail cells of row m-1): `closed` sums S_i^2
     # over rows 0..m-2, `row` is S of the head, `mult` the patterns an entry

@@ -78,10 +78,13 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # ``oracle.squared_norm_samples`` (max(n s, m) a trial),
 # ``oracle._row_class_values`` (16 a value) and the CSV writer (whole rows of
 # the longest row's length, and a longer row in blocks of single values).
-# Only the enumeration's tail (pattern cells) reads the constant itself.
+# No code but ``_blocks`` reads the constant.
 _CHUNK_ENTRIES = 1 << 16
 
-_JSON_WHITESPACE = re.compile(rb"[ \t\r\n]*")
+# What may precede a JSON matrix's "{": whitespace, after one optional UTF-8
+# byte-order mark, so that such a file reaches the JSON decoder, which
+# rejects the mark, rather than the binary one.
+_JSON_WHITESPACE = re.compile(rb"(?:\xef\xbb\xbf)?[ \t\r\n]*")
 # The header that ends a canonical text; the decoder compares it with the
 # re-encoded header, which also fixes the version.
 _JSON_TAIL = re.compile(
@@ -648,8 +651,9 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
 def read_matrix(path) -> SparseJLMatrix:
     """Load a matrix file, accepting either the binary or the JSON encoding.
 
-    A file whose first byte after JSON whitespace is ``{`` is JSON; a binary
-    file starts with its version byte 0x01.  A canonical JSON file is
+    A file whose first byte after JSON whitespace is ``{`` is JSON, also
+    after a UTF-8 byte-order mark, which the JSON decoder then rejects; a
+    binary file starts with its version byte 0x01.  A canonical JSON file is
     decoded from its bytes; any other is decoded as UTF-8 and parsed.
     """
     with open(path, "rb") as fh:

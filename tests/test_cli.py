@@ -476,6 +476,17 @@ class TestWriteVectors:
         """Strings, bools, None and complex values are rejected, not coerced to floats."""
         self.assert_rejected([[0.5], row], "row 1 must be a 1-D sequence of real numbers")
 
+    @pytest.mark.parametrize("row", [[], ["1.5"], [1 + 2j]], ids=["empty", "str", "complex"])
+    def test_rejected_rows_leave_an_existing_file_as_it_was(self, tmp_path, row):
+        """Every row is checked when ``csv_text`` is called, before ``write_vectors`` opens the file."""
+        with pytest.raises(DomainError, match="row 1"):
+            csv_text([[1.0], row])
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"1.0,2.0\n")
+        with pytest.raises(DomainError, match="row 1"):
+            write_vectors(path, [[1.0], row])
+        assert path.read_bytes() == b"1.0,2.0\n"
+
     def test_long_row_memory_stays_in_blocks(self):
         """One row of 8 * 2^20 values takes no more traced memory than one block of values:
         neither a copy of the row (8 bytes a value) nor a row-sized mask (1 byte a value)."""

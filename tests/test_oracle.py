@@ -233,8 +233,8 @@ class TestExactMomentZ:
                 for p in (1 / 30, 0.1, 0.5):
                     for q in range(1, 7):
                         assert_matches_loop(exact_moment_Z(MomentSpec(x, p, q)), loop_moment(x, p, q))
-        # Past eight cells numpy's pairwise sum no longer adds T in cell order, and the
-        # row splits into patterns of its first cells and classes of its last eight.
+        # Past eight cells numpy's pairwise sum no longer adds T in cell order.  Past
+        # seven the row splits into patterns of its first cells and classes of its last seven.
         for n in range(9, 12):
             for x in (np.full(n, 1 / math.sqrt(n)), rng.standard_normal(n)):
                 x = tuple(x / math.sqrt(float(x @ x)))
@@ -434,10 +434,26 @@ class TestMajorization:
             monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
             assert [check_majorization(MajorizationSpec(3, 3, 2, 4, x3)), exact_moment_Z(MomentSpec(x, 0.1, 5))] == full
 
+    @pytest.mark.parametrize("n, m, s", [(9, 1, 1), (12, 1, 1), (3, 4, 2), (2, 7, 3)])
+    def test_block_size_decides_only_the_grouping(self, monkeypatch, n, m, s):
+        """Whatever the block size, the blocks concatenate to the same arrays, bit for bit:
+        the rows split by the spec alone, a single row of n > 7 cells and no other."""
+        x = np.random.default_rng(n * m).standard_normal(n)
+        x /= math.sqrt(float(x @ x))
+
+        def arrays(entries):
+            monkeypatch.setattr(transform, "_CHUNK_ENTRIES", entries)
+            blocks = [np.broadcast_arrays(*block) for block in oracle._row_class_values(x, m, s)]
+            return [np.concatenate(column).view(np.int64) for column in zip(*blocks)]
+
+        full = arrays(1 << 16)
+        for entries in (1, 7, 1 << 20):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays(entries), full))
+
     @pytest.mark.parametrize("n, m, s, entries", [
-        (9, 1, 1, None), (10, 1, 1, None), (11, 1, 1, None), (12, 1, 1, None),
+        (8, 1, 1, None), (9, 1, 1, None), (10, 1, 1, None), (11, 1, 1, None), (12, 1, 1, None),
         (2, 3, 2, None), (3, 4, 2, None), (4, 3, 1, None),
-        # Tails of one cell, so that the rows of these grids have a head too.
+        # Blocks of one prefix entry each.
         (2, 3, 2, 7), (3, 2, 1, 7), (4, 2, 2, 7),
     ])
     def test_representatives_count_every_pattern_once(self, monkeypatch, n, m, s, entries):

@@ -201,7 +201,7 @@ def edited_canonical_files(draw):
 def _read_as_text(path):
     """``read_matrix`` as the text decoder ran it: UTF-8 text, then the general decoder."""
     data = path.read_bytes()
-    if not data.lstrip(b" \t\r\n").startswith(b"{"):
+    if not data.removeprefix(b"\xef\xbb\xbf").lstrip(b" \t\r\n").startswith(b"{"):
         return deserialize(data)
     try:
         text = data.decode("utf-8")
@@ -218,6 +218,23 @@ def test_read_matrix_of_edited_file_matches_text_decoder(data):
         path = Path(tmp) / "A.json"
         path.write_bytes(data)
         assert _outcome(read_matrix, path) == _outcome(_read_as_text, path)
+
+
+@pytest.mark.parametrize("lead", [b"", b" \r\n"], ids=["bom", "bom-whitespace"])
+def test_byte_order_mark_reaches_the_json_decoder(tmp_path, capsys, lead):
+    """A JSON matrix file after a UTF-8 byte-order mark goes to the JSON decoder, which rejects
+    the mark (not JSON whitespace), rather than to the binary decoder; the CLI exits 1."""
+    path = tmp_path / "A.json"
+    path.write_bytes(b"\xef\xbb\xbf" + lead + serialize_json(build_matrix(9, 40, 6, seed=2)).encode())
+    with pytest.raises(MatrixInvariantError, match=r"Unexpected UTF-8 BOM"):
+        read_matrix(path)
+    assert _outcome(read_matrix, path) == _outcome(_read_as_text, path)
+    (tmp_path / "x.csv").write_text(",".join(["0.5"] * 9) + "\n")
+    code = run(["transform", "--matrix", str(path), "--in", str(tmp_path / "x.csv"),
+                "--out", str(tmp_path / "y.csv")])
+    assert code == 1
+    assert "Unexpected UTF-8 BOM" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
 
 
 @pytest.mark.parametrize("edit", [
