@@ -63,13 +63,15 @@ def write_vectors(path, vectors) -> None:
 
     Each value is written as ``repr`` of it as a float64, the shortest text
     that reads back to the same double, so the file is byte-stable.  The
-    text is computed in blocks (see ``_csvtext``) and is byte for byte the
-    per-value ``repr`` join.  Vectors may differ in length; each must be a
-    non-empty 1-D sequence of real numbers, else ``DomainError`` names its
-    index before the file is opened, so an existing file is left as it was.
+    text is computed in blocks (see ``_csvtext``) and written as bytes in
+    binary mode, so the file is byte for byte the per-value ``repr`` join,
+    with ``"\\n"`` line ends on every platform.  Vectors may differ in
+    length; each must be a non-empty 1-D sequence of real numbers, else
+    ``DomainError`` names its index before the file is opened, so an
+    existing file is left as it was.
     """
     text = csv_text(vectors)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(text)
 
 

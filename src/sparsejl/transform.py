@@ -365,7 +365,7 @@ def serialize(matrix: SparseJLMatrix) -> bytes:
     entries = np.empty(matrix.n * matrix.s, dtype=_ENTRY_DTYPE)
     entries["row"] = matrix.rows.ravel()
     entries["sign"] = (matrix.signs.ravel() > 0).astype(np.uint8)
-    return header + entries.tobytes()
+    return b"".join((header, entries))  # one copy of the entries
 
 
 def deserialize(data: bytes) -> SparseJLMatrix:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsejl import DomainError, PlanRequest, SparseJLMatrix, min_dimension, read_matrix
-from sparsejl import transform
+from sparsejl import _csvtext, transform
 from sparsejl._csvtext import csv_text
 from sparsejl.cli import run, write_vectors
 from sparsejl.transform import _CHUNK_ENTRIES, write_matrix
@@ -385,6 +385,56 @@ class TestBounds:
         assert rows["bennet"]["value"] == planned
 
 
+def _three_product_shortest(bits):
+    """Schubfach's (f, k) with the rounding interval's middle and both ends each from its own
+    full 128-bit products: the writer's kernel before it took the ends from the middle's limbs.
+    A test-only reference for ``_csvtext._shortest``; returns (f, k, (vbl, vb, vbr))."""
+    u = np.uint64
+    mask32, mask63 = u(0xFFFF_FFFF), u(0x7FFF_FFFF_FFFF_FFFF)
+
+    def halves(a):
+        return a & mask32, a >> u(32)
+
+    def mul_hi(a, b):
+        (a_lo, a_hi), (b_lo, b_hi) = a, b
+        lh = a_lo * b_hi
+        hl = a_hi * b_lo
+        mid = ((a_lo * b_lo) >> u(32)) + (lh & mask32) + (hl & mask32)
+        return a_hi * b_hi + (lh >> u(32)) + (hl >> u(32)) + (mid >> u(32))
+
+    def round_to_odd(g1, g, cp):
+        cp_halves = halves(cp)
+        z = ((g1 * cp) >> u(1)) + mul_hi(g[1], cp_halves)
+        return (mul_hi(g[0], cp_halves) + (z >> u(63))) | (((z & mask63) + mask63) >> u(63))
+
+    biased = bits >> u(52)
+    c = (bits & u((1 << 52) - 1)) | u(1 << 52)
+    q = biased.astype(np.int64) - 1075
+    irregular = (c == u(1 << 52)) & (biased > u(1))
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g1 = _csvtext._G1[_csvtext._K_MAX - k]
+    g = halves(g1), halves(_csvtext._G0[_csvtext._K_MAX - k])
+    cb = c << u(2)
+    vb = round_to_odd(g1, g, cb << h)
+    vbl = round_to_odd(g1, g, (cb - u(2) + irregular.astype(np.uint64)) << h)
+    vbr = round_to_odd(g1, g, (cb + u(2)) << h)
+    out = c & u(1)
+    s = vb >> u(2)
+    sp10 = s // u(10) * u(10)
+    tp10 = sp10 + u(10)
+    upin = vbl + out <= sp10 << u(2)
+    wpin = (tp10 << u(2)) + out <= vbr
+    t = s + u(1)
+    uin = vbl + out <= s << u(2)
+    win = (t << u(2)) + out <= vbr
+    mid = (s + t) << u(1)
+    lower = (vb < mid) | ((vb == mid) & ((s & u(1)) == u(0)))
+    f = np.where(upin != wpin, np.where(upin, sp10, tp10),
+                 np.where(uin != win, np.where(uin, s, t), np.where(lower, s, t)))
+    return f, k, (vbl, vb, vbr)
+
+
 class TestWriteVectors:
     def test_bytes_match_per_value_repr(self, tmp_path):
         rows = [np.array([-0.0, 5e-324, 1e16, 1e-5, 1e22, -1.5, 0.1, 2.0**-1074 * 3]),
@@ -432,6 +482,68 @@ class TestWriteVectors:
         near = [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
         self.assert_per_value_repr([near, [-v for v in near]])
 
+    def test_every_power_of_two_and_its_neighbours(self):
+        """2^k for every k in [-1074, 1023], 1 ulp below and above, in both signs: the narrower
+        lower end of the interval below a power of two, and the subnormal and exponent-form rows."""
+        powers = [2.0**k for k in range(-1074, 1024)]
+        near = [v for p in powers for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+        self.assert_per_value_repr([near, [-v for v in near]])
+
+    def test_interval_ends_match_three_products(self):
+        """About 10^6 positive normal doubles: ``_shortest`` gives the same (f, k), and
+        ``_interval`` the same ends and middle, bit for bit, as full products at each of the three."""
+        rng = np.random.default_rng(2025)
+        raw = rng.integers(0, 2**64, 700_000, dtype=np.uint64, endpoint=False) >> np.uint64(1)
+        scaled = np.abs(rng.standard_normal(300_000) * 10.0 ** rng.uniform(-300, 300, 300_000))
+        powers = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+        bits = np.concatenate([raw, scaled.view(np.uint64), powers, powers + np.uint64(1), powers - np.uint64(1),
+                               powers + np.uint64(2), powers - np.uint64(2)])
+        biased = bits >> np.uint64(52)
+        bits = bits[(biased > 0) & (biased < 2047)]
+        assert bits.size > 1_000_000
+        for lo in range(0, bits.size, 1 << 16):
+            block = bits[lo:lo + (1 << 16)]
+            f_ref, k_ref, interval_ref = _three_product_shortest(block)
+            f, k = _csvtext._shortest(block)
+            assert np.array_equal(f, f_ref) and np.array_equal(k, k_ref)
+            vbl, vb, vbr, k = _csvtext._interval(block)
+            for got, ref in zip((vbl, vb, vbr), interval_ref):
+                assert np.array_equal(got, ref)
+
+    def test_end_limbs_equal_full_products(self):
+        """``_limbs`` takes full products, checked against Python integers; ``_ends`` moves the limbs
+        of g cp to those of g (cp ± 2^e) by carries, and must give what ``_limbs`` gives there.
+        Random limbs, so about half the low limbs carry or borrow, and the extremes of the ranges."""
+        rng = np.random.default_rng(2026)
+        def with_extremes(draws, *extremes):
+            return np.concatenate([draws, np.array(extremes, dtype=np.uint64)])
+
+        g = tuple(with_extremes(rng.integers(0, 2**63, 100_000, dtype=np.uint64), 2**63 - 1, 2**63 - 1, 0)
+                  for _ in range(2))
+        cp = with_extremes(rng.integers(2**6, 2**60, 100_000, dtype=np.uint64), 2**60 - 2**6, 2**6, 2**6)
+        e = with_extremes(rng.integers(2, 7, 100_000, dtype=np.uint64), 6, 6, 2)
+        limbs = _csvtext._limbs(g, cp)
+        for i in [*range(0, cp.size, 499), cp.size - 1]:
+            for (hi, lo), gi in zip(((limbs[2], limbs[3]), (limbs[0], limbs[1])), g):
+                product = int(gi[i]) * int(cp[i])
+                assert (int(hi[i]), int(lo[i])) == (product >> 64, product & (2**64 - 1))
+        step = np.uint64(1) << e
+        for moved, at in zip(_csvtext._ends(limbs, g, e), (cp - step, cp + step)):
+            x1, _, y1, y0 = _csvtext._limbs(g, at)
+            assert all(np.array_equal(a, b) for a, b in zip(moved, (x1, y0, y1)))
+
+    def test_one_block_memory(self):
+        """The traced peak of writing one row of 2^16 values stays below 17.4 MB, the peak
+        when each end of the rounding interval took its own full products (about 13 MB now)."""
+        row = np.random.default_rng(15).standard_normal(1 << 16)
+        tracemalloc.start()
+        try:
+            write_vectors(os.devnull, [row])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17_400_000
+
     def test_rows_across_blocks(self):
         """A row longer than one block, one of exactly one block, and short rows that straddle a block end."""
         rng = np.random.default_rng(11)
@@ -451,10 +563,10 @@ class TestWriteVectors:
         monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 5)
         long_row = np.arange(12.0) / 7
         pieces = list(csv_text([long_row]))
-        assert [piece.count(",") + piece.count("\n") for piece in pieces] == [5, 5, 2]
-        assert [piece[-1] for piece in pieces] == [",", ",", "\n"]
+        assert [piece.count(b",") + piece.count(b"\n") for piece in pieces] == [5, 5, 2]
+        assert [piece[-1:] for piece in pieces] == [b",", b",", b"\n"]
         short = [[0.5, -2.0], [1.0], [3.0, 4.0], [5.0], [6.0]]
-        assert list(csv_text(short)) == ["0.5,-2.0\n1.0\n", "3.0,4.0\n5.0\n", "6.0\n"]
+        assert list(csv_text(short)) == [b"0.5,-2.0\n1.0\n", b"3.0,4.0\n5.0\n", b"6.0\n"]
         self.assert_per_value_repr([long_row, *short])
 
     def test_ragged_and_empty_rows(self):
