@@ -34,7 +34,7 @@ class TruncatedStreamError(SparseJLError, ValueError):
 
 
 class MatrixInvariantError(SparseJLError, ValueError):
-    """A deserialized matrix violates a structural invariant."""
+    """A matrix, built by hand or decoded from a file, violates a structural invariant."""
 
 
 def _shown(value) -> str:

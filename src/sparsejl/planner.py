@@ -122,7 +122,10 @@ def bounds_table(
     whose preconditions fail (the B > 2 requirement, this package's p and
     eps constraints, or inner logarithms leaving their domain) are marked
     invalid rather than omitted.  The two published lower bounds are rendered as the single
-    optimal-dimension reference line 4 log(2/delta)/eps^2.
+    optimal-dimension reference line 4 log(2/delta)/eps^2, ``lower_bound_reference``.  That
+    is the lower bound's asymptotic constant (as eps -> 0), not a lower bound at finite eps:
+    the smallest m with P{|chi^2_m/m - 1| > eps} <= delta, the exact Gaussian dimension, is
+    5310 against 8477 at (eps, delta) = (0.05, 0.01) and 142 against 866 at (0.08, 0.5).
     """
     eps = check_real("eps", eps, 0.0, 1.0)
     delta = check_real("delta", delta, 0.0, 1.0)

@@ -25,10 +25,17 @@ rare lane whose draws hit modulo rejection is replayed by the pure-Python
 twin :func:`sample_column_scalar`, which is also the reference that the
 vectorized path is tested against bit for bit.
 
+Every :class:`SparseJLMatrix` is valid by construction: its constructor
+runs the one matrix rule (the header rule, uint32 rows and int8 signs of
+shape (n, s), rows in [0, m), signs -1/+1, distinct rows per column), and
+``validate()`` re-runs that rule.  ``build_matrix`` and the decoders build
+through it, and the instance is frozen with read-only arrays.
+
 Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
-[0, 2^64)) before sizing any array.  The JSON text is encoded with array
+[0, 2^64)) before sizing any array, and cast nothing they have not
+checked; the constructor checks the rest.  The JSON text is encoded with array
 operations, block by block, and a file is written and read as bytes.  The
 JSON decoder first tries the canonical path on the bytes, one block at a
 time: it finds each entry by the ``]`` that follows its sign's ``1``,
@@ -74,7 +81,7 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # items of ``per_item`` entries into blocks of at most this many entries (or
 # one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
 # arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
-# JSON encoder and both JSON decoders (s entries a column),
+# JSON encoder, both JSON decoders and the duplicate-row check (s entries a column),
 # ``oracle.squared_norm_samples`` (max(n s, m) a trial),
 # ``oracle._row_class_values`` (16 a value) and the CSV writer (whole rows of
 # the longest row's length, and a longer row in blocks of single values).
@@ -92,13 +99,20 @@ _JSON_TAIL = re.compile(
     rb'"s": (\d{1,20}), "seed": (\d{1,20})\}')
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SparseJLMatrix:
     """Sparse sign projection: per-column nonzero rows and signs.
 
-    ``rows`` has shape (n, s) with distinct entries per column, ``signs``
-    holds -1/+1; the implied entries are signs/sqrt(s), so every column
-    has unit norm by construction.
+    ``rows`` has shape (n, s) with distinct entries in [0, m) per column,
+    ``signs`` holds -1/+1; the implied entries are signs/sqrt(s), so every
+    column has unit norm by construction.
+
+    The constructor enforces this, so every instance is valid: the header
+    fields follow the stored header's rule and are kept as ``int``, ``rows``
+    must be a uint32 and ``signs`` an int8 ``np.ndarray`` (anything else is
+    a DomainError, nothing is coerced), and a broken invariant raises
+    MatrixInvariantError.  The instance is frozen and its arrays are made
+    read-only.
     """
 
     n: int
@@ -109,6 +123,24 @@ class SparseJLMatrix:
     signs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        """The one matrix rule: header, array types, shapes, row range, signs, distinct rows."""
+        for name, value in zip(("n", "m", "s", "seed"), _check_header(self.n, self.m, self.s, self.seed)):
+            object.__setattr__(self, name, value)
+        for name, dtype in (("rows", np.uint32), ("signs", np.int8)):
+            value = getattr(self, name)
+            if type(value) is not np.ndarray or value.dtype != dtype:
+                got = f"dtype {value.dtype}" if type(value) is np.ndarray else type(value).__name__
+                raise DomainError(f"{name} must be a numpy array of dtype {np.dtype(dtype)}, got {got}")
+        if self.rows.shape != (self.n, self.s) or self.signs.shape != (self.n, self.s):
+            raise MatrixInvariantError(
+                f"entry count mismatch: expected {self.s} entries in each of "
+                f"{self.n} columns, got arrays of shape {self.rows.shape}"
+            )
+        if self.rows.size and int(self.rows.max()) >= self.m:
+            raise MatrixInvariantError(f"row index {int(self.rows.max())} outside [0, m={self.m})")
+        if np.count_nonzero(self.signs == 1) + np.count_nonzero(self.signs == -1) != self.signs.size:
+            raise MatrixInvariantError("sign domain violated: signs must be -1 or +1")
+        _check_distinct(self.rows)
         self.rows.setflags(write=False)
         self.signs.setflags(write=False)
 
@@ -117,18 +149,8 @@ class SparseJLMatrix:
         return 1.0 / math.sqrt(self.s)
 
     def validate(self) -> None:
-        """Check structural invariants, raising MatrixInvariantError on failure."""
-        if self.rows.shape != (self.n, self.s) or self.signs.shape != (self.n, self.s):
-            raise MatrixInvariantError(
-                f"entry count mismatch: expected {self.s} entries in each of "
-                f"{self.n} columns, got arrays of shape {self.rows.shape}"
-            )
-        if not 1 <= self.s <= self.m:
-            raise MatrixInvariantError(f"sparsity s={self.s} outside [1, m={self.m}]")
-        _check_row_range(self.rows, self.m)
-        if ((self.signs != 1) & (self.signs != -1)).any():
-            raise MatrixInvariantError("sign domain violated: signs must be -1 or +1")
-        _check_distinct(self.rows)
+        """Re-run the constructor's matrix rule, raising as it does."""
+        self.__post_init__()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseJLMatrix):
@@ -140,16 +162,11 @@ class SparseJLMatrix:
         )
 
 
-def _check_row_range(rows: np.ndarray, m: int) -> None:
-    if rows.size and int(rows.max()) >= m:
-        raise MatrixInvariantError(f"row index {int(rows.max())} outside [0, m={m})")
-
-
 def _check_distinct(rows: np.ndarray) -> None:
-    """Raise MatrixInvariantError when a column (row of ``rows``) repeats an index."""
-    if rows.shape[1] > 1:
-        rows = np.sort(rows, axis=1)
-        if (rows[:, 1:] == rows[:, :-1]).any():
+    """Raise MatrixInvariantError when a column (row of ``rows``) repeats an index; sorts one block at a time."""
+    for lo, hi in _blocks(*rows.shape):
+        block = np.sort(rows[lo:hi], axis=1)
+        if (block[:, 1:] == block[:, :-1]).any():
             raise MatrixInvariantError("duplicate row index within a column")
 
 
@@ -394,9 +411,6 @@ def deserialize(data: bytes) -> SparseJLMatrix:
     signs += signs
     signs -= 1
     rows = entries["row"].astype(np.uint32)
-    # The header fixed the shapes and s, and the sign bytes the signs.
-    _check_row_range(rows, m)
-    _check_distinct(rows)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
@@ -601,8 +615,6 @@ def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
         pos += block.size
     if pos != i:
         return None
-    # The header fixed the shapes and s, and the decoder the row range and the signs.
-    _check_distinct(rows)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
@@ -633,7 +645,6 @@ def _decode_document(text: str) -> SparseJLMatrix:
     if len(columns) != n:
         raise MatrixInvariantError(f"entry count mismatch: {len(columns)} columns, header says {n}")
     rows, signs = _decode_columns(columns, n, m, s)
-    _check_distinct(rows)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 

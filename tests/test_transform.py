@@ -1,8 +1,12 @@
 """Structural, determinism, serialization, and statistical transform checks."""
 
+import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -144,6 +148,106 @@ class TestBuild:
     def test_row_index_range_limit(self):
         with pytest.raises(DomainError, match="uint32"):
             build_matrix(1, (1 << 32) + 1, 1, seed=0)
+
+
+def probe_parts(**changes):
+    """The fields of a valid n = 1, m = 4, s = 2 matrix, with ``changes`` applied."""
+    parts = dict(n=1, m=4, s=2, seed=0, rows=np.array([[0, 3]], dtype=np.uint32),
+                 signs=np.array([[1, -1]], dtype=np.int8))
+    parts.update(changes)
+    return parts
+
+
+class TestMatrixRule:
+    """The constructor runs the one matrix rule: no invalid matrix exists to apply or write."""
+
+    @pytest.mark.parametrize("row", [9, 100_000, 2 * 10**9])
+    def test_row_outside_range(self, row):
+        with pytest.raises(MatrixInvariantError, match=rf"row index {row} outside \[0, m=4\)"):
+            SparseJLMatrix(**probe_parts(rows=np.array([[0, row]], dtype=np.uint32)))
+
+    def test_row_outside_range_in_subprocess(self):
+        """The row that once crashed the sparse kernel: a regression fails here, not the whole run."""
+        code = (
+            "import sys, numpy as np\n"
+            "from sparsejl import MatrixInvariantError, SparseJLMatrix, apply\n"
+            "try:\n"
+            "    A = SparseJLMatrix(n=1, m=4, s=2, seed=0, rows=np.array([[0, 2 * 10**9]], dtype=np.uint32),\n"
+            "                       signs=np.ones((1, 2), dtype=np.int8))\n"
+            "except MatrixInvariantError:\n"
+            "    sys.exit(0)\n"
+            "apply(A, [1.0])\n"
+            "sys.exit(3)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tr.__file__))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_repeated_row(self):
+        with pytest.raises(MatrixInvariantError, match="duplicate row index within a column"):
+            SparseJLMatrix(**probe_parts(rows=np.array([[2, 2]], dtype=np.uint32)))
+
+    @pytest.mark.parametrize("sign", [2, 0, -3])
+    def test_sign_outside_domain(self, sign):
+        with pytest.raises(MatrixInvariantError, match="sign domain violated: signs must be -1 or \\+1"):
+            SparseJLMatrix(**probe_parts(signs=np.array([[1, sign]], dtype=np.int8)))
+
+    @pytest.mark.parametrize("rows,got", [
+        ([[0, 3]], "list"),
+        (np.array([[0, 3]], dtype=np.int64), "dtype int64"),
+        (np.array([[0.0, 3.0]]), "dtype float64"),
+    ], ids=["list", "int64", "float"])
+    def test_rows_not_uint32_array(self, rows, got):
+        with pytest.raises(DomainError, match=f"rows must be a numpy array of dtype uint32, got {got}"):
+            SparseJLMatrix(**probe_parts(rows=rows))
+
+    def test_signs_not_int8_array(self):
+        with pytest.raises(DomainError, match="signs must be a numpy array of dtype int8, got dtype int64"):
+            SparseJLMatrix(**probe_parts(signs=np.array([[1, -1]])))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(MatrixInvariantError, match="entry count mismatch"):
+            SparseJLMatrix(**probe_parts(rows=np.array([[0, 3, 1]], dtype=np.uint32)))
+
+    def test_negative_seed(self):
+        with pytest.raises(MatrixInvariantError, match=r"header field seed must be an integer in \[0, 2\^64\), got -1"):
+            SparseJLMatrix(**probe_parts(seed=-1))
+
+    def test_numpy_header_fields_stored_as_int(self):
+        matrix = SparseJLMatrix(**probe_parts(n=np.uint8(1), m=np.int64(4), s=np.int32(2), seed=np.uint64(5)))
+        assert [type(v) for v in (matrix.n, matrix.m, matrix.s, matrix.seed)] == [int] * 4
+        assert deserialize_json(serialize_json(matrix)) == matrix
+        assert deserialize(serialize(matrix)) == matrix
+
+    def test_frozen(self):
+        matrix = SparseJLMatrix(**probe_parts())
+        for name, value in (("m", 1), ("rows", np.zeros((1, 2), dtype=np.uint32)), ("seed", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(matrix, name, value)
+        assert matrix.m == 4 and matrix.seed == 0
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.rows[0, 0] = 3
+        matrix.validate()
+
+    def test_duplicate_check_in_blocks(self, monkeypatch):
+        """A repeat is found in whichever block holds it, and the check's memory is one block."""
+        matrix = build_matrix(1000, 57842, 1928, seed=7)
+        tracemalloc.start()
+        try:
+            tr._check_distinct(matrix.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the whole (n, s) sort took 9.7 MB
+        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 4)
+        rows = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        signs = np.ones((10, 4), dtype=np.int8)
+        SparseJLMatrix(n=10, m=40, s=4, seed=0, rows=rows, signs=signs)
+        for c in (0, 5, 9):
+            bad = rows.copy()
+            bad[c, 3] = bad[c, 0]
+            with pytest.raises(MatrixInvariantError, match="duplicate row"):
+                SparseJLMatrix(n=10, m=40, s=4, seed=0, rows=bad, signs=signs)
 
 
 class TestApply:
@@ -326,9 +430,10 @@ class TestSerialization:
 
     def test_json_duplicate_row(self, tmp_path):
         """Both JSON decoders, from text and from a file, reject a column that repeats a row."""
-        matrix = SparseJLMatrix(n=2, m=4, s=2, seed=1, rows=np.array([[0, 3], [2, 2]], dtype=np.uint32),
+        matrix = SparseJLMatrix(n=2, m=4, s=2, seed=1, rows=np.array([[0, 3], [2, 1]], dtype=np.uint32),
                                 signs=np.ones((2, 2), dtype=np.int8))
-        canonical = serialize_json(matrix)
+        canonical = serialize_json(matrix).replace("[[2, 1], [1, 1]]", "[[2, 1], [2, 1]]")
+        assert canonical.count("[[2, 1], [2, 1]]") == 1
         indented = json.dumps(json.loads(canonical), indent=1)
         for text in (canonical, indented):
             with pytest.raises(MatrixInvariantError, match="duplicate row"):
@@ -366,10 +471,9 @@ class TestSerialization:
             SparseJLMatrix(**parts).validate()
 
     def test_validate_s_outside_range(self):
-        matrix = SparseJLMatrix(n=1, m=4, s=0, seed=1, rows=np.zeros((1, 0), dtype=np.uint32),
-                                signs=np.zeros((1, 0), dtype=np.int8))
         with pytest.raises(MatrixInvariantError, match=r"sparsity s=0 outside \[1, m=4\]"):
-            matrix.validate()
+            SparseJLMatrix(n=1, m=4, s=0, seed=1, rows=np.zeros((1, 0), dtype=np.uint32),
+                           signs=np.zeros((1, 0), dtype=np.int8))
 
     def test_write_matrix_unknown_format(self, tmp_path):
         with pytest.raises(DomainError, match="unknown matrix format 'csv'"):

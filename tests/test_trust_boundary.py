@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsejl import (
     DomainError,
@@ -46,6 +47,7 @@ from sparsejl import (
     moment_bound_rhs,
     poisson_tail_bound,
     psi,
+    serialize,
     serialize_json,
     squared_norm_samples,
     sub_poisson_tail,
@@ -135,6 +137,50 @@ def test_binary_decoder_checks_as_validate(case):
         return matrix
 
     assert _outcome(deserialize, data) == _outcome(reference, data)
+
+
+header_fields = st.one_of(st.integers(-1, 9), st.integers(0, 9).map(np.int64), st.integers(0, 9).map(np.uint8),
+                          sizes, st.integers(2**64, 2**65), st.booleans(), st.floats(0, 9), st.none())
+small_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+@st.composite
+def constructor_arguments(draw):
+    """The fields of a small valid matrix, up to two of them replaced: a header field by any
+    small value, an array by one of any values, dtype or shape, or by a list or None."""
+    m = draw(st.integers(1, 8))
+    s = draw(st.integers(1, m))
+    n = draw(st.integers(0, 3))
+    rows = np.array([draw(st.permutations(range(m)))[:s] for _ in range(n)], dtype=np.uint32).reshape(n, s)
+    signs = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n * s, max_size=n * s)), dtype=np.int8)
+    fields = dict(n=n, m=m, s=s, seed=draw(sizes), rows=rows, signs=signs.reshape(n, s))
+    near = {"rows": st.integers(0, 9), "signs": st.integers(-3, 3)}
+    edits = draw(st.sampled_from([0, 1, 1, 2]))
+    for name in draw(st.lists(st.sampled_from(sorted(fields)), min_size=edits, max_size=edits, unique=True)):
+        if name in ("rows", "signs"):
+            fields[name] = draw(st.one_of(
+                hnp.arrays(fields[name].dtype, (n, s), elements=near[name]),
+                hnp.arrays(fields[name].dtype, (n, s)),
+                hnp.arrays(hnp.scalar_dtypes(), st.one_of(st.just((n, s)), small_shapes)),
+                st.lists(st.lists(st.integers(-2, 8), max_size=3), max_size=3),
+                st.none(),
+            ))
+        else:
+            fields[name] = draw(header_fields)
+    return fields
+
+
+@FUZZ
+@given(constructor_arguments())
+def test_constructor_gives_valid_matrix_or_error(fields):
+    """Arbitrary header fields and arrays give a valid matrix, which both codecs round-trip, or a SparseJLError."""
+    matrix = _valid_or_error(lambda parts: SparseJLMatrix(**parts), fields)
+    if matrix is not None:
+        assert [type(v) for v in (matrix.n, matrix.m, matrix.s, matrix.seed)] == [int] * 4
+        for rows, signs in zip(matrix.rows.tolist(), matrix.signs.tolist()):
+            assert len(set(rows)) == matrix.s and max(rows) < matrix.m and set(signs) <= {-1, 1}
+        assert deserialize(serialize(matrix)) == matrix
+        assert deserialize_json(serialize_json(matrix)) == matrix
 
 
 @FUZZ
