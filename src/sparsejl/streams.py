@@ -48,22 +48,27 @@ def substream(seed: int, index: int) -> int:
     return mix64((seed & MASK64) ^ mix64(((index + 1) * GAMMA) & MASK64))
 
 
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` over a uint64 array, in place, with one scratch array for the shifts."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, _V_30, out=shifted)
+    z *= _V_MIX1
+    z ^= np.right_shift(z, _V_27, out=shifted)
+    z *= _V_MIX2
+    z ^= np.right_shift(z, _V_31, out=shifted)
+    return z
+
+
 def mix64_vec(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array."""
-    z = z.astype(_U, copy=True)
-    z ^= z >> _V_30
-    z *= _V_MIX1
-    z ^= z >> _V_27
-    z *= _V_MIX2
-    z ^= z >> _V_31
-    return z
+    return _mix_in_place(z.astype(_U, copy=True))
 
 
 def substream_vec(seeds, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`substream`: an int seed, or a uint64 array of them, broadcast against ``indices``."""
     seeds = _U(seeds & MASK64) if isinstance(seeds, int) else seeds.astype(_U, copy=False)
     idx = indices.astype(_U, copy=False) + _V_1
-    return mix64_vec(seeds ^ mix64_vec(idx * _V_GAMMA))
+    return _mix_in_place(seeds ^ _mix_in_place(idx * _V_GAMMA))
 
 
 class Stream:
@@ -93,8 +98,13 @@ class Stream:
 
 
 def next_u64_block_vec(roots: np.ndarray, ctrs: np.ndarray, count: int) -> np.ndarray:
-    """``count`` consecutive draws per lane, returned as (lanes, count)."""
-    offsets = np.arange(1, count + 1, dtype=_U)
-    z = mix64_vec(roots[:, None] + (ctrs[:, None] + offsets[None, :]) * _V_GAMMA)
+    """``count`` consecutive draws per lane, returned as (lanes, count); advances ``ctrs`` by ``count``.
+
+    Draw ``ctr + k`` of a lane is ``mix64(root + (ctr + k) GAMMA)``, the
+    same integer mod 2^64 as ``(root + ctr GAMMA) + k GAMMA``: one broadcast
+    add of a per-lane and a per-draw term, then the mix in place.
+    """
+    start = roots + ctrs * _V_GAMMA
+    z = _mix_in_place(start[:, None] + np.arange(1, count + 1, dtype=_U) * _V_GAMMA)
     ctrs += _U(count)
     return z

@@ -19,17 +19,22 @@ then the result is scaled, so outputs are bitwise equal to the per-vector
 array.  A projection with a non-finite entry is rejected.
 
 The vectorized sampler never materializes the row range: it resolves the
-swaps of a block of lanes with one sort, so its working memory is
-O(block * s) whatever m is, and every m up to 2^32 can be built.  The
-rare lane whose draws hit modulo rejection is replayed by the pure-Python
-twin :func:`sample_column_scalar`, which is also the reference that the
-vectorized path is tested against bit for bit.
+swaps of a block of lanes with one sort per lane, on keys (target, step)
+that are 32-bit wherever they fit, so its working memory is O(block * s)
+whatever m is, and every m up to 2^32 can be built.  A block's words are
+drawn with one broadcast add and mixed in place, tested for rejection
+with one comparison, and reduced to targets in place in the block's
+slice of the output.  The rare lane whose draws hit modulo rejection is
+replayed by the pure-Python twin :func:`sample_column_scalar`, which is
+also the reference that the vectorized path is tested against bit for
+bit.
 
 Every :class:`SparseJLMatrix` is valid by construction: its constructor
 runs the one matrix rule (the header rule, uint32 rows and int8 signs of
 shape (n, s), rows in [0, m), signs -1/+1, distinct rows per column), and
 ``validate()`` re-runs that rule.  ``build_matrix`` and the decoders build
-through it, and the instance is frozen with read-only arrays.
+through it with arrays they own; an array that does not own its data is
+copied.  The instance is frozen with read-only arrays.
 
 Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
@@ -111,7 +116,9 @@ class SparseJLMatrix:
     fields follow the stored header's rule and are kept as ``int``, ``rows``
     must be a uint32 and ``signs`` an int8 ``np.ndarray`` (anything else is
     a DomainError, nothing is coerced), and a broken invariant raises
-    MatrixInvariantError.  The instance is frozen and its arrays are made
+    MatrixInvariantError.  An array that does not own its data, such as a
+    view or slice of a caller's array, is copied first; an array that owns
+    its data is kept.  The instance is frozen and its arrays are made
     read-only.
     """
 
@@ -131,10 +138,12 @@ class SparseJLMatrix:
             if type(value) is not np.ndarray or value.dtype != dtype:
                 got = f"dtype {value.dtype}" if type(value) is np.ndarray else type(value).__name__
                 raise DomainError(f"{name} must be a numpy array of dtype {np.dtype(dtype)}, got {got}")
+            if not value.flags.owndata:  # a view's base could change it after the rule ran
+                object.__setattr__(self, name, value.copy())
         if self.rows.shape != (self.n, self.s) or self.signs.shape != (self.n, self.s):
             raise MatrixInvariantError(
-                f"entry count mismatch: expected {self.s} entries in each of "
-                f"{self.n} columns, got arrays of shape {self.rows.shape}"
+                f"entry count mismatch: expected {self.s} entries in each of {self.n} columns, "
+                f"got rows of shape {self.rows.shape} and signs of shape {self.signs.shape}"
             )
         if self.rows.size and int(self.rows.max()) >= self.m:
             raise MatrixInvariantError(f"row index {int(self.rows.max())} outside [0, m={self.m})")
@@ -185,36 +194,47 @@ def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.nd
     draws ``s`` sign words.  Returns (rows, signs) of shape (lanes, s).
 
     Lanes are processed in ``_blocks`` of s steps per lane.  A block
-    draws every step's word at once (counters 1..s, signs at s+1..2s) and
-    resolves the swaps with one sort, so memory is O(block) whatever m is.
-    A lane in which any bounded draw hits the rejection zone (probability
-    below s*m/2^64) is replayed by :func:`sample_column_scalar`.
+    draws every step's word at once (counters 1..s, signs at s+1..2s),
+    reduces the words to targets in place, writes them into its slice of
+    ``rows`` and resolves the swaps there with one sort per lane, so
+    memory is O(block) whatever m is.  A lane in which any bounded draw
+    hits the rejection zone (probability below s*m/2^64) is replayed by
+    :func:`sample_column_scalar`.
     """
     lanes = roots.shape[0]
     rows = np.empty((lanes, s), dtype=np.uint32)
     signs = np.empty((lanes, s), dtype=np.int8)
     steps = np.arange(s, dtype=np.uint64)
     bounds = np.uint64(m) - steps
-    # 2^64 mod bound: a draw z is rejected when z >= 2^64 - rem, i.e. ~z < rem.
-    rem = (np.uint64(streams.MASK64) % bounds + np.uint64(1)) % bounds
+    # rem = 2^64 mod bound: a draw z is rejected when z >= 2^64 - rem, that is
+    # z > ~rem (rem = 0 rejects nothing, as ~0 is the largest word).
+    accept_max = ~((np.uint64(streams.MASK64) % bounds + np.uint64(1)) % bounds)
     for lo, hi in _blocks(lanes, s):
         blk = roots[lo:hi]
         ctrs = np.zeros(blk.shape[0], dtype=np.uint64)
         z = streams.next_u64_block_vec(blk, ctrs, s)
-        rejected = np.nonzero((~z < rem).any(axis=1))[0]
-        rows[lo:hi] = _fisher_yates_rows(z % bounds + steps, m, s)
+        rejected = np.flatnonzero((z > accept_max).any(axis=1))
+        z %= bounds
+        z += steps
+        blk_rows = rows[lo:hi]
+        blk_rows[...] = z
+        _fisher_yates_rows(blk_rows, m)
         z = streams.next_u64_block_vec(blk, ctrs, s)
-        signs[lo:hi] = (z & np.uint64(1)).astype(np.int8) * 2 - 1
+        z &= np.uint64(1)
+        blk_signs = signs[lo:hi]
+        blk_signs[...] = z
+        blk_signs += blk_signs
+        blk_signs -= 1
         for lane in rejected:
             rows[lo + lane], signs[lo + lane] = sample_column_scalar(m, s, int(blk[lane]))
     return rows, signs
 
 
-def _fisher_yates_rows(targets: np.ndarray, m: int, s: int) -> np.ndarray:
-    """Rows picked by partial Fisher-Yates steps k -> targets[:, k] >= k.
+def _fisher_yates_rows(rows: np.ndarray, m: int) -> None:
+    """Replace the targets ``rows[:, k] >= k`` of partial Fisher-Yates steps by the rows they pick, in place.
 
     Step k takes the value at position t_k and moves the value of position
-    k there.  With the steps sorted by (lane, t, k):
+    k there.  With each lane's steps sorted by key (t, k):
 
     - step k picks t_k unless an earlier step j targeted t_k; then it picks
       h(j), the value position j held when step j ran, for the latest such
@@ -222,30 +242,42 @@ def _fisher_yates_rows(targets: np.ndarray, m: int, s: int) -> np.ndarray:
     - h(j) = j unless an earlier step i < j targeted position j; then
       h(j) = h(i) for the latest such i, found by binary search.  These
       chains decrease strictly, so they end; each pass follows one link.
+
+    The key ``t << kbits | k`` is a uint32 when it fits in 32 bits and a
+    uint64 otherwise, and each lane is sorted on its own.  Only the binary
+    search needs one sorted array for the block: it is built, with the lane
+    in the bits above the key, when some lane repeats a target.
     """
-    lanes = targets.shape[0]
+    lanes, s = rows.shape
     kbits = (s - 1).bit_length()
-    k_shift, lane_shift = np.uint64(kbits), np.uint64(kbits + (m - 1).bit_length())
-    k_mask = np.uint64((1 << kbits) - 1)
-    lane_ids = np.arange(lanes, dtype=np.uint64)[:, None]
-    keys = (lane_ids << lane_shift) | (targets << k_shift) | np.arange(s, dtype=np.uint64)
-    keys = np.sort(keys, axis=None)
-    group = keys >> k_shift
-    rows = targets.astype(np.uint32)
-    dup = np.nonzero(group[1:] == group[:-1])[0] + 1
+    key_bits = kbits + (m - 1).bit_length()
+    key = np.uint32 if key_bits <= 32 else np.uint64
+    keys = rows.astype(key)
+    keys <<= key(kbits)
+    keys |= np.arange(s, dtype=key)
+    keys.sort(axis=1)
+    keys = keys.ravel()
+    group = keys >> key(kbits)
+    repeat = group[1:] == group[:-1]
+    repeat[s - 1::s] = False  # a lane's last step and the next lane's first
+    dup = np.flatnonzero(repeat) + 1
     if not dup.size:
-        return rows
-    lane = keys[dup] >> lane_shift
-    pos = keys[dup - 1] & k_mask
+        return
+    k_shift, lane_shift = np.uint64(kbits), np.uint64(key_bits)
+    k_mask = np.uint64((1 << kbits) - 1)
+    sorted_keys = np.arange(lanes, dtype=np.uint64).repeat(s)
+    sorted_keys <<= lane_shift
+    sorted_keys |= keys
+    prefix = sorted_keys[dup] >> lane_shift << lane_shift
+    pos = sorted_keys[dup - 1] & k_mask
     pending = np.arange(dup.size)
     while pending.size:
-        query = (lane[pending] << lane_shift) | (pos[pending] << k_shift) | pos[pending]
-        prev = np.searchsorted(keys, query) - 1
-        hit = (prev >= 0) & (group[prev] == query >> k_shift)
+        query = prefix[pending] | (pos[pending] << k_shift) | pos[pending]
+        prev = np.searchsorted(sorted_keys, query) - 1
+        hit = (prev >= 0) & (sorted_keys[prev] >> k_shift == query >> k_shift)
         pending, prev = pending[hit], prev[hit]
-        pos[pending] = keys[prev] & k_mask
-    rows.reshape(-1)[(lane * np.uint64(s) + (keys[dup] & k_mask)).astype(np.intp)] = pos
-    return rows
+        pos[pending] = sorted_keys[prev] & k_mask
+    rows.reshape(-1)[dup - dup % s + (sorted_keys[dup] & k_mask).astype(np.intp)] = pos
 
 
 def sample_column_scalar(m: int, s: int, root: int) -> tuple[list[int], list[int]]:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -67,6 +69,11 @@ def assert_bitwise(a, b):
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# The sampler's sort keys t << kbits | k take (s - 1).bit_length() +
+# (m - 1).bit_length() bits: 32 bits keep them uint32, 33 bits need uint64.
+KEY_WIDTH_EDGE = [(1 << 21, 1 << 11), (1 << 31, 2), ((1 << 21) + 1, 1 << 11), (1 << 32, 2)]
+
+
 class TestBuild:
     def test_full_column_when_s_equals_m(self):
         """s = m forces the column to occupy every row, entries +-1/2."""
@@ -100,18 +107,50 @@ class TestBuild:
     def test_vectorized_engine_matches_scalar_reference(self):
         """The numpy column sampler replays the documented scalar algorithm,
         including full columns (s = m), s = 1, m = 1, heavy swap chains
-        (s close to m) and row ranges far beyond any dense table."""
+        (s close to m), row ranges far beyond any dense table and both
+        sides of the sort keys' 32-bit limit."""
         for n, m, s, seed in [
             (7, 13, 4, 0), (5, 6, 6, 11), (9, 300, 17, 12345),
             (4, 40, 40, 1), (6, 50, 1, 2), (3, 1, 1, 3), (5, 300, 297, 4),
             (3, 1 << 26, 6, 5), (3, 1 << 32, 4, 6),
-        ]:
+        ] + [(6 if s > 2 else 3000, m, s, 7) for m, s in KEY_WIDTH_EDGE]:
             matrix = build_matrix(n, m, s, seed)
             for c in range(n):
                 root = streams.substream(seed, c)
                 rows, signs = sample_column_scalar(m, s, root)
                 assert list(matrix.rows[c]) == rows
                 assert list(matrix.signs[c]) == signs
+
+    @pytest.mark.parametrize("m, s", KEY_WIDTH_EDGE, ids=["32bit-s2048", "32bit-s2", "33bit-s2048", "33bit-s2"])
+    def test_fisher_yates_targets_at_key_width_edge(self, m, s):
+        """Targets that repeat, chain, and differ in the top bit only: the
+        rows are those of the scalar twin's swap map."""
+        rng = np.random.default_rng(s)
+        k = np.arange(s)
+        top = 1 << ((m - 1).bit_length() - 1)  # the bit a 32-bit key would drop at 33 bits
+        targets = np.stack([
+            m - 1 - k,  # every step at the top of the range
+            np.minimum(k + rng.integers(0, 3, s), m - 1),  # chains through low positions
+            np.maximum(k, rng.integers(m - 2 * s, m, s)),  # repeats near the top
+            np.where(k % 2, k + top, k + 1),  # pairs of targets that differ in the top bit only
+        ]).astype(np.uint32)
+        expected = []
+        for lane in targets.tolist():
+            swap, picked = {}, []
+            for step, t in enumerate(lane):
+                picked.append(swap.get(t, t))
+                swap[t] = swap.get(step, step)
+            expected.append(picked)
+        rows = targets.copy()
+        tr._fisher_yates_rows(rows, m)
+        assert rows.tolist() == expected
+        assert all(len(set(r)) == s for r in expected)
+
+    def test_readme_matrix_bytes_pinned(self):
+        """The README matrix's binary file is the one the benchmark pins."""
+        data = serialize(build_matrix(1000, 57842, 1928, 1))
+        assert hashlib.sha256(data).hexdigest() == (
+            "21cc2836cda337970b06de1a025ccccf6a94cc12bb9779e37e0b09eb0c1f19e2")
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         full = build_matrix(37, 50, 9, seed=8)
@@ -208,6 +247,30 @@ class TestMatrixRule:
     def test_shape_mismatch(self):
         with pytest.raises(MatrixInvariantError, match="entry count mismatch"):
             SparseJLMatrix(**probe_parts(rows=np.array([[0, 3, 1]], dtype=np.uint32)))
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(MatrixInvariantError, match=re.escape(
+                "expected 2 entries in each of 2 columns, got rows of shape (2, 2) and signs of shape (3, 2)")):
+            SparseJLMatrix(**probe_parts(n=2, rows=np.array([[0, 3], [1, 2]], dtype=np.uint32),
+                                         signs=np.ones((3, 2), dtype=np.int8)))
+
+    def test_view_is_copied(self):
+        """A view's writable base cannot change the matrix after the rule ran."""
+        base = np.array([[0, 3]], dtype=np.uint32)
+        sign_base = np.array([[1, -1, 1]], dtype=np.int8)
+        matrix = SparseJLMatrix(**probe_parts(rows=base[:], signs=sign_base[:, :2]))
+        y = apply(matrix, [1.0])
+        base[0, 1] = 0
+        sign_base[0, 0] = 0
+        assert_bitwise(apply(matrix, [1.0]), y)
+        assert matrix.rows.tolist() == [[0, 3]] and matrix.signs.tolist() == [[1, -1]]
+        matrix.validate()
+
+    def test_owning_arrays_are_kept(self):
+        """Arrays that own their data, as ``build_matrix`` and the decoders pass, are not copied."""
+        parts = probe_parts()
+        matrix = SparseJLMatrix(**parts)
+        assert matrix.rows is parts["rows"] and matrix.signs is parts["signs"]
 
     def test_negative_seed(self):
         with pytest.raises(MatrixInvariantError, match=r"header field seed must be an integer in \[0, 2\^64\), got -1"):
