@@ -59,11 +59,6 @@ def _mix_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array."""
-    return _mix_in_place(z.astype(_U, copy=True))
-
-
 def substream_vec(seeds, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`substream`: an int seed, or a uint64 array of them, broadcast against ``indices``."""
     seeds = _U(seeds & MASK64) if isinstance(seeds, int) else seeds.astype(_U, copy=False)

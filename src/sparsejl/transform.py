@@ -41,13 +41,15 @@ exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
 [0, 2^64)) before sizing any array, and cast nothing they have not
 checked; the constructor checks the rest.  The JSON text is encoded with array
-operations, block by block, and a file is written and read as bytes.  The
-JSON decoder first tries the canonical path on the bytes, one block at a
-time: it finds each entry by the ``]`` that follows its sign's ``1``,
-reads the row's digits leftwards from the comma, and accepts the block
-only if encoding it reproduces the text byte for byte.  Any other text,
-such as a pretty-printed document or one with its keys reordered, is
-decoded as UTF-8 and goes to the general decoder, which parses with
+operations, block by block, and a file is written and read as bytes.  One
+rule, :func:`deserialize_json`, decodes JSON, whether a caller's text or
+bytes or the bytes :func:`read_matrix` read from a file.  It first tries
+the canonical path on the bytes, one block at a time: it finds each entry
+by the ``]`` that follows its sign's ``1``, reads the row's digits
+leftwards from the comma, and accepts the block only if encoding it
+reproduces the text byte for byte.  Any other input, such as a
+pretty-printed document or one with its keys reordered, goes to the
+general decoder (bytes after strict UTF-8 decoding), which parses with
 :func:`json.loads` and converts the columns in blocks, accepting only lists
 of ``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows
 in [0, m); floats and bools are rejected rather than coerced.
@@ -417,8 +419,14 @@ def serialize(matrix: SparseJLMatrix) -> bytes:
     return b"".join((header, entries))  # one copy of the entries
 
 
-def deserialize(data: bytes) -> SparseJLMatrix:
-    """Decode :func:`serialize` output, checking all structural invariants."""
+def deserialize(data: bytes | bytearray | memoryview) -> SparseJLMatrix:
+    """Decode :func:`serialize` output, checking all structural invariants.
+
+    ``data`` is ``bytes``, ``bytearray`` or a ``memoryview``; anything else
+    raises DomainError.
+    """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise DomainError(f"binary matrix data must be bytes, bytearray or memoryview, got {type(data).__name__}")
     if len(data) < _HEADER.size:
         raise TruncatedStreamError(
             f"stream of {len(data)} bytes is shorter than the {_HEADER.size}-byte header"
@@ -572,14 +580,25 @@ def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, 
     return rows, signs
 
 
-def deserialize_json(text: str) -> SparseJLMatrix:
-    """Decode :func:`serialize_json` output, checking all structural invariants.
+def deserialize_json(text: str | bytes | bytearray) -> SparseJLMatrix:
+    """Decode :func:`serialize_json` output, text or bytes, checking all structural invariants.
 
-    Canonical text takes the array path; any other JSON document is decoded
-    by :func:`json.loads` with the same checks and error messages.
+    This is the one JSON decoding rule, and :func:`read_matrix` hands it the
+    bytes of a JSON file.  The canonical path runs on the bytes (on the
+    UTF-8 bytes of a ``str``; canonical text is ASCII, so no other text
+    matches it).  Any other input is parsed by :func:`json.loads` with the
+    same checks and error messages: bytes after strict UTF-8 decoding, so a
+    byte-order mark or UTF-16 is rejected, and a ``str`` as it is.
+    Anything but ``str``, ``bytes`` or ``bytearray`` raises DomainError.
     """
-    canonical = type(text) is str and text.isascii()
-    matrix = _decode_canonical(text.encode("ascii")) if canonical else None
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DomainError(f"JSON matrix text must be str, bytes or bytearray, got {type(text).__name__}")
+    matrix = _decode_canonical(text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text)
+    if matrix is None and not isinstance(text, str):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
     return _decode_document(text) if matrix is None else matrix
 
 
@@ -681,6 +700,14 @@ def _decode_document(text: str) -> SparseJLMatrix:
 
 
 def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
+    """Write ``matrix`` to ``path`` in the binary format or as canonical JSON (``fmt`` "binary" or "json").
+
+    A ``matrix`` that is not a :class:`SparseJLMatrix` or an unknown ``fmt``
+    raises DomainError before the file is opened, so an existing file is
+    left as it was.
+    """
+    if not isinstance(matrix, SparseJLMatrix):
+        raise DomainError(f"matrix must be a SparseJLMatrix, got {type(matrix).__name__}")
     if fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(serialize(matrix))
@@ -695,20 +722,12 @@ def read_matrix(path) -> SparseJLMatrix:
     """Load a matrix file, accepting either the binary or the JSON encoding.
 
     A file whose first byte after JSON whitespace is ``{`` is JSON, also
-    after a UTF-8 byte-order mark, which the JSON decoder then rejects; a
-    binary file starts with its version byte 0x01.  A canonical JSON file is
-    decoded from its bytes; any other is decoded as UTF-8 and parsed.
+    after a UTF-8 byte-order mark, and its bytes go to
+    :func:`deserialize_json`, which rejects the mark; any other file goes
+    to :func:`deserialize` (a binary file starts with its version byte
+    0x01).
     """
     with open(path, "rb") as fh:
         data = fh.read()
     start = _JSON_WHITESPACE.match(data).end()
-    if data[start:start + 1] != b"{":
-        return deserialize(data)
-    matrix = _decode_canonical(data)
-    if matrix is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
-        matrix = _decode_document(text)
-    return matrix
+    return deserialize_json(data) if data[start:start + 1] == b"{" else deserialize(data)

@@ -189,6 +189,10 @@ def assert_matches_loop(got, ref):
 
 
 class TestExactMomentZ:
+    def test_empty_vector(self):
+        with pytest.raises(DomainError, match="^x must be non-empty$"):
+            MomentSpec((), 0.01, 2)
+
     def test_two_coordinate_second_moment(self):
         """x = (1/sqrt2, 1/sqrt2) leaves the single cross term; E[Z^2] = p^2."""
         spec = MomentSpec((1 / math.sqrt(2), 1 / math.sqrt(2)), 1 / 30, 2)
@@ -334,6 +338,16 @@ class TestMultinomialInequality:
             check_multinomial_inequality(21)
         with pytest.raises(DomainError):
             check_multinomial_inequality(0)
+
+    def test_violation_is_reported(self, monkeypatch):
+        """Negative control: binom(4; 2, 2) made 100 times larger than 6 exceeds 16, and is listed."""
+        multinomial = oracle._multinomial
+        monkeypatch.setattr(oracle, "_multinomial", lambda total, parts: multinomial(total, parts)
+                            * (100 if (total, list(parts)) == (4, [2, 2]) else 1))
+        report = check_multinomial_inequality(3)
+        assert report.ok is False
+        assert report.violations == [(2, (1, 1))]
+        assert report.central_binomial_ok
 
 
 class TestMajorization:

@@ -543,6 +543,22 @@ class TestSerialization:
             write_matrix(tmp_path / "A.csv", build_matrix(2, 4, 2, seed=1), fmt="csv")
         assert not (tmp_path / "A.csv").exists()
 
+    @pytest.mark.parametrize("fmt", ["binary", "json"])
+    @pytest.mark.parametrize("bad", [None, "A", b"\x01"], ids=["None", "str", "bytes"])
+    def test_write_matrix_bad_matrix_leaves_file(self, tmp_path, fmt, bad):
+        """The file was truncated to 0 bytes, then a bare AttributeError was raised."""
+        path = tmp_path / "A"
+        write_matrix(path, build_matrix(2, 4, 3, seed=1), fmt=fmt)
+        before = path.read_bytes()
+        with pytest.raises(DomainError, match=rf"^matrix must be a SparseJLMatrix, got {type(bad).__name__}$"):
+            write_matrix(path, bad, fmt=fmt)
+        assert path.read_bytes() == before
+
+    def test_equality_with_another_type(self):
+        matrix = build_matrix(2, 4, 2, 1)
+        assert matrix.__eq__(1) is NotImplemented
+        assert (matrix == 1) is False and matrix != 1
+
     def test_json_sign_domain(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][0][0][1] = 2

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sparsejl import (
     DomainError,
+    FormatVersionError,
     MajorizationSpec,
     MatrixInvariantError,
     MomentSpec,
@@ -283,6 +284,90 @@ def test_byte_order_mark_reaches_the_json_decoder(tmp_path, capsys, lead):
     assert not (tmp_path / "y.csv").exists()
 
 
+def _json_door(data, tmp):
+    """The outcomes of ``deserialize_json(data)`` and of ``read_matrix`` of a file holding ``data``."""
+    path = Path(tmp) / "A.json"
+    path.write_bytes(data)
+    return _outcome(deserialize_json, data), _outcome(read_matrix, path)
+
+
+_CANONICAL = serialize_json(build_matrix(9, 40, 6, seed=2))
+_INDENTED = json.dumps(json.loads(_CANONICAL), indent=1)
+
+
+@pytest.mark.parametrize("data, expected", [
+    (_CANONICAL.encode(), SparseJLMatrix),
+    (_INDENTED.encode(), SparseJLMatrix),
+    (b" \r\n" + _CANONICAL.encode(), SparseJLMatrix),
+    (_INDENTED.encode().replace(b"\n", b"\r\n"), SparseJLMatrix),
+    (b"\xef\xbb\xbf" + _CANONICAL.encode(), MatrixInvariantError),
+    (b"\xef\xbb\xbf\n" + _INDENTED.encode(), MatrixInvariantError),
+    (_CANONICAL.encode("utf-16-le"), MatrixInvariantError),
+    (_CANONICAL.replace('"m": 40', '"m": 041').encode(), MatrixInvariantError),
+    (_CANONICAL.replace('"format_version": 1', '"format_version": 2').encode(), FormatVersionError),
+    (_CANONICAL.replace("[[[", "[[[\xe9", 1).encode(), MatrixInvariantError),
+    (_CANONICAL.replace("[[[", "[[[\xe9", 1).encode("latin-1"), MatrixInvariantError),
+    (_CANONICAL.encode()[:-1], MatrixInvariantError),
+    (_CANONICAL.encode()[:100] + b"\xff" + _CANONICAL.encode()[101:], MatrixInvariantError),
+    (_INDENTED.encode().replace(b"1,", b"1", 1), MatrixInvariantError),
+], ids=["canonical", "indented", "whitespace", "crlf-indented", "bom", "bom-indented", "utf-16-le",
+        "leading-zero", "version-2", "utf-8-letter", "latin-1-letter", "truncated", "byte-ff",
+        "indented-comma-deleted"])
+def test_json_bytes_decode_as_their_file(tmp_path, data, expected):
+    """``deserialize_json`` of bytes and ``read_matrix`` of a JSON file run one rule: the same matrix or error."""
+    from_bytes, from_file = _json_door(data, tmp_path)
+    assert from_bytes == from_file
+    if expected is SparseJLMatrix:
+        assert from_bytes == build_matrix(9, 40, 6, seed=2)
+    else:
+        assert from_bytes[0] is expected
+
+
+@FUZZ
+@given(edited_canonical_files(), st.sampled_from([b"", b"\xef\xbb\xbf", b" \n"]))
+def test_edited_json_bytes_decode_as_their_file(data, lead):
+    """The same for byte-edited canonical files, which keep their ``{`` and so are read as JSON."""
+    data = lead + data
+    assume(data.removeprefix(b"\xef\xbb\xbf").lstrip(b" \t\r\n").startswith(b"{"))
+    with tempfile.TemporaryDirectory() as tmp:
+        from_bytes, from_file = _json_door(data, tmp)
+    assert from_bytes == from_file
+
+
+def test_utf16_with_byte_order_mark_is_rejected_by_both_doors(tmp_path):
+    """``deserialize_json`` decoded UTF-16 bytes; a UTF-16 file, starting with 0xff 0xfe, is read as binary."""
+    from_bytes, from_file = _json_door(_CANONICAL.encode("utf-16"), tmp_path)
+    assert from_bytes[0] is MatrixInvariantError and "can't decode byte 0xff in position 0" in from_bytes[1]
+    assert from_file[0] is FormatVersionError
+
+
+def test_str_keeps_its_decoding():
+    """A ``str`` is parsed as it is: a BOM character is rejected, and JSON escapes and non-ASCII keys are read."""
+    assert _outcome(deserialize_json, "\ufeff" + _CANONICAL)[0] is MatrixInvariantError
+    assert "Unexpected UTF-8 BOM" in _outcome(deserialize_json, "\ufeff" + _CANONICAL)[1]
+    extra = _CANONICAL[:-1] + ', "\u00e9\ud800": "\\u00e9"}'
+    assert deserialize_json(extra) == deserialize_json(_CANONICAL)
+
+
+@pytest.mark.parametrize("decode, data", [
+    (deserialize, None), (deserialize, 3), (deserialize, "x" * 100), (deserialize, "abc"),
+    (deserialize_json, None), (deserialize_json, 3), (deserialize_json, [1]),
+    (deserialize_json, memoryview(_CANONICAL.encode())),
+], ids=["deserialize-None", "deserialize-int", "deserialize-str-100", "deserialize-str-3",
+        "deserialize_json-None", "deserialize_json-int", "deserialize_json-list", "deserialize_json-memoryview"])
+def test_decoder_argument_of_wrong_type_is_domain_error(decode, data):
+    """Each of these ended in a bare TypeError, or, for "abc", was read as a stream of 3 bytes."""
+    with pytest.raises(DomainError, match=rf"got {type(data).__name__}$"):
+        decode(data)
+
+
+def test_decoders_take_every_bytes_type():
+    matrix = build_matrix(9, 40, 6, seed=2)
+    data = serialize(matrix)
+    assert deserialize(bytearray(data)) == deserialize(memoryview(data)) == matrix
+    assert deserialize_json(bytearray(_CANONICAL.encode())) == deserialize_json(bytearray(_INDENTED.encode())) == matrix
+
+
 @pytest.mark.parametrize("edit", [
     ("[[", "[[ "), ("[[", "[[0"), ("[[[10", "[[[40"), ("], [", "]  ["), (", -1]", ", -01]"),
     (", 1]", ", +1]"), (", 1]", ", 11]"),
@@ -427,6 +512,14 @@ def test_non_integer_argument_is_domain_error(call):
     """Each of these was coerced, accepted or ended in a bare TypeError or AttributeError."""
     with pytest.raises(DomainError):
         call()
+
+
+def test_long_integer_is_shown_by_its_digit_count():
+    """10^5000 - 1 has 16610 bits, from which the estimate is 5001 digits; the count is corrected to 5000."""
+    with pytest.raises(DomainError, match=r"got an integer of 5000 digits$"):
+        check_int("n", 10**5000 - 1, 1, 10)
+    with pytest.raises(DomainError, match=r"got an integer of 5001 digits$"):
+        check_int("n", 10**5000, 1, 10)
 
 
 @pytest.mark.parametrize("call", [
