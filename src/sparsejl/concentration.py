@@ -92,7 +92,11 @@ def psi(t: float, p: float) -> float:
     leaves the float range (p below about 2e-103) it raises ``DomainError``.
     """
     p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
-    t = check_real("t", t, 0.0, math.log(1.0 / p) / 2.0)
+    return _psi(check_real("t", t, 0.0, math.log(1.0 / p) / 2.0), p)
+
+
+def _psi(t: float, p: float) -> float:
+    """:func:`psi` for a float ``t`` and ``p`` that its checks have passed."""
     try:
         base = math.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
         if t < 0.5:

@@ -84,9 +84,7 @@ def check_real(
     The message names the argument, the range and the value, e.g.
     ``eps must be finite and in (0, 1), got 2.0``.
     """
-    if type(value) is float:  # tested first: psi runs this per grid point
-        number = value
-    elif isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range

@@ -64,7 +64,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import streams, transform
-from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, chernoff_optimum_check, psi
+from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, _psi, chernoff_optimum_check
 from .errors import BudgetError, ConstraintViolation, DomainError, check_int, check_real, check_real_vector
 
 _UNIT_NORM_TOL = 1e-12
@@ -422,7 +422,7 @@ def check_psi_envelope(
             raise DomainError(
                 f"envelope scale {scale!r} at p = {p!r}: the envelope leaves the float range at t = {t!r}"
             ) from None
-        violation = psi(t, p) - envelope
+        violation = _psi(t, p) - envelope  # p is checked and 0 < t <= t_max < log(1/p)/2
         if violation > worst:
             worst, worst_t = violation, t
         if violation > PSI_ENVELOPE_SLACK:

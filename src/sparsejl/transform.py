@@ -41,18 +41,22 @@ exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
 [0, 2^64)) before sizing any array, and cast nothing they have not
 checked; the constructor checks the rest.  The JSON text is encoded with array
-operations, block by block, and a file is written and read as bytes.  One
-rule, :func:`deserialize_json`, decodes JSON, whether a caller's text or
-bytes or the bytes :func:`read_matrix` read from a file.  It first tries
-the canonical path on the bytes, one block at a time: it finds each entry
-by the ``]`` that follows its sign's ``1``, reads the row's digits
-leftwards from the comma, and accepts the block only if encoding it
-reproduces the text byte for byte.  Any other input, such as a
-pretty-printed document or one with its keys reordered, goes to the
-general decoder (bytes after strict UTF-8 decoding), which parses with
-:func:`json.loads` and converts the columns in blocks, accepting only lists
-of ``[row, sign]`` pairs of exact ``int`` values with signs -1/+1 and rows
-in [0, m); floats and bools are rejected rather than coerced.
+operations, block by block, and a file is written and read as bytes.
+:func:`read_matrix` routes a file by its first byte: an empty file or one
+starting below 0x09 is binary (the format opens with its version, 1), and
+any other file is JSON.  Both decoders read bytes.  :func:`deserialize`
+reads a ``bytes``, ``bytearray`` or C-contiguous ``memoryview`` through
+one flat byte view.  :func:`deserialize_json`, the one JSON rule, decodes
+a ``str`` as its UTF-8 bytes and first tries the canonical path on the
+bytes, one block at a time: it finds each entry by the ``]`` that follows
+its sign's ``1``, reads the row's digits leftwards from the comma, and
+accepts the block only if encoding it reproduces the text byte for byte.
+Any other input, such as a pretty-printed document or one with its keys
+reordered, goes to the general decoder (after strict UTF-8 decoding),
+which parses with :func:`json.loads` and converts the columns in blocks,
+accepting only lists of ``[row, sign]`` pairs of exact ``int`` values with
+signs -1/+1 and rows in [0, m); floats and bools are rejected rather than
+coerced.
 """
 
 from __future__ import annotations
@@ -95,10 +99,6 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # No code but ``_blocks`` reads the constant.
 _CHUNK_ENTRIES = 1 << 16
 
-# What may precede a JSON matrix's "{": whitespace, after one optional UTF-8
-# byte-order mark, so that such a file reaches the JSON decoder, which
-# rejects the mark, rather than the binary one.
-_JSON_WHITESPACE = re.compile(rb"(?:\xef\xbb\xbf)?[ \t\r\n]*")
 # The header that ends a canonical text; the decoder compares it with the
 # re-encoded header, which also fixes the version.
 _JSON_TAIL = re.compile(
@@ -120,8 +120,9 @@ class SparseJLMatrix:
     a DomainError, nothing is coerced), and a broken invariant raises
     MatrixInvariantError.  An array that does not own its data, such as a
     view or slice of a caller's array, is copied first; an array that owns
-    its data is kept.  The instance is frozen and its arrays are made
-    read-only.
+    its data is kept and made read-only in place, so a writable view the
+    caller made of it before construction can still change the matrix.
+    The instance is frozen and its arrays are read-only.
     """
 
     n: int
@@ -422,11 +423,17 @@ def serialize(matrix: SparseJLMatrix) -> bytes:
 def deserialize(data: bytes | bytearray | memoryview) -> SparseJLMatrix:
     """Decode :func:`serialize` output, checking all structural invariants.
 
-    ``data`` is ``bytes``, ``bytearray`` or a ``memoryview``; anything else
-    raises DomainError.
+    ``data`` is ``bytes``, ``bytearray`` or a ``memoryview``, read through
+    one flat byte view, so its length is counted in bytes whatever the
+    view's item type or shape.  Anything else, and a view that is not
+    C-contiguous, raises DomainError.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise DomainError(f"binary matrix data must be bytes, bytearray or memoryview, got {type(data).__name__}")
+    try:
+        data = memoryview(data).cast("B")
+    except (TypeError, ValueError) as exc:  # a strided or released view
+        raise DomainError(f"binary matrix data must be a readable C-contiguous buffer ({exc})") from None
     if len(data) < _HEADER.size:
         raise TruncatedStreamError(
             f"stream of {len(data)} bytes is shorter than the {_HEADER.size}-byte header"
@@ -584,19 +591,21 @@ def deserialize_json(text: str | bytes | bytearray) -> SparseJLMatrix:
     """Decode :func:`serialize_json` output, text or bytes, checking all structural invariants.
 
     This is the one JSON decoding rule, and :func:`read_matrix` hands it the
-    bytes of a JSON file.  The canonical path runs on the bytes (on the
-    UTF-8 bytes of a ``str``; canonical text is ASCII, so no other text
-    matches it).  Any other input is parsed by :func:`json.loads` with the
-    same checks and error messages: bytes after strict UTF-8 decoding, so a
-    byte-order mark or UTF-16 is rejected, and a ``str`` as it is.
-    Anything but ``str``, ``bytes`` or ``bytearray`` raises DomainError.
+    bytes of every file that does not start below 0x09.  It reads bytes: a
+    ``str`` is decoded as its UTF-8 bytes (lone surrogates included, which
+    the rule then rejects).  The canonical path runs on the bytes; any other
+    input is decoded as strict UTF-8, so a byte-order mark, UTF-16 or
+    UTF-32 is rejected, and parsed by :func:`json.loads` with the same
+    checks and error messages.  Anything but ``str``, ``bytes`` or ``bytearray`` raises
+    DomainError.
     """
     if not isinstance(text, (str, bytes, bytearray)):
         raise DomainError(f"JSON matrix text must be str, bytes or bytearray, got {type(text).__name__}")
-    matrix = _decode_canonical(text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text)
-    if matrix is None and not isinstance(text, str):
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    matrix = _decode_canonical(data)
+    if matrix is None:
         try:
-            text = text.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
     return _decode_document(text) if matrix is None else matrix
@@ -708,26 +717,22 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
     """
     if not isinstance(matrix, SparseJLMatrix):
         raise DomainError(f"matrix must be a SparseJLMatrix, got {type(matrix).__name__}")
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(serialize(matrix))
-    elif fmt == "json":
-        with open(path, "wb") as fh:
-            fh.writelines(_json_parts(matrix))
-    else:
+    if fmt not in ("binary", "json"):
         raise DomainError(f"unknown matrix format {fmt!r}, expected 'binary' or 'json'")
+    with open(path, "wb") as fh:
+        fh.writelines([serialize(matrix)] if fmt == "binary" else _json_parts(matrix))
 
 
 def read_matrix(path) -> SparseJLMatrix:
     """Load a matrix file, accepting either the binary or the JSON encoding.
 
-    A file whose first byte after JSON whitespace is ``{`` is JSON, also
-    after a UTF-8 byte-order mark, and its bytes go to
-    :func:`deserialize_json`, which rejects the mark; any other file goes
-    to :func:`deserialize` (a binary file starts with its version byte
-    0x01).
+    One byte routes the file: an empty file, or one whose first byte is
+    below 0x09, goes to :func:`deserialize` (the binary format opens with
+    its version, 1), and every other file to :func:`deserialize_json`.  So
+    JSON whitespace, ``{`` and every byte-order mark but UTF-32 big-endian's
+    (which opens with a zero byte) reach the JSON rule, which rejects all
+    but UTF-8 text without a mark.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    start = _JSON_WHITESPACE.match(data).end()
-    return deserialize_json(data) if data[start:start + 1] == b"{" else deserialize(data)
+    return deserialize(data) if data[:1] < b"\x09" else deserialize_json(data)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -659,3 +661,14 @@ class TestParsing:
         code, _, err = invoke(capsys, "plan", "--eps", "0.05", "--delta", "0.01")
         assert code == 1
         assert "--p" in err
+
+
+def test_import_loads_no_scipy_stats_or_optimize():
+    """Every CLI command starts by importing the package, so its import time is part of each command's
+    set-up time: a fresh ``import sparsejl`` loads only the scipy subpackages it uses (sparse, special)."""
+    src = os.path.dirname(os.path.dirname(transform.__file__))
+    code = ("import sys, sparsejl; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

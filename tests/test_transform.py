@@ -755,9 +755,10 @@ class TestSerialization:
         assert read_matrix(path) == matrix
 
     def test_only_json_whitespace_is_skipped(self, tmp_path):
+        """A file led by a vertical tab (0x0b) goes to the JSON rule, for which it is not whitespace."""
         path = tmp_path / "a.json"
         path.write_bytes(b"\x0b" + serialize_json(build_matrix(1, 4, 1, seed=0)).encode())
-        with pytest.raises(FormatVersionError):
+        with pytest.raises(MatrixInvariantError, match=r"malformed matrix document: Expecting value"):
             read_matrix(path)
 
 

@@ -8,6 +8,7 @@ with a SparseJLError, and every oracle or projection vector is a flat sequence
 of real numbers or a DomainError.
 """
 
+import codecs
 import json
 import math
 import tempfile
@@ -29,6 +30,7 @@ from sparsejl import (
     SparseJLError,
     SparseJLMatrix,
     TailEnvelope,
+    TruncatedStreamError,
     apply,
     apply_batch,
     bennet_h,
@@ -246,9 +248,9 @@ def edited_canonical_files(draw):
 
 
 def _read_as_text(path):
-    """``read_matrix`` as the text decoder ran it: UTF-8 text, then the general decoder."""
+    """``read_matrix`` with the general decoder for JSON: a file starting at 0x09 or above as UTF-8 text."""
     data = path.read_bytes()
-    if not data.removeprefix(b"\xef\xbb\xbf").lstrip(b" \t\r\n").startswith(b"{"):
+    if data[:1] < b"\x09":
         return deserialize(data)
     try:
         text = data.decode("utf-8")
@@ -335,18 +337,23 @@ def test_edited_json_bytes_decode_as_their_file(data, lead):
 
 
 def test_utf16_with_byte_order_mark_is_rejected_by_both_doors(tmp_path):
-    """``deserialize_json`` decoded UTF-16 bytes; a UTF-16 file, starting with 0xff 0xfe, is read as binary."""
+    """A UTF-16 file, starting with 0xff 0xfe, goes to the JSON rule, so both doors raise one error."""
     from_bytes, from_file = _json_door(_CANONICAL.encode("utf-16"), tmp_path)
     assert from_bytes[0] is MatrixInvariantError and "can't decode byte 0xff in position 0" in from_bytes[1]
-    assert from_file[0] is FormatVersionError
+    assert from_file == from_bytes
 
 
 def test_str_keeps_its_decoding():
-    """A ``str`` is parsed as it is: a BOM character is rejected, and JSON escapes and non-ASCII keys are read."""
+    """A ``str`` is decoded as its UTF-8 bytes: a BOM character is rejected, JSON escapes and non-ASCII
+    keys are read, and a lone surrogate is rejected as its bytes are."""
     assert _outcome(deserialize_json, "\ufeff" + _CANONICAL)[0] is MatrixInvariantError
     assert "Unexpected UTF-8 BOM" in _outcome(deserialize_json, "\ufeff" + _CANONICAL)[1]
-    extra = _CANONICAL[:-1] + ', "\u00e9\ud800": "\\u00e9"}'
+    extra = _CANONICAL[:-1] + ', "\u00e9\u20ac": "\\u00e9"}'
     assert deserialize_json(extra) == deserialize_json(_CANONICAL)
+    surrogate = _CANONICAL[:-1] + ', "\u00e9\ud800": "\\u00e9"}'
+    assert _outcome(deserialize_json, surrogate)[0] is MatrixInvariantError
+    surrogate_bytes = surrogate.encode("utf-8", "surrogatepass")
+    assert _outcome(deserialize_json, surrogate) == _outcome(deserialize_json, surrogate_bytes)
 
 
 @pytest.mark.parametrize("decode, data", [
@@ -366,6 +373,77 @@ def test_decoders_take_every_bytes_type():
     data = serialize(matrix)
     assert deserialize(bytearray(data)) == deserialize(memoryview(data)) == matrix
     assert deserialize_json(bytearray(_CANONICAL.encode())) == deserialize_json(bytearray(_INDENTED.encode())) == matrix
+
+
+_BINARY_FILE = serialize(build_matrix(4, 12, 3, seed=2))  # 96 bytes, a whole number of uint32 words
+_BYTES = np.frombuffer(_BINARY_FILE, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("view", [
+    _BYTES, _BYTES.view(np.uint16), _BYTES.view(np.uint32), _BYTES.reshape(8, 12), _BYTES.view(np.uint32).reshape(4, 6),
+], ids=["uint8", "uint16", "uint32", "2-d-uint8", "2-d-uint32"])
+def test_memoryview_is_measured_in_bytes(view):
+    """A C-contiguous view of any item type or shape is read as the file's 96 bytes, not as its item count."""
+    assert deserialize(memoryview(view)) == build_matrix(4, 12, 3, seed=2)
+
+
+def _released():
+    view = memoryview(_BINARY_FILE)
+    view.release()
+    return view
+
+
+@pytest.mark.parametrize("view, error", [
+    (memoryview(np.repeat(_BYTES, 2)[::2]), DomainError),
+    (memoryview(np.asfortranarray(_BYTES.reshape(8, 12))), DomainError),
+    (_released(), DomainError),
+    (memoryview(np.array(1, dtype=np.uint32)), TruncatedStreamError),
+], ids=["strided", "fortran-order", "released", "0-d"])
+def test_unreadable_memoryview_is_sparsejl_error(view, error):
+    """A view that is not C-contiguous, or is released, is a DomainError, not a bare BufferError or
+    ValueError; a 0-d view is read as its 4 bytes, shorter than the header."""
+    with pytest.raises(error):
+        deserialize(view)
+
+
+_LEADS = [codecs.BOM_UTF8, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE, codecs.BOM_UTF32_LE, codecs.BOM_UTF32_BE,
+          b"", b" ", b"\t", b"\r\n", b"\x0b", b"\x00", b"\x01"]
+routed_files = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda lead, text, encoding: lead + text.encode(encoding), st.sampled_from(_LEADS),
+              st.sampled_from([_CANONICAL, _INDENTED]),
+              st.sampled_from(["utf-8", "utf-16-le", "utf-16-be", "utf-32-le", "utf-32-be"])),
+)
+
+
+@FUZZ
+@given(routed_files)
+def test_read_matrix_routes_by_first_byte(data):
+    """A file goes to ``deserialize`` when empty or led by a byte below 0x09, else to ``deserialize_json``,
+    and gives exactly that decoder's matrix or SparseJLError."""
+    decoder = deserialize if data[:1] < b"\x09" else deserialize_json
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "A"
+        path.write_bytes(data)
+        from_file = _outcome(read_matrix, path)
+    assert from_file == _outcome(decoder, data)
+    assert isinstance(from_file, SparseJLMatrix) or issubclass(from_file[0], SparseJLError)
+
+
+@st.composite
+def texts_with_any_character(draw):
+    """Arbitrary text, or a canonical or edited one, with a character of any category, a lone surrogate
+    included, inserted at a uniform position."""
+    text = draw(st.one_of(st.text(max_size=40), edited_canonical_texts(), st.just(_INDENTED)))
+    char = draw(st.one_of(st.characters(exclude_categories=()), st.integers(0xD800, 0xDFFF).map(chr)))
+    i = draw(st.randoms(use_true_random=False)).randrange(len(text) + 1)
+    return text[:i] + char + text[i:]
+
+
+@FUZZ
+@given(texts_with_any_character())
+def test_str_decodes_as_its_utf8_bytes(text):
+    assert _outcome(deserialize_json, text) == _outcome(deserialize_json, text.encode("utf-8", "surrogatepass"))
 
 
 @pytest.mark.parametrize("edit", [
