@@ -249,13 +249,18 @@ def csv_text(rows):
     Each row must be a non-empty 1-D sequence of real numbers (see
     ``errors.check_real_vector``) and is printed as its float64 values;
     rows may differ in length.  Any other row raises ``DomainError`` naming
-    its index when ``csv_text`` is called, before any text is formed.
+    its index when ``csv_text`` is called, before any text is formed, and
+    ``rows`` that cannot be iterated raise ``DomainError`` naming its type.
     Values are comma-separated and each line ends with ``"\\n"``.  Rows are
     formatted in ``transform._blocks`` of whole rows, and a row longer than
     a block is cut by ``transform._blocks`` of single values; no float64
     row is copied, so memory stays bounded by the block size whatever the
     shape.
     """
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise DomainError(f"rows must be an iterable of vectors, got {type(rows).__name__}") from None
     vecs = [check_real_vector(f"row {i}", row) for i, row in enumerate(rows)]
     for i, vec in enumerate(vecs):
         if vec.size == 0:

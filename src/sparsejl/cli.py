@@ -35,12 +35,16 @@ def read_vectors(path) -> list[np.ndarray]:
 
     Lines with a non-ASCII character or a digit separator are rejected, not
     coerced: ``float()`` reads Arabic-Indic digits as digits, a no-break
-    space as a space and "1_0" as 10.
+    space as a space and "1_0" as 10.  A file that starts with a UTF-8
+    byte-order mark, as spreadsheet "CSV UTF-8" exports do, is rejected
+    with ``path:1: starts with a UTF-8 byte-order mark``.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
+                if lineno == 1 and line.startswith("\ufeff"):
+                    raise DomainError(f"{path}:1: starts with a UTF-8 byte-order mark")
                 text = line.strip()
                 if not text and line.isascii():
                     continue
@@ -68,7 +72,8 @@ def write_vectors(path, vectors) -> None:
     with ``"\\n"`` line ends on every platform.  Vectors may differ in
     length; each must be a non-empty 1-D sequence of real numbers, else
     ``DomainError`` names its index before the file is opened, so an
-    existing file is left as it was.
+    existing file is left as it was.  ``vectors`` that cannot be iterated
+    raise ``DomainError`` the same way.
     """
     text = csv_text(vectors)
     with open(path, "wb") as fh:

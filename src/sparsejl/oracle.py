@@ -529,9 +529,8 @@ def estimate_failure_prob(
     exact probabilities with > (0.0142) and with >= (0.0728).
     """
     eps = check_real("eps", eps, 0.0, math.inf)
-    n, m, s, seed = transform._validate_build_args(n, m, s, seed)
-    trials = check_int("trials", trials, 1)
     samples = squared_norm_samples(n, m, s, x, trials, seed)
+    n, m, s, trials, seed = int(n), int(m), int(s), int(trials), int(seed)
     failures = int(np.count_nonzero(np.abs(samples - 1.0) > eps))
     ci_low, ci_high = clopper_pearson(failures, trials)
     return TrialReport(

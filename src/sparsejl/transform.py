@@ -30,11 +30,12 @@ also the reference that the vectorized path is tested against bit for
 bit.
 
 Every :class:`SparseJLMatrix` is valid by construction: its constructor
-runs the one matrix rule (the header rule, uint32 rows and int8 signs of
-shape (n, s), rows in [0, m), signs -1/+1, distinct rows per column), and
-``validate()`` re-runs that rule.  ``build_matrix`` and the decoders build
-through it with arrays they own; an array that does not own its data is
-copied.  The instance is frozen with read-only arrays.
+copies the ``rows`` and ``signs`` arrays it is given and runs the one
+matrix rule, ``validate()`` (the header rule, uint32 rows and int8 signs of
+shape (n, s), rows in [0, m), signs -1/+1, distinct rows per column), on
+the copies.  ``build_matrix`` and the decoders build through it.  The
+instance is frozen with read-only arrays that it alone owns, and the
+caller's arrays are left as they were.
 
 Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
@@ -114,15 +115,12 @@ class SparseJLMatrix:
     ``signs`` holds -1/+1; the implied entries are signs/sqrt(s), so every
     column has unit norm by construction.
 
-    The constructor enforces this, so every instance is valid: the header
-    fields follow the stored header's rule and are kept as ``int``, ``rows``
-    must be a uint32 and ``signs`` an int8 ``np.ndarray`` (anything else is
-    a DomainError, nothing is coerced), and a broken invariant raises
-    MatrixInvariantError.  An array that does not own its data, such as a
-    view or slice of a caller's array, is copied first; an array that owns
-    its data is kept and made read-only in place, so a writable view the
-    caller made of it before construction can still change the matrix.
-    The instance is frozen and its arrays are read-only.
+    The constructor enforces this, so every instance is valid: it keeps
+    the header fields as ``int`` and C-contiguous copies of ``rows`` and
+    ``signs``, then runs :meth:`validate` on them.  The caller's arrays are
+    left as they were, writable or not, and nothing the caller holds, a
+    view included, can change the matrix.  The instance is frozen and its
+    arrays are read-only.
     """
 
     n: int
@@ -133,16 +131,35 @@ class SparseJLMatrix:
     signs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        """The one matrix rule: header, array types, shapes, row range, signs, distinct rows."""
         for name, value in zip(("n", "m", "s", "seed"), _check_header(self.n, self.m, self.s, self.seed)):
             object.__setattr__(self, name, value)
+        for name in ("rows", "signs"):
+            value = getattr(self, name)
+            if type(value) is np.ndarray:
+                object.__setattr__(self, name, value.copy())
+        self.validate()
+        self.rows.setflags(write=False)
+        self.signs.setflags(write=False)
+
+    @property
+    def scale(self) -> float:
+        return 1.0 / math.sqrt(self.s)
+
+    def validate(self) -> None:
+        """The one matrix rule: header, array types, shapes, row range, signs, distinct rows.
+
+        The header fields follow the stored header's rule, ``rows`` must be
+        a uint32 and ``signs`` an int8 ``np.ndarray`` (anything else is a
+        DomainError, nothing is coerced), and a broken invariant raises
+        MatrixInvariantError.  It checks the arrays the matrix holds and
+        copies nothing.
+        """
+        _check_header(self.n, self.m, self.s, self.seed)
         for name, dtype in (("rows", np.uint32), ("signs", np.int8)):
             value = getattr(self, name)
             if type(value) is not np.ndarray or value.dtype != dtype:
                 got = f"dtype {value.dtype}" if type(value) is np.ndarray else type(value).__name__
                 raise DomainError(f"{name} must be a numpy array of dtype {np.dtype(dtype)}, got {got}")
-            if not value.flags.owndata:  # a view's base could change it after the rule ran
-                object.__setattr__(self, name, value.copy())
         if self.rows.shape != (self.n, self.s) or self.signs.shape != (self.n, self.s):
             raise MatrixInvariantError(
                 f"entry count mismatch: expected {self.s} entries in each of {self.n} columns, "
@@ -153,16 +170,6 @@ class SparseJLMatrix:
         if np.count_nonzero(self.signs == 1) + np.count_nonzero(self.signs == -1) != self.signs.size:
             raise MatrixInvariantError("sign domain violated: signs must be -1 or +1")
         _check_distinct(self.rows)
-        self.rows.setflags(write=False)
-        self.signs.setflags(write=False)
-
-    @property
-    def scale(self) -> float:
-        return 1.0 / math.sqrt(self.s)
-
-    def validate(self) -> None:
-        """Re-run the constructor's matrix rule, raising as it does."""
-        self.__post_init__()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseJLMatrix):
@@ -352,6 +359,12 @@ def _project(rows: np.ndarray, signs: np.ndarray, m: int, x: np.ndarray) -> np.n
     return y
 
 
+def _check_matrix(matrix) -> None:
+    """Raise DomainError unless ``matrix`` is a :class:`SparseJLMatrix`."""
+    if not isinstance(matrix, SparseJLMatrix):
+        raise DomainError(f"matrix must be a SparseJLMatrix, got {type(matrix).__name__}")
+
+
 def _vector(matrix: SparseJLMatrix, x) -> np.ndarray:
     x = check_real_vector("x", x)
     if x.shape != (matrix.n,):
@@ -366,8 +379,10 @@ def apply(matrix: SparseJLMatrix, x) -> np.ndarray:
 
     ``x`` is a 1-D sequence of n real numbers (``errors.check_real_vector``,
     else DomainError; a wrong length raises DimensionMismatch).  Raises
-    DomainError when an entry of y is not finite.
+    DomainError when an entry of y is not finite, or when ``matrix`` is
+    not a :class:`SparseJLMatrix`.
     """
+    _check_matrix(matrix)
     y = _project(matrix.rows, matrix.signs, matrix.m, _vector(matrix, x))
     if not np.isfinite(y).all():
         raise DomainError("projected vector is not finite")
@@ -380,8 +395,15 @@ def apply_batch(matrix: SparseJLMatrix, vectors) -> list[np.ndarray]:
     Returns the rows of one (k, m) array; row i is bitwise equal to
     ``apply(matrix, vectors[i])``, and each vector is checked as ``apply``
     checks it.  Errors name the batch element: the first that is not a
-    vector of n real numbers, or whose projection is not finite.
+    vector of n real numbers, or whose projection is not finite.  A
+    ``matrix`` that is not a :class:`SparseJLMatrix`, or ``vectors`` that
+    cannot be iterated, raise DomainError.
     """
+    _check_matrix(matrix)
+    try:
+        vectors = iter(vectors)
+    except TypeError:
+        raise DomainError(f"vectors must be an iterable of vectors, got {type(vectors).__name__}") from None
     xs = []
     for i, x in enumerate(vectors):
         try:
@@ -413,6 +435,7 @@ def serialize(matrix: SparseJLMatrix) -> bytes:
     Each column record is s little-endian pairs of (uint32 row, sign byte)
     with 0x00 = -1 and 0x01 = +1.
     """
+    _check_matrix(matrix)
     header = _HEADER.pack(FORMAT_VERSION, matrix.n, matrix.m, matrix.s, matrix.seed)
     entries = np.empty(matrix.n * matrix.s, dtype=_ENTRY_DTYPE)
     entries["row"] = matrix.rows.ravel()
@@ -457,7 +480,7 @@ def deserialize(data: bytes | bytearray | memoryview) -> SparseJLMatrix:
     signs = sign_bytes.astype(np.int8)
     signs += signs
     signs -= 1
-    rows = entries["row"].astype(np.uint32)
+    rows = entries["row"].astype(np.uint32, copy=False)
     return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
 
 
@@ -468,6 +491,7 @@ def serialize_json(matrix: SparseJLMatrix) -> str:
     of the document ``{"columns": [[[row, sign], ...], ...], "format_version",
     "m", "n", "s", "seed"}``, written directly from the arrays.
     """
+    _check_matrix(matrix)
     return b"".join(_json_parts(matrix)).decode("ascii")
 
 
@@ -715,8 +739,7 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
     raises DomainError before the file is opened, so an existing file is
     left as it was.
     """
-    if not isinstance(matrix, SparseJLMatrix):
-        raise DomainError(f"matrix must be a SparseJLMatrix, got {type(matrix).__name__}")
+    _check_matrix(matrix)
     if fmt not in ("binary", "json"):
         raise DomainError(f"unknown matrix format {fmt!r}, expected 'binary' or 'json'")
     with open(path, "wb") as fh:

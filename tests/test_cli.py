@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from sparsejl import DomainError, PlanRequest, SparseJLMatrix, min_dimension, read_matrix
 from sparsejl import _csvtext, transform
 from sparsejl._csvtext import csv_text
-from sparsejl.cli import run, write_vectors
+from sparsejl.cli import read_vectors, run, write_vectors
 from sparsejl.transform import _CHUNK_ENTRIES, write_matrix
 
 
@@ -224,6 +225,21 @@ class TestBuildTransform:
         )
         assert code == 1
         assert err.startswith("error:") and "in.csv" in err and "UTF-8" in err and err.count("\n") == 1
+
+    def test_vector_file_with_byte_order_mark_names_it(self, capsys, tmp_path):
+        """A spreadsheet "CSV UTF-8" export starts with a BOM: rejected, with the BOM named as the cause."""
+        invoke(capsys, "build", "--n", "3", "--m", "4", "--s", "1", "--seed", "1",
+               "--out", str(tmp_path / "A.bin"))
+        vec_in = tmp_path / "bom.csv"
+        vec_in.write_bytes("\ufeff1,2,3\n".encode("utf-8"))
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(vec_in))}:1: starts with a UTF-8 byte-order mark$"):
+            read_vectors(vec_in)
+        out = tmp_path / "o.csv"
+        code, stdout, err = invoke(capsys, "transform", "--matrix", str(tmp_path / "A.bin"),
+                                   "--in", str(vec_in), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {vec_in}:1: starts with a UTF-8 byte-order mark\n"
+        assert not out.exists()
 
     def test_non_finite_projection_is_validation_error(self, capsys, tmp_path):
         """Entries of 1e308 overflow the sums; nothing is written."""

@@ -14,9 +14,11 @@ from sparsejl import (
     ConstraintViolation,
     DomainError,
     PlanRequest,
+    TailEnvelope,
     bounds_table,
     bounds_to_csv,
     min_dimension,
+    sub_poisson_tail,
 )
 
 P30 = 1.0 / 30.0
@@ -124,6 +126,31 @@ class TestMinDimension:
         """At eps = p log(1/2p), the smallest p * m_min for its p, the floor still holds."""
         result = min_dimension(PlanRequest(PlanRequest(0.5 * p, 0.999, p).eps_limit, 0.999, p))
         assert result.s_implied >= 11
+
+    def test_plan_is_the_sub_poisson_tail_inverted(self):
+        """m_min is the least m whose two-sided sub-Poisson tail at deviation m p eps is at most delta.
+
+        |Ax|^2 - 1 scaled by m p has the envelope v = 2 m p^2, k = 50, so the
+        tail at m is 2 sub_poisson_tail(TailEnvelope(2 m p^2, 50), m p eps).
+        Over the 70 valid plans of the grid the closest ratios to delta are
+        0.99999985 at m_min and 1.0000003 at m_min - 1; no slack is allowed.
+        """
+        def tail(m, eps, p):
+            return 2.0 * sub_poisson_tail(TailEnvelope(2.0 * m * p * p, 50.0), m * p * eps)
+
+        plans = 0
+        for eps in (0.01, 0.02, 0.03, 0.05, 0.08):
+            for delta in (1e-6, 1e-3, 0.01, 0.1, 0.5):
+                for p in (P30, 0.02, 0.01, 0.005, 0.001):
+                    try:
+                        req = PlanRequest(eps, delta, p)
+                    except ConstraintViolation:
+                        continue
+                    plans += 1
+                    m_min = min_dimension(req).m_min
+                    assert tail(m_min, eps, p) <= delta, (eps, delta, p)
+                    assert tail(m_min - 1, eps, p) > delta, (eps, delta, p)
+        assert plans == 70
 
     @pytest.mark.parametrize("eps,p", [(1.07e-153, 3e-156), (1e-300, P30)],
                              ids=["bound-overflow", "eps-squared-underflow"])

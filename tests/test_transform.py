@@ -266,11 +266,40 @@ class TestMatrixRule:
         assert matrix.rows.tolist() == [[0, 3]] and matrix.signs.tolist() == [[1, -1]]
         matrix.validate()
 
-    def test_owning_arrays_are_kept(self):
-        """Arrays that own their data, as ``build_matrix`` and the decoders pass, are not copied."""
-        parts = probe_parts()
-        matrix = SparseJLMatrix(**parts)
-        assert matrix.rows is parts["rows"] and matrix.signs is parts["signs"]
+    def test_owning_arrays_are_copied(self):
+        """A view made of an owning array before construction cannot change the matrix, and the caller's arrays stay writable."""
+        own = np.array([[0, 3]], dtype=np.uint32)
+        own_signs = np.array([[1, -1]], dtype=np.int8)
+        v, v_signs = own[:], own_signs[:]
+        matrix = SparseJLMatrix(**probe_parts(rows=own, signs=own_signs))
+        y = apply(matrix, [1.0])
+        v[0, 1] = 0
+        v_signs[0, 0] = 0
+        assert_bitwise(apply(matrix, [1.0]), y)
+        assert matrix.rows.tolist() == [[0, 3]] and matrix.signs.tolist() == [[1, -1]]
+        matrix.validate()
+        assert own.flags.writeable and own_signs.flags.writeable
+        assert own.tolist() == [[0, 0]] and own_signs.tolist() == [[0, -1]]
+
+    @pytest.mark.parametrize("layout", ["owning", "view", "slice", "fortran"])
+    def test_held_arrays_are_read_only_contiguous_copies(self, layout):
+        """Whatever the caller passes, the matrix holds C-contiguous read-only arrays that own their data."""
+        rows = np.array([[0, 3, 1], [2, 1, 0]], dtype=np.uint32)
+        signs = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        rows, signs = {
+            "owning": (rows[:, :2].copy(), signs[:, :2].copy()),
+            "view": (rows[:, :2], signs[:, :2]),
+            "slice": (rows[:, ::2], signs[:, ::2]),
+            "fortran": (np.asfortranarray(rows[:, :2]), np.asfortranarray(signs[:, :2])),
+        }[layout]
+        matrix = SparseJLMatrix(**probe_parts(n=2, rows=rows, signs=signs))
+        held = matrix.rows, matrix.signs
+        for mine, given in zip(held, (rows, signs)):
+            assert mine is not given and np.array_equal(mine, given)
+            assert mine.flags.c_contiguous and mine.flags.owndata and not mine.flags.writeable
+            assert given.flags.writeable
+        matrix.validate()
+        assert matrix.rows is held[0] and matrix.signs is held[1]
 
     def test_negative_seed(self):
         with pytest.raises(MatrixInvariantError, match=r"header field seed must be an integer in \[0, 2\^64\), got -1"):

@@ -55,9 +55,9 @@ from sparsejl import (
     squared_norm_samples,
     sub_poisson_tail,
 )
-from sparsejl.cli import read_vectors, run
+from sparsejl.cli import read_vectors, run, write_vectors
 from sparsejl.errors import check_int, check_real
-from sparsejl.transform import _ENTRY_DTYPE, _HEADER, _check_header, _decode_document, read_matrix
+from sparsejl.transform import _ENTRY_DTYPE, _HEADER, _check_header, _decode_document, read_matrix, write_matrix
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -366,6 +366,29 @@ def test_decoder_argument_of_wrong_type_is_domain_error(decode, data):
     """Each of these ended in a bare TypeError, or, for "abc", was read as a stream of 3 bytes."""
     with pytest.raises(DomainError, match=rf"got {type(data).__name__}$"):
         decode(data)
+
+
+@pytest.mark.parametrize("call", [
+    lambda path: apply(None, [1.0]), lambda path: apply_batch(None, [[1.0]]), lambda path: serialize(None),
+    lambda path: serialize_json(None), lambda path: write_matrix(path, None),
+], ids=["apply", "apply_batch", "serialize", "serialize_json", "write_matrix"])
+def test_matrix_argument_of_wrong_type_is_domain_error(call, tmp_path):
+    """All but write_matrix ended in a bare AttributeError."""
+    with pytest.raises(DomainError, match="^matrix must be a SparseJLMatrix, got NoneType$"):
+        call(tmp_path / "A.bin")
+    assert not (tmp_path / "A.bin").exists()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda path: apply_batch(build_matrix(2, 4, 1, seed=0), 5), "vectors must be an iterable of vectors, got int"),
+    (lambda path: write_vectors(path, 5), "rows must be an iterable of vectors, got int"),
+    (lambda path: write_vectors(path, None), "rows must be an iterable of vectors, got NoneType"),
+], ids=["apply_batch-int", "write_vectors-int", "write_vectors-None"])
+def test_batch_that_is_not_iterable_is_domain_error(call, message, tmp_path):
+    """These ended in a bare TypeError; no file is written."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(tmp_path / "y.csv")
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_decoders_take_every_bytes_type():
