@@ -153,7 +153,7 @@ def _cmd_check(args) -> int:
     # Checked before the first oracle prints its line.  A sweep without
     # q >= 2 checks nothing.
     qmax = check_int("--qmax", args.qmax, 1)
-    grid_points = check_int("--grid-points", args.grid_points, 1)
+    grid_points = oracle._check_grid_points("--grid-points", args.grid_points)
     moment_qmax = check_int("--moment-qmax", args.moment_qmax, 2, oracle.MAX_MOMENT_ORDER)
     results = []
 

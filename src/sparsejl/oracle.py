@@ -11,31 +11,40 @@ oracle.
 
 The exact oracles form z = (sum_i S_i^2 - T)/s from its definition for
 every configuration they enumerate, apply their statistic to it and sum
-with exact ``math.fsum``.  E[Z^q] (``exact_moment_Z``) is the one-row case
-of the majorization right side, a sum over iid Bernoulli selections of
-the cells of an m x n grid.  The rows are independent and a value does
-not change when every sign of one row flips, so each row runs over its
-(3^n+1)/2 classes (first selected sign +, a nonempty class counted twice)
-and the rows combine by outer sums, ((3^n+1)/2)^m raw values, each with
-its multiplicity, its number w of selected cells and its count of them
-per column.  Only a single row of more than seven cells, the longest row
-a grid of two or more rows can have under the budget, is split: it takes
-every sign pattern of its first n - 7 cells and the classes of its last
-seven, (3^n + 3^(n-7))/2 values.  One private engine, ``_exact_sums``,
-makes the pass and returns two exact ``math.fsum`` sums of a statistic
-f: the iid sum of f(z) * mult * p^w (1-p)^(N-w) / 2^w over the N = m n
-cells, and, for a caller that asks for it, the kept sum of f(z) * mult
-over the values whose count of selected cells is s in every column.  A
-moment and a majorization right side are iid sums of z^q; the left side,
-where each column picks exactly s rows, is iid selection conditioned on
-every column holding s cells, the kept sum over its 2^(ns) C(m,s)^n
-selections and sign patterns.  One budget,
+exactly, rounding each sum once as ``math.fsum`` does.  E[Z^q]
+(``exact_moment_Z``) is the one-row case of the majorization right side,
+a sum over iid Bernoulli selections of the cells of an m x n grid.  The
+rows are independent and a value does not change when every sign of one
+row flips, so each row runs over its (3^n+1)/2 classes (first selected
+sign +, a nonempty class counted twice) and the rows combine by outer
+sums, ((3^n+1)/2)^m raw values, each with its multiplicity, its number w
+of selected cells and its count of them per column.  Only a single row
+of more than seven cells, the longest row a grid of two or more rows can
+have under the budget, is split: it takes every sign pattern of its
+first n - 7 cells and the classes of its last seven, (3^n + 3^(n-7))/2
+values.  One private engine, ``_exact_sums``, makes the pass and returns
+two exact sums of a statistic f: the iid sum of f(z) * mult * p^w
+(1-p)^(N-w) / 2^w over the N = m n cells, and, for a caller that asks
+for it, the kept sum of f(z) * mult over the values whose count of
+selected cells is s in every column.  Each sum is an ``_ExactSum``, an
+exponent-bucket accumulator (Neal's small superaccumulator):
+``np.frexp`` splits every term into halves of its integer significand,
+``np.bincount`` adds them per exponent, and the budget keeps every
+bucket total an exact float64 below 2^51, so the one rounding,
+``math.fsum`` over the buckets, gives ``math.fsum`` of the terms bit for
+bit with no Python float per term.  A NaN or infinite term, or a sum
+that leaves the float range, raises ``DomainError``.  A moment and a
+majorization right side are iid sums of z^q, taken as |z|^q (with the
+sign of z for odd q) so that numpy's vector ``pow`` takes every value;
+the left side, where each column picks exactly s rows, is iid selection
+conditioned on every column holding s cells, the kept sum over its
+2^(ns) C(m,s)^n selections and sign patterns.  One budget,
 ``ENUMERATION_BUDGET`` = 10^7, is the one rule on the size of a spec:
 3^n <= 10^7 for a moment (n <= 14) and 3^(mn) <= 10^7 for a majorization
-spec (mn <= 14), whose order q is even and at most 100.  Working
-arrays stay within blocks of about ``transform._CHUNK_ENTRIES`` / 16
-values, and no value depends on the block size; the Monte Carlo blocks
-its trials by the same rule, ``transform._blocks``.  Every oracle vector
+spec (mn <= 14), whose order q is even and at most 100.  Working arrays
+stay within blocks of about ``transform._CHUNK_ENTRIES`` / 16 values,
+and no value depends on the block size; the Monte Carlo blocks its
+trials by the same rule, ``transform._blocks``.  Every oracle vector
 ``x`` goes through one rule: a flat sequence of real numbers, of the
 length n where the caller fixes it, non-empty (else ``DomainError``) and
 a unit vector (else ``ConstraintViolation``); the specs keep it as a
@@ -58,7 +67,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.special import betaincinv
@@ -103,6 +111,14 @@ def _check_budget(count: str, cells: int) -> None:
     # Past the budget's bit length even 2^cells exceeds it, so no huge power is formed.
     if cells > ENUMERATION_BUDGET.bit_length() or 3**cells > ENUMERATION_BUDGET:
         raise BudgetError(f"enumeration budget exceeded: {count} = 3^{cells} > {ENUMERATION_BUDGET}")
+
+
+def _check_grid_points(name: str, value) -> int:
+    """A grid size as an int: at least 1 (else ``DomainError``), at most ``ENUMERATION_BUDGET`` (``BudgetError``)."""
+    points = check_int(name, value, 1)
+    if points > ENUMERATION_BUDGET:
+        raise BudgetError(f"enumeration budget exceeded: {name} = {points} > {ENUMERATION_BUDGET}")
+    return points
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,7 +225,73 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
         yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
 
 
-def _exact_sums(x: np.ndarray, m: int, s: int, p: float, f, kept: bool) -> tuple[float, float | None]:
+class _ExactSum:
+    """A running sum of float64 terms that ``total`` rounds to ``math.fsum`` of every term added, bit for bit.
+
+    Each nonzero term is an integer significand M, |M| < 2^53, times
+    2^(e-53), with e its ``np.frexp`` exponent.  M splits exactly into a
+    high half H = trunc(M / 2^26), |H| < 2^27, and a low half
+    M / 2^26 - H, a multiple of 2^-26 below 1 in size, and ``np.bincount``
+    adds each half into the bucket of e (Neal's small superaccumulator).
+    While at most 2^24 terms are added (``_MAX_TERMS``, above
+    ``ENUMERATION_BUDGET``), every bucket total is a multiple of 2^-26 below
+    2^51 in size, so float64 adds it exactly, block after block.  ``total``
+    scales the buckets in use by 2^(e-27), exactly, with ``np.ldexp``, and
+    rounds them once with ``math.fsum`` (Shewchuk's algorithm, correctly
+    rounded; zero buckets add nothing), so the result is ``math.fsum`` of
+    the terms however they were split into blocks.  A sum of finite terms
+    whose bucket or rounded total leaves the float range raises
+    ``OverflowError``, as ``math.fsum`` does.  Terms must be finite: a NaN
+    or infinite term spoils every later total.
+    """
+
+    # frexp exponents of finite float64 values: -1073 (2^-1074) .. 1024.
+    _LOW = -1073
+    _SCALES = np.arange(1024 - _LOW + 1) + _LOW - 27
+    _MAX_TERMS = 1 << 24
+
+    def __init__(self):
+        # Row 0 sums the high halves, row 1 the low halves; columns [_first, _end) are in use.
+        self._sums = np.zeros((2, len(self._SCALES)))
+        self._first, self._end = len(self._SCALES), 0
+        self._count = 0
+
+    def add(self, terms: np.ndarray) -> None:
+        """Add every element of the float64 array ``terms``."""
+        if terms.size == 0:
+            return
+        self._count += terms.size
+        if self._count > self._MAX_TERMS:
+            raise BudgetError(f"exact sum of more than {self._MAX_TERMS} terms")
+        significand, exponent = np.frexp(terms.ravel())
+        significand *= 2.0**27
+        high = np.trunc(significand)
+        significand -= high
+        least = int(exponent.min())
+        bucket = exponent - least
+        high = np.bincount(bucket, high)
+        used = slice(least - self._LOW, least - self._LOW + len(high))
+        self._sums[0, used] += high
+        self._sums[1, used] += np.bincount(bucket, significand)
+        self._first, self._end = min(self._first, used.start), max(self._end, used.stop)
+
+    def total(self) -> float:
+        """``math.fsum`` of every term added so far."""
+        used = slice(self._first, self._end)
+        with np.errstate(over="ignore"):  # checked on the next line
+            parts = np.ldexp(self._sums[:, used], self._SCALES[used])
+        if not np.isfinite(parts).all():
+            raise OverflowError("a bucket of the exact sum leaves the float range")
+        return math.fsum(parts.ravel().tolist())
+
+
+def _power(z: np.ndarray, q: int) -> np.ndarray:
+    """z^q as |z|^q, given the sign of z for odd q, so numpy's vector ``pow`` takes every value."""
+    magnitude = np.abs(z) ** q
+    return np.copysign(magnitude, z) if q % 2 else magnitude
+
+
+def _exact_sums(name: str, x: np.ndarray, m: int, s: int, p: float, f, kept: bool) -> tuple[float, float | None]:
     """The two exact sums of a statistic f over one pass of ``_row_class_values(x, m, s)``: (iid, kept).
 
     ``iid`` is the ``math.fsum`` of f(z) * mult * c[w], where
@@ -219,21 +301,30 @@ def _exact_sums(x: np.ndarray, m: int, s: int, p: float, f, kept: bool) -> tuple
     the values whose count of selected cells is s in every column, left
     undivided; it is collected only when ``kept`` is true, and is None
     otherwise.  f(z) * mult is formed once per block and then weighted.
+    Each sum is an ``_ExactSum``: per exponent, its buckets add the two
+    halves of the terms' integer significands, and for the at most
+    3^14 < 2^24 terms ``ENUMERATION_BUDGET`` allows every bucket total
+    stays an exact float64 below 2^51, so the sums are ``math.fsum`` of the
+    terms, bit for bit, with no Python float per term.  The oracles' f is
+    ``_power``, z^q taken as |z|^q.  A NaN or infinite f(z) * mult, or a sum
+    that leaves the float range, raises ``DomainError`` naming the oracle
+    ``name``.
     """
     cells = m * len(x)
     c = np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
     keep = s * (((m + 1) ** len(x) - 1) // m)  # the key of s cells in each column
-    kept_terms = []
-
-    def iid_terms():
-        for z, mult, w, key in _row_class_values(x, m, s):
-            v = f(z) * mult
-            if kept:
-                kept_terms.extend(v[key == keep].tolist())
-            yield (v * c[w]).ravel().tolist()
-
-    iid = math.fsum(chain.from_iterable(iid_terms()))
-    return iid, math.fsum(kept_terms) if kept else None
+    iid, kept_sum = _ExactSum(), _ExactSum()
+    for z, mult, w, key in _row_class_values(x, m, s):
+        v = f(z) * mult
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name}: the statistic is NaN or infinite at some configuration")
+        iid.add(v * c[w])
+        if kept:
+            kept_sum.add(v[key == keep])
+    try:
+        return iid.total(), kept_sum.total() if kept else None
+    except OverflowError:
+        raise DomainError(f"{name}: an exact sum leaves the float range") from None
 
 
 @dataclass(frozen=True)
@@ -263,7 +354,8 @@ def exact_moment_Z(spec: MomentSpec) -> float:
     ``_row_class_values`` with one row and s = 1, over the (3^n+1)/2 row
     classes, and E[Z^q] is the iid sum of ``_exact_sums`` of z^q at rate p.
     """
-    return _exact_sums(np.asarray(spec.x, dtype=np.float64), 1, 1, spec.p, lambda z: z**spec.q, kept=False)[0]
+    x = np.asarray(spec.x, dtype=np.float64)
+    return _exact_sums("exact_moment_Z", x, 1, 1, spec.p, lambda z: _power(z, spec.q), kept=False)[0]
 
 
 def moment_bound_rhs(p: float, q: int) -> float:
@@ -374,7 +466,8 @@ def check_majorization(spec: MajorizationSpec) -> tuple[float, float]:
     sign patterns and the C(m,s)^n assignments.
     """
     n, m, s, q = spec.n, spec.m, spec.s, spec.q
-    rhs, kept = _exact_sums(np.asarray(spec.x, dtype=np.float64), m, s, s / m, lambda z: z**q, kept=True)
+    x = np.asarray(spec.x, dtype=np.float64)
+    rhs, kept = _exact_sums("check_majorization", x, m, s, s / m, lambda z: _power(z, q), kept=True)
     return kept / 2 ** (n * s) / math.comb(m, s) ** n, rhs
 
 
@@ -402,13 +495,14 @@ def check_psi_envelope(
     The grid covers (0, log(1/(2p))/2] with ``grid_points`` equispaced
     points; a point counts as a violation when psi exceeds the envelope by
     more than ``PSI_ENVELOPE_SLACK`` = 1e-12.  ``scale`` must be positive
-    and finite, and ``grid_points`` an integer >= 1 (``int`` or numpy).  A
-    scale or p whose envelope leaves the float range on the grid raises
+    and finite, and ``grid_points`` an integer >= 1 (``int`` or numpy); a
+    grid of more than ``ENUMERATION_BUDGET`` points raises ``BudgetError``.
+    A scale or p whose envelope leaves the float range on the grid raises
     ``DomainError``.
     """
     p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
     scale = check_real("envelope scale", scale, 0.0, math.inf)
-    grid_points = check_int("grid_points", grid_points, 1)
+    grid_points = _check_grid_points("grid_points", grid_points)
     t_max = math.log(1.0 / (2.0 * p)) / 2.0
     worst = -math.inf
     worst_t = math.nan

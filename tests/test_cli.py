@@ -665,6 +665,13 @@ class TestCheck:
         assert code == 2
         assert "budget" in err
 
+    def test_grid_beyond_the_budget_stops_before_any_check(self, capsys):
+        """At about 1 us a point, --grid-points 10000000000 ran for hours."""
+        code, out, err = invoke(capsys, "check", "--grid-points", "10000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumeration budget exceeded: --grid-points = 10000000000 > 10000000\n"
+
 
 class TestParsing:
     def test_unknown_flag_is_validation_error(self, capsys):

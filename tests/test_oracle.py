@@ -19,6 +19,8 @@ from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from sparsejl import (
@@ -145,8 +147,9 @@ def unshared_sums(x, m, s, p, q):
 
     def iid_terms():
         for z, mult, w, key in oracle._row_class_values(x, m, s):
-            kept.extend((z**q * mult)[key == keep].tolist())
-            yield (z**q * mult * c[w]).ravel().tolist()
+            power = oracle._power(z, q)
+            kept.extend((power * mult)[key == keep].tolist())
+            yield (power * mult * c[w]).ravel().tolist()
 
     iid = math.fsum(chain.from_iterable(iid_terms()))
     return iid, math.fsum(kept)
@@ -228,6 +231,15 @@ class TestExactMomentZ:
                 expected = 2.0 * p * p * cross
                 got = exact_moment_Z(MomentSpec(tuple(x), p, 2))
                 assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_second_moment_closed_form_at_the_budget(self):
+        """E[Z^2] = 2 p^2 sum_{i != j} x_i^2 x_j^2 at n = 14, the largest n the budget accepts."""
+        x = np.random.default_rng(14).standard_normal(14)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        for p in (1 / 30, 0.5):
+            expected = 2.0 * p * p * math.fsum(a * a * b * b for i, a in enumerate(x)
+                                               for j, b in enumerate(x) if i != j)
+            assert exact_moment_Z(MomentSpec(x, p, 2)) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_per_mask_loop(self):
         rng = np.random.default_rng(31)
@@ -525,6 +537,35 @@ class TestExactSums:
             for q in (1, 2, 3, 4, 6):
                 assert exact_moment_Z(MomentSpec(x, p, q)) == unshared_sums(x, 1, 1, p, q)[0]
 
+    @pytest.mark.parametrize("n, p, q", [(13, 1 / 30, 3), (14, 0.5, 4)])
+    def test_moments_at_the_budget(self, n, p, q):
+        x = np.random.default_rng(n).standard_normal(n)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        assert exact_moment_Z(MomentSpec(x, p, q)) == unshared_sums(x, 1, 1, p, q)[0]
+
+    @pytest.mark.parametrize("n, m, s", [(2, 7, s) for s in range(1, 8)] + [(7, 2, 1)])
+    def test_majorization_at_the_budget(self, n, m, s):
+        """m n = 14: seven rows of two cells, and two rows of seven."""
+        x = np.random.default_rng(n * m + s).standard_normal(n)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        rhs, kept = unshared_sums(x, m, s, s / m, 4)
+        lhs = kept / 2 ** (n * s) / math.comb(m, s) ** n
+        assert check_majorization(MajorizationSpec(n, m, s, 4, x)) == (lhs, rhs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_statistic_that_is_not_finite_is_domain_error(self, value):
+        """math.fsum returned inf or nan for such terms without complaint."""
+        x = np.array([0.6, 0.8])
+        for name, m, kept in (("exact_moment_Z", 1, False), ("check_majorization", 2, True)):
+            with pytest.raises(DomainError, match=f"^{name}: the statistic is NaN or infinite"):
+                oracle._exact_sums(name, x, m, 1, 0.5, lambda z: np.full_like(z, value), kept)
+
+    def test_sum_beyond_the_float_range_is_domain_error(self):
+        """Each term is finite, but the kept sum of the four patterns of two cells, 4 x 8e307, is not."""
+        x = np.array([0.6, 0.8])
+        with pytest.raises(DomainError, match="^check_majorization: an exact sum leaves the float range$"):
+            oracle._exact_sums("check_majorization", x, 1, 1, 0.5, lambda z: np.full_like(z, 8e307), True)
+
     def test_majorization_at_criterion_5(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
@@ -537,6 +578,54 @@ class TestExactSums:
                             rhs, kept = unshared_sums(x, m, s, s / m, q)
                             lhs = kept / 2 ** (n * s) / math.comb(m, s) ** n
                             assert check_majorization(MajorizationSpec(n, m, s, q, x)) == (lhs, rhs)
+
+
+# Finite float64 values of every size: subnormals, both zeros and magnitudes from 1e-300 to 1e300,
+# and full 53-bit integers over a narrow range of scales, whose sums need more than 53 bits and round.
+finite_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-60, 60)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308]),
+)
+
+
+class TestExactSum:
+    """The exponent-bucket accumulator is ``math.fsum``, bit for bit, whatever the blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.lists(finite_floats, max_size=200), st.integers(0, 200))
+    def test_equals_fsum_bitwise(self, data, values, cancelled):
+        # Negated copies of the first values cancel exactly.
+        terms = data.draw(st.permutations(values + [-v for v in values[:cancelled]]))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=6)))
+        acc = oracle._ExactSum()
+        for block in np.split(np.array(terms, dtype=np.float64), cuts):
+            acc.add(block)
+        assert acc.total().hex() == math.fsum(terms).hex()
+
+    def test_sum_just_above_a_tie(self):
+        """2^53 + (1 + 2^-52) rounds up to 2^53 + 2, but 2^53 + 1 alone ties down to 2^53."""
+        acc = oracle._ExactSum()
+        acc.add(np.array([2.0**53, 1.0 + 2.0**-52]))
+        assert acc.total() == 2.0**53 + 2
+
+    def test_many_terms_in_one_bucket(self):
+        """2^20 random significands of one exponent: each half's bucket total stays exact."""
+        terms = np.random.default_rng(20).uniform(0.5, 1.0, 1 << 20)
+        for blocks in (1, 7):
+            acc = oracle._ExactSum()
+            for block in np.array_split(terms, blocks):
+                acc.add(block)
+            assert acc.total().hex() == math.fsum(terms.tolist()).hex()
+
+    def test_term_count_is_bounded(self, monkeypatch):
+        """Past _MAX_TERMS terms a bucket total might not be exact, so the sum stops."""
+        monkeypatch.setattr(oracle._ExactSum, "_MAX_TERMS", 10)
+        acc = oracle._ExactSum()
+        acc.add(np.ones(10))
+        with pytest.raises(BudgetError, match="more than 10 terms"):
+            acc.add(np.ones(1))
 
 
 class TestPsiEnvelope:
@@ -574,6 +663,11 @@ class TestPsiEnvelope:
         with pytest.raises(DomainError, match=match):
             check_psi_envelope(1 / 30, **{"grid_points": 10, **kwargs})
 
+    @pytest.mark.parametrize("points", [oracle.ENUMERATION_BUDGET + 1, 10**10])
+    def test_grid_beyond_the_budget_is_budget_error(self, points):
+        """At about 1 us a point, 10^10 points ran for hours."""
+        with pytest.raises(BudgetError, match=f"grid_points = {points} > {oracle.ENUMERATION_BUDGET}"):
+            check_psi_envelope(1 / 30, grid_points=points)
 
     @pytest.mark.parametrize("scale", [1000.0, 1e-300], ids=["overflows", "squared-underflows"])
     def test_envelope_beyond_float_range_is_domain_error(self, scale):
