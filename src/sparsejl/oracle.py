@@ -306,18 +306,23 @@ def _exact_sums(name: str, x: np.ndarray, m: int, s: int, p: float, f, kept: boo
     3^14 < 2^24 terms ``ENUMERATION_BUDGET`` allows every bucket total
     stays an exact float64 below 2^51, so the sums are ``math.fsum`` of the
     terms, bit for bit, with no Python float per term.  The oracles' f is
-    ``_power``, z^q taken as |z|^q.  A NaN or infinite f(z) * mult, or a sum
-    that leaves the float range, raises ``DomainError`` naming the oracle
-    ``name``.
+    ``_power``, z^q taken as |z|^q.  A NaN or infinite f(z), or a sum that
+    leaves the float range (f(z) * mult, the sum of f over the mult
+    configurations of one value, included), raises ``DomainError`` naming
+    the oracle ``name``.
     """
     cells = m * len(x)
     c = np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
     keep = s * (((m + 1) ** len(x) - 1) // m)  # the key of s cells in each column
     iid, kept_sum = _ExactSum(), _ExactSum()
     for z, mult, w, key in _row_class_values(x, m, s):
-        v = f(z) * mult
+        v = f(z)
         if not np.isfinite(v).all():
             raise DomainError(f"{name}: the statistic is NaN or infinite at some configuration")
+        with np.errstate(over="ignore"):
+            v = v * mult
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name}: an exact sum leaves the float range")
         iid.add(v * c[w])
         if kept:
             kept_sum.add(v[key == keep])

@@ -40,31 +40,25 @@ caller's arrays are left as they were.
 Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
-[0, 2^64)) before sizing any array, and cast nothing they have not
-checked; the constructor checks the rest.  The JSON text is encoded with array
-operations, block by block, and a file is written and read as bytes.
+[0, 2^64)) before sizing any array, and the constructor checks the
+rest.  The JSON text is encoded with array operations, block by block,
+and a file is written and read as bytes.
 :func:`read_matrix` routes a file by its first byte: an empty file or one
 starting below 0x09 is binary (the format opens with its version, 1), and
 any other file is JSON.  Both decoders read bytes.  :func:`deserialize`
 reads a ``bytes``, ``bytearray`` or C-contiguous ``memoryview`` through
 one flat byte view.  :func:`deserialize_json`, the one JSON rule, decodes
-a ``str`` as its UTF-8 bytes and first tries the canonical path on the
-bytes, one block at a time: it finds each entry by the ``]`` that follows
-its sign's ``1``, reads the row's digits leftwards from the comma, and
-accepts the block only if encoding it reproduces the text byte for byte.
-Any other input, such as a pretty-printed document or one with its keys
-reordered, goes to the general decoder (after strict UTF-8 decoding),
-which parses with :func:`json.loads` and converts the columns in blocks,
-accepting only lists of ``[row, sign]`` pairs of exact ``int`` values with
-signs -1/+1 and rows in [0, m); floats and bools are rejected rather than
-coerced.
+a ``str`` as its UTF-8 bytes and reads back only the canonical text, one
+block at a time: it finds each entry by the ``]`` that follows its sign's
+``1``, reads the row's digits leftwards from the comma, and accepts the
+block only if encoding it reproduces the text byte for byte.  Any other
+text, such as a pretty-printed document or one with its keys reordered,
+is one MatrixInvariantError naming the byte offset at which it leaves the
+canonical form.
 """
 
 from __future__ import annotations
 
-import gc
-import itertools
-import json
 import math
 import re
 import struct
@@ -93,18 +87,16 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # items of ``per_item`` entries into blocks of at most this many entries (or
 # one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
 # arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
-# JSON encoder, both JSON decoders and the duplicate-row check (s entries a column),
+# JSON encoder, the JSON decoder and the duplicate-row check (s entries a column),
 # ``oracle.squared_norm_samples`` (max(n s, m) a trial),
 # ``oracle._row_class_values`` (16 a value) and the CSV writer (whole rows of
 # the longest row's length, and a longer row in blocks of single values).
 # No code but ``_blocks`` reads the constant.
 _CHUNK_ENTRIES = 1 << 16
 
-# The header that ends a canonical text; the decoder compares it with the
-# re-encoded header, which also fixes the version.
-_JSON_TAIL = re.compile(
-    rb'\], "format_version": \d{1,20}, "m": (\d{1,20}), "n": (\d{1,20}), '
-    rb'"s": (\d{1,20}), "seed": (\d{1,20})\}')
+_DIGITS = re.compile(rb"\d{1,20}")  # a header field, or the first 20 digits of a longer run
+# The error of every text that is not canonical, at the byte where its comparison failed.
+_NOT_CANONICAL = "not the canonical JSON text that serialize_json writes: it departs from it at byte {}"
 
 
 @dataclass(eq=False, frozen=True)
@@ -508,9 +500,8 @@ def _json_head(n: int) -> bytes:
     return b'{"columns": [' + b"[" * (n > 0)
 
 
-def _json_tail(n: int, m: int, s: int, seed: int) -> bytes:
-    header = {"format_version": FORMAT_VERSION, "n": n, "m": m, "s": s, "seed": seed}
-    return b"], " + json.dumps(header, sort_keys=True)[1:].encode()
+def _json_tail(n: int, m: int, s: int, seed: int, version: int = FORMAT_VERSION) -> bytes:
+    return f'], "format_version": {version}, "m": {m}, "n": {n}, "s": {s}, "seed": {seed}}}'.encode()
 
 
 def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int, final: bool) -> np.ndarray:
@@ -563,111 +554,59 @@ def _json_columns(rows: np.ndarray, signs: np.ndarray, m: int, final: bool) -> n
     return buf
 
 
-def _first_failure(items, ok, per_column: int, lo: int) -> int:
-    """Column index of the first item in a block that fails ``ok``."""
-    return lo + next(i for i, item in enumerate(items) if not ok(item)) // per_column
-
-
-def _decode_columns(columns: list, n: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Convert parsed ``[[row, sign], ...]`` columns to (rows, signs) arrays.
-
-    Works in ``_blocks`` of s entries per column, so the int64 staging copy
-    stays small.  Every value must be an exact ``int``: floats and bools are
-    rejected, not coerced.
-    """
-    if set(map(type, columns)) - {list} or set(map(len, columns)) - {s}:
-        i = _first_failure(columns, lambda c: type(c) is list and len(c) == s, 1, 0)
-        raise MatrixInvariantError(f"entry count mismatch: column {i} is not a list of {s} entries")
-    rows = np.empty((n, s), dtype=np.uint32)
-    signs = np.empty((n, s), dtype=np.int8)
-    for lo, hi in _blocks(n, s):
-        entries = list(itertools.chain.from_iterable(columns[lo:hi]))
-        if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
-            i = _first_failure(entries, lambda e: type(e) is list and len(e) == 2, s, lo)
-            raise MatrixInvariantError(f"column {i} has an entry that is not a [row, sign] pair")
-        values = list(itertools.chain.from_iterable(entries))
-        if set(map(type, values)) - {int}:
-            i = _first_failure(values, lambda v: type(v) is int, 2 * s, lo)
-            raise MatrixInvariantError(f"column {i} has a row or sign that is not an integer")
-        try:
-            pairs = np.array(values, dtype=np.int64).reshape(-1, s, 2)
-        except OverflowError:
-            raise MatrixInvariantError(
-                f"row index or sign outside the int64 range in columns {lo}..{hi - 1}"
-            ) from None
-        blk_rows, blk_signs = pairs[..., 0], pairs[..., 1]
-        bad = np.nonzero((blk_signs != 1) & (blk_signs != -1))
-        if bad[0].size:
-            raise MatrixInvariantError(
-                f"sign domain violated: column {lo + bad[0][0]} has sign {blk_signs[bad][0]}"
-            )
-        bad = np.nonzero((blk_rows < 0) | (blk_rows >= m))
-        if bad[0].size:
-            raise MatrixInvariantError(
-                f"row index {blk_rows[bad][0]} outside [0, m={m}) in column {lo + bad[0][0]}"
-            )
-        rows[lo:hi] = blk_rows
-        signs[lo:hi] = blk_signs
-    return rows, signs
-
-
 def deserialize_json(text: str | bytes | bytearray) -> SparseJLMatrix:
     """Decode :func:`serialize_json` output, text or bytes, checking all structural invariants.
 
     This is the one JSON decoding rule, and :func:`read_matrix` hands it the
-    bytes of every file that does not start below 0x09.  It reads bytes: a
-    ``str`` is decoded as its UTF-8 bytes (lone surrogates included, which
-    the rule then rejects).  The canonical path runs on the bytes; any other
-    input is decoded as strict UTF-8, so a byte-order mark, UTF-16 or
-    UTF-32 is rejected, and parsed by :func:`json.loads` with the same
-    checks and error messages.  Anything but ``str``, ``bytes`` or ``bytearray`` raises
-    DomainError.
+    bytes of every file that does not start below 0x09.  It reads back only
+    the canonical text: a ``str`` is decoded as its UTF-8 bytes (lone
+    surrogates included), and anything but ``str``, ``bytes`` or
+    ``bytearray`` raises DomainError.
+
+    The header fields are the first five runs of digits after the last
+    ``], "format_version": ``.  The head and the header are compared with
+    their canonical text, then the body one block at a time
+    (:func:`_json_body`).  A canonical header with a version other than 1
+    raises FormatVersionError, and one that breaks the header rule the error
+    of :func:`_check_header`; a canonical body with a row at least m (and
+    below 2^32) or a repeated row raises the constructor's error.  Any other
+    text, such as a pretty-printed one, one with its keys reordered or one
+    led by whitespace or a byte-order mark, raises one MatrixInvariantError
+    naming the first byte at which it and the canonical text of what was
+    read from it differ.
     """
     if not isinstance(text, (str, bytes, bytearray)):
         raise DomainError(f"JSON matrix text must be str, bytes or bytearray, got {type(text).__name__}")
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    matrix = _decode_canonical(data)
-    if matrix is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
-    return _decode_document(text) if matrix is None else matrix
-
-
-def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
-    """The matrix whose canonical text is exactly ``data``, or None.
-
-    The canonical text of M is ``json.dumps`` of M's document, so
-    :func:`json.loads` gives that document back and the general decoder
-    returns M too: when encoding M reproduces ``data``, both paths agree.
-    Every other text, valid or not, returns None and is left to the general
-    decoder, which keeps its behaviour and its error messages.  A column
-    that repeats a row raises here what the general decoder raises.
-
-    The body is read in ``_blocks`` of s entries per column.  In a canonical
-    block each entry ends at a ``]`` that follows its sign's ``1``; the sign
-    is -1 when a ``-`` precedes that ``1``, and the row's digits run
-    leftwards from the comma before the sign.  The block is then re-encoded
-    and compared with the text, so whatever a malformed text makes of these
-    steps, it is never accepted.
-    """
+    view = np.frombuffer(data, dtype=np.uint8)
     i = data.rfind(b'], "format_version": ')
-    header = _JSON_TAIL.fullmatch(data, i) if i >= 0 else None
-    if header is None:
-        return None
-    m, n, s, seed = map(int, header.groups())
-    try:
-        n, m, s, seed = _check_header(n, m, s, seed)
-    except MatrixInvariantError:
-        return None
+    i = len(data) if i < 0 else i
+    fields = [int(run[0]) for _, run in zip(range(5), _DIGITS.finditer(data, i))]
+    version, m, n, s, seed = fields + [0] * (5 - len(fields))
     head = _json_head(n)
+    _expect(view[:len(head)], head, 0)
+    _expect(view[i:], _json_tail(n, m, s, seed, version), i)
+    if version != FORMAT_VERSION:
+        raise FormatVersionError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
+    n, m, s, seed = _check_header(n, m, s, seed)
     pos = len(head)  # 14 when n > 0, so the reads below, at most 14 bytes back, stay in view
     # Every entry takes at least the 6 bytes of "[0, 1]", so a header that
     # claims more entries than the body can hold sizes no array.
-    if not data.startswith(head) or data[i:] != _json_tail(n, m, s, seed) or 6 * n * s > i - pos:
-        return None
-    view = np.frombuffer(data, dtype=np.uint8)
+    if 6 * n * s > i - pos:
+        raise MatrixInvariantError(_NOT_CANONICAL.format(i))
+    rows, signs = _json_body(view, pos, i, n, m, s)  # its block arrays are freed before the matrix copies these
+    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+
+
+def _json_body(view: np.ndarray, pos: int, i: int, n: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and signs of a canonical body, ``view[pos:i]``, read and compared one block at a time.
+
+    In a canonical block each entry ends at a ``]`` that follows its sign's
+    ``1``; the sign is -1 when a ``-`` precedes that ``1``, and the row's
+    digits run leftwards from the comma before the sign.  The block is then
+    re-encoded and compared with the text, so whatever a malformed text
+    makes of these steps, it is never accepted.
+    """
     tens = np.uint64(10) ** np.arange(len(str(m - 1)), dtype=np.uint64)
     rows = np.empty((n, s), dtype=np.uint32)
     signs = np.empty((n, s), dtype=np.int8)
@@ -676,9 +615,9 @@ def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
         # At most digits + 8 bytes an entry and 2 more a column.
         window = view[pos:min(i, pos + count * (tens.size + 8) + 2 * (hi - lo))]
         close = np.flatnonzero(window == ord("]"))
-        ends = close[window[close - 1] == ord("1")][:count] + pos
-        if ends.size != count:
-            return None
+        found = close[window[close - 1] == ord("1")][:count]
+        ends = np.full(count, i)  # entries not found are read at the header, and fail the comparison
+        ends[:found.size] = found + pos
         neg = view[ends - 2] == ord("-")
         comma = ends - 3 - neg
         row = np.zeros(count, dtype=np.uint64)
@@ -689,47 +628,22 @@ def _decode_canonical(data: bytes) -> SparseJLMatrix | None:
             digit *= digits
             digit *= ten
             row += digit
-        if row.max() >= m:
-            return None
-        rows[lo:hi] = row.reshape(-1, s)
+        rows[lo:hi] = row.reshape(-1, s)  # a row beyond uint32 wraps, and fails the comparison
         signs[lo:hi] = (1 - 2 * neg.view(np.int8)).reshape(-1, s)
         block = _json_columns(rows[lo:hi], signs[lo:hi], m, hi == n)
-        if not np.array_equal(view[pos:pos + block.size], block):
-            return None
+        _expect(view[pos:pos + block.size], block, pos)
         pos += block.size
-    if pos != i:
-        return None
-    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+    _expect(view[pos:], view[i:], pos)  # the body ends where the header begins
+    return rows, signs
 
 
-def _decode_document(text: str) -> SparseJLMatrix:
-    """General decoder: any JSON text, parsed with :func:`json.loads`."""
-    gc_enabled = gc.isenabled()
-    gc.disable()  # parsing millions of small lists would set off repeated full collections
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
-    finally:
-        if gc_enabled:
-            gc.enable()
-    if type(doc) is not dict:
-        raise MatrixInvariantError("malformed matrix document: not a JSON object")
-    try:
-        version = doc["format_version"]
-        n, m, s, seed = doc["n"], doc["m"], doc["s"], doc["seed"]
-        columns = doc["columns"]
-    except KeyError as exc:
-        raise MatrixInvariantError(f"malformed matrix document: missing {exc}") from None
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise FormatVersionError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
-    n, m, s, seed = _check_header(n, m, s, seed)
-    if type(columns) is not list:
-        raise MatrixInvariantError("malformed matrix document: columns is not a list")
-    if len(columns) != n:
-        raise MatrixInvariantError(f"entry count mismatch: {len(columns)} columns, header says {n}")
-    rows, signs = _decode_columns(columns, n, m, s)
-    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+def _expect(got: np.ndarray, expected, at: int) -> None:
+    """Raise the non-canonical error at the first byte where ``got``, the text from byte ``at``, leaves ``expected``."""
+    expected = np.frombuffer(expected, dtype=np.uint8)
+    if not np.array_equal(got, expected):
+        size = min(got.size, expected.size)
+        differ = np.flatnonzero(got[:size] != expected[:size])
+        raise MatrixInvariantError(_NOT_CANONICAL.format(at + (int(differ[0]) if differ.size else size)))
 
 
 def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
@@ -753,8 +667,9 @@ def read_matrix(path) -> SparseJLMatrix:
     below 0x09, goes to :func:`deserialize` (the binary format opens with
     its version, 1), and every other file to :func:`deserialize_json`.  So
     JSON whitespace, ``{`` and every byte-order mark but UTF-32 big-endian's
-    (which opens with a zero byte) reach the JSON rule, which rejects all
-    but UTF-8 text without a mark.
+    (which opens with a zero byte) reach the JSON rule, which reads back
+    only the canonical text and names the byte offset at which any other
+    file leaves it.
     """
     with open(path, "rb") as fh:
         data = fh.read()

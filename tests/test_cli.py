@@ -121,21 +121,22 @@ class TestBuildTransform:
         assert read_matrix(path).seed == 9
 
     def test_json_matrix_with_leading_whitespace(self, capsys, tmp_path):
-        """A JSON matrix file starting with a newline was sent to the binary decoder."""
+        """A JSON matrix file starting with a newline goes to the JSON decoder (it was once sent to the
+        binary one), which reads back only the canonical text: exit 1, one error line, no output."""
         matrix_path, padded = tmp_path / "A.json", tmp_path / "padded.json"
         invoke(capsys, "build", "--n", "3", "--m", "8", "--s", "2", "--seed", "7",
                "--out", str(matrix_path), "--format", "json")
         padded.write_text("\n \t\r" + matrix_path.read_text())
         vec_in = tmp_path / "in.csv"
         vec_in.write_text("1.0,-2.0,0.5\n")
-        outputs = []
-        for path in (matrix_path, padded):
-            vec_out = tmp_path / f"{path.stem}.csv"
-            code, _, err = invoke(capsys, "transform", "--matrix", str(path),
-                                  "--in", str(vec_in), "--out", str(vec_out))
-            assert code == 0, err
-            outputs.append(vec_out.read_bytes())
-        assert outputs[0] == outputs[1]
+        code, _, err = invoke(capsys, "transform", "--matrix", str(matrix_path),
+                              "--in", str(vec_in), "--out", str(tmp_path / "A.csv"))
+        assert code == 0, err
+        code, _, err = invoke(capsys, "transform", "--matrix", str(padded),
+                              "--in", str(vec_in), "--out", str(tmp_path / "padded.csv"))
+        assert code == 1
+        assert err == "error: not the canonical JSON text that serialize_json writes: it departs from it at byte 0\n"
+        assert not (tmp_path / "padded.csv").exists()
 
     def test_missing_matrix_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = invoke(
@@ -191,7 +192,7 @@ class TestBuildTransform:
                 "--in", str(vec_in), "--out", str(tmp_path / "o.csv"),
             )
             assert code == 1
-            assert err.startswith("error: malformed matrix document") and err.count("\n") == 1
+            assert err.startswith("error: not the canonical JSON text") and err.count("\n") == 1
 
     def test_strict_json_matrix_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "A.json"

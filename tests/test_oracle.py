@@ -561,10 +561,12 @@ class TestExactSums:
                 oracle._exact_sums(name, x, m, 1, 0.5, lambda z: np.full_like(z, value), kept)
 
     def test_sum_beyond_the_float_range_is_domain_error(self):
-        """Each term is finite, but the kept sum of the four patterns of two cells, 4 x 8e307, is not."""
+        """Each statistic is finite, but the kept sum of the four patterns of two cells is not: at 8e307
+        the sum overflows, at 1e308 already f(z) * mult, the two patterns of one value."""
         x = np.array([0.6, 0.8])
-        with pytest.raises(DomainError, match="^check_majorization: an exact sum leaves the float range$"):
-            oracle._exact_sums("check_majorization", x, 1, 1, 0.5, lambda z: np.full_like(z, 8e307), True)
+        for value in (8e307, 1e308):
+            with pytest.raises(DomainError, match="^check_majorization: an exact sum leaves the float range$"):
+                oracle._exact_sums("check_majorization", x, 1, 1, 0.5, lambda z: np.full_like(z, value), True)
 
     def test_majorization_at_criterion_5(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,6 @@
 """Structural, determinism, serialization, and statistical transform checks."""
 
 import dataclasses
-import gc
 import hashlib
 import json
 import math
@@ -33,6 +32,11 @@ from sparsejl import (
 from sparsejl.transform import read_matrix, sample_column_scalar, write_matrix
 from sparsejl import streams
 from sparsejl import transform as tr
+
+
+def not_canonical(offset=r"\d+"):
+    """The pattern of the one error of a text that is not the canonical JSON text, at ``offset``."""
+    return rf"^not the canonical JSON text that serialize_json writes: it departs from it at byte {offset}$"
 
 
 def assert_structure(matrix):
@@ -521,29 +525,27 @@ class TestSerialization:
             deserialize(bytes(data))
 
     def test_json_duplicate_row(self, tmp_path):
-        """Both JSON decoders, from text and from a file, reject a column that repeats a row."""
+        """The JSON decoder, from text and from a file, rejects a canonical column that repeats a row."""
         matrix = SparseJLMatrix(n=2, m=4, s=2, seed=1, rows=np.array([[0, 3], [2, 1]], dtype=np.uint32),
                                 signs=np.ones((2, 2), dtype=np.int8))
         canonical = serialize_json(matrix).replace("[[2, 1], [1, 1]]", "[[2, 1], [2, 1]]")
         assert canonical.count("[[2, 1], [2, 1]]") == 1
-        indented = json.dumps(json.loads(canonical), indent=1)
-        for text in (canonical, indented):
-            with pytest.raises(MatrixInvariantError, match="duplicate row"):
-                deserialize_json(text)
-            (tmp_path / "A.json").write_text(text)
-            with pytest.raises(MatrixInvariantError, match="duplicate row"):
-                read_matrix(tmp_path / "A.json")
+        with pytest.raises(MatrixInvariantError, match="duplicate row"):
+            deserialize_json(canonical)
+        (tmp_path / "A.json").write_text(canonical)
+        with pytest.raises(MatrixInvariantError, match="duplicate row"):
+            read_matrix(tmp_path / "A.json")
 
     def test_json_entry_count(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][1] = doc["columns"][1][:-1]
-        with pytest.raises(MatrixInvariantError, match="entry count"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     def test_json_column_count(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"].append(doc["columns"][0])
-        with pytest.raises(MatrixInvariantError, match="entry count mismatch: 3 columns, header says 2"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     @pytest.mark.parametrize("field,value,message", [
@@ -591,13 +593,13 @@ class TestSerialization:
     def test_json_sign_domain(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][0][0][1] = 2
-        with pytest.raises(MatrixInvariantError, match="sign domain"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     def test_json_row_range(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][0][0][0] = 4
-        with pytest.raises(MatrixInvariantError, match="row index"):
+        with pytest.raises(MatrixInvariantError, match=r"^row index 4 outside \[0, m=4\)$"):
             deserialize_json(json.dumps(doc))
 
     def test_binary_header_range(self):
@@ -627,17 +629,19 @@ class TestSerialization:
         assert serialize_json(matrix) == reference
         assert deserialize_json(reference) == matrix
 
-    def test_canonical_text_skips_json_loads(self, monkeypatch):
-        """Canonical text takes the array path; other layouts go to json.loads."""
-        matrix = build_matrix(7, 2**32, 3, seed=5)
-        text = serialize_json(matrix)
-        pretty = json.dumps(json.loads(text), indent=1)
-        loads, calls = json.loads, []
-        monkeypatch.setattr(tr.json, "loads", lambda doc: calls.append(doc) or loads(doc))
-        assert deserialize_json(text) == matrix
-        assert calls == []
-        assert deserialize_json(pretty) == matrix
-        assert calls == [pretty]
+    def test_json_header_read_in_small_memory(self):
+        """Only the first five runs of digits after the last header key are read: 4 MB of "1 " after a
+        canonical text is rejected where it starts, without a list of two million runs."""
+        text = serialize_json(build_matrix(2, 4, 2, seed=1)).encode()
+        data = text + b"1 " * 2_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixInvariantError, match=not_canonical(len(text))):
+                deserialize_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_json_zero_columns_round_trip(self):
         matrix = deserialize(tr._HEADER.pack(1, 0, 4, 2, 7))
@@ -650,14 +654,15 @@ class TestSerialization:
     def test_json_header_must_be_exact_int(self, field, value):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=2)))
         doc[field] = value
-        with pytest.raises(MatrixInvariantError, match=f"header field {field}"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_json_seed_range(self, seed):
+        """A canonical seed of 2^64 gets the header rule's message; "-1" is not canonical."""
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["seed"] = seed
-        with pytest.raises(MatrixInvariantError, match=r"seed .* \[0, 2\^64\)"):
+        with pytest.raises(MatrixInvariantError, match=r"seed .* \[0, 2\^64\)" if seed > 0 else not_canonical()):
             deserialize_json(json.dumps(doc))
 
     def test_json_row_range_beyond_uint32(self):
@@ -666,38 +671,41 @@ class TestSerialization:
         with pytest.raises(MatrixInvariantError, match="uint32"):
             deserialize_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("mutate,match", [
-        (lambda cols: cols[1].__setitem__(0, [1]), "not a \\[row, sign\\] pair"),
-        (lambda cols: cols[1].__setitem__(0, [1, 1, 1]), "not a \\[row, sign\\] pair"),
-        (lambda cols: cols[1].__setitem__(0, 3), "not a \\[row, sign\\] pair"),
-        (lambda cols: cols[1].__setitem__(0, "ab"), "not a \\[row, sign\\] pair"),
-        (lambda cols: cols.__setitem__(1, 7), "entry count"),
-        (lambda cols: cols.__setitem__(1, {"0": [0, 1]}), "entry count"),
-    ])
-    def test_json_malformed_entries(self, mutate, match):
-        doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
+    @pytest.mark.parametrize("mutate", [
+        lambda cols: cols[1].__setitem__(0, [1]),
+        lambda cols: cols[1].__setitem__(0, [1, 1, 1]),
+        lambda cols: cols[1].__setitem__(0, 3),
+        lambda cols: cols[1].__setitem__(0, "ab"),
+        lambda cols: cols.__setitem__(1, 7),
+        lambda cols: cols.__setitem__(1, {"0": [0, 1]}),
+    ], ids=["short-pair", "long-pair", "int-entry", "str-entry", "int-column", "dict-column"])
+    def test_json_malformed_entries(self, mutate):
+        """Column 1 edited: the text departs from the canonical one inside that column."""
+        text = serialize_json(build_matrix(2, 4, 2, seed=1))
+        doc = json.loads(text)
         mutate(doc["columns"])
-        with pytest.raises(MatrixInvariantError, match=f"column 1.*{match}|{match}.*column 1"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()) as info:
             deserialize_json(json.dumps(doc))
+        assert int(str(info.value).rsplit(" ", 1)[1]) >= text.index("], [") + 3
 
     def test_json_columns_must_be_a_list(self):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"] = {"a": 1, "b": 2}
-        with pytest.raises(MatrixInvariantError, match="columns is not a list"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     @pytest.mark.parametrize("slot,value", [(0, 1.0), (0, 3.5), (0, True), (1, True), (1, 1.0)])
     def test_json_values_are_not_coerced(self, slot, value):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][1][1][slot] = value
-        with pytest.raises(MatrixInvariantError, match="column 1 has a row or sign that is not an integer"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     @pytest.mark.parametrize("slot,value", [(0, 2**70), (1, -(2**63) - 1)])
     def test_json_values_beyond_int64(self, slot, value):
         doc = json.loads(serialize_json(build_matrix(2, 4, 2, seed=1)))
         doc["columns"][0][0][slot] = value
-        with pytest.raises(MatrixInvariantError, match="int64 range"):
+        with pytest.raises(MatrixInvariantError, match=not_canonical()):
             deserialize_json(json.dumps(doc))
 
     @pytest.mark.parametrize("text", [
@@ -707,37 +715,30 @@ class TestSerialization:
         "7",
     ], ids=["deep-array", "deep-in-object", "array", "number"])
     def test_json_document_shape(self, text):
-        with pytest.raises(MatrixInvariantError, match="malformed matrix document"):
+        """Deep nesting is never parsed: each text departs where it leaves the canonical head."""
+        offset = len(os.path.commonprefix([text, '{"columns": [']))
+        with pytest.raises(MatrixInvariantError, match=not_canonical(offset)):
             deserialize_json(text)
-
-    def test_json_decode_restores_gc(self):
-        text = serialize_json(build_matrix(2, 4, 2, seed=1))
-        assert gc.isenabled()
-        deserialize_json(text)
-        with pytest.raises(MatrixInvariantError):
-            deserialize_json("{")
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            deserialize_json(text)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
     def test_json_blocks_do_not_change_results(self, monkeypatch):
+        """The same text and matrix whatever the block size, and an edited text rejected inside the edited
+        entry.  The byte named can differ by block (311 or 312 here): an entry whose end is not found is
+        read from the next entry in a wide block and from the header in a narrow one."""
         matrix = build_matrix(40, 1000, 4, seed=9)
         text = serialize_json(matrix)
-        pretty = json.dumps(json.loads(text), indent=1)
+        doc = json.loads(text)
+        doc["columns"][6][3][1] = 0
+        edited = json.dumps(doc)
+        entry = f"[{matrix.rows[6, 3]}, 0]"
+        start = edited.index(entry)
+        assert edited.count(entry) == 1 and start == text.index(f"[{matrix.rows[6, 3]}, {matrix.signs[6, 3]}]")
         for entries in (1, 5, 7, 8, 100, 1 << 16):
             monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
             assert serialize_json(matrix) == text
             assert deserialize_json(text) == matrix
-            assert deserialize_json(pretty) == matrix
-        doc = json.loads(text)
-        doc["columns"][6][3][1] = 0
-        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 8)
-        with pytest.raises(MatrixInvariantError, match="column 6 has sign 0"):
-            deserialize_json(json.dumps(doc))
+            with pytest.raises(MatrixInvariantError, match=not_canonical()) as info:
+                deserialize_json(edited)
+            assert start < int(str(info.value).rsplit(" ", 1)[1]) < start + len(entry)
 
     @pytest.mark.parametrize("entries", [1, 5, 7, 1 << 16])
     def test_json_file_bytes_match_serialize_json(self, tmp_path, monkeypatch, entries):
@@ -752,19 +753,6 @@ class TestSerialization:
             assert path.read_bytes() == text
             assert read_matrix(path) == matrix
 
-    def test_canonical_file_skips_json_loads(self, tmp_path, monkeypatch):
-        """A canonical file is decoded from its bytes; any other JSON file is parsed."""
-        matrix = build_matrix(7, 2**32, 3, seed=5)
-        canonical, pretty = tmp_path / "a.json", tmp_path / "b.json"
-        write_matrix(canonical, matrix, fmt="json")
-        pretty.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
-        loads, calls = json.loads, []
-        monkeypatch.setattr(tr.json, "loads", lambda doc: calls.append(doc) or loads(doc))
-        assert read_matrix(canonical) == matrix
-        assert calls == []
-        assert read_matrix(pretty) == matrix
-        assert len(calls) == 1
-
     def test_file_round_trip_both_formats(self, tmp_path):
         matrix = build_matrix(5, 9, 2, seed=77)
         bin_path = tmp_path / "a.bin"
@@ -774,21 +762,16 @@ class TestSerialization:
         assert read_matrix(bin_path) == matrix
         assert read_matrix(json_path) == matrix
 
-    @pytest.mark.parametrize("padding", [" ", "\t", "\r\n", "\n  \n"])
+    @pytest.mark.parametrize("padding", [" ", "\t", "\r\n", "\n  \n", "\x0b"])
     def test_json_file_with_leading_whitespace(self, tmp_path, padding):
+        """A file led by whitespace, or by a vertical tab (0x0b), goes to the JSON rule, which reads back
+        only the canonical text: the padded text, canonical or indented, departs from it at byte 0."""
         matrix = build_matrix(5, 9, 2, seed=77)
         path = tmp_path / "a.json"
-        path.write_text(padding + serialize_json(matrix))
-        assert read_matrix(path) == matrix
-        path.write_text(padding + json.dumps(json.loads(serialize_json(matrix)), indent=1))
-        assert read_matrix(path) == matrix
-
-    def test_only_json_whitespace_is_skipped(self, tmp_path):
-        """A file led by a vertical tab (0x0b) goes to the JSON rule, for which it is not whitespace."""
-        path = tmp_path / "a.json"
-        path.write_bytes(b"\x0b" + serialize_json(build_matrix(1, 4, 1, seed=0)).encode())
-        with pytest.raises(MatrixInvariantError, match=r"malformed matrix document: Expecting value"):
-            read_matrix(path)
+        for text in (serialize_json(matrix), json.dumps(json.loads(serialize_json(matrix)), indent=1)):
+            path.write_text(padding + text)
+            with pytest.raises(MatrixInvariantError, match=not_canonical(0)):
+                read_matrix(path)
 
 
 class TestStatisticalProperties:

@@ -1,7 +1,7 @@
 """Property tests: decoders and the CLI turn arbitrary input into a result or a SparseJLError.
 
-The JSON decoder's canonical path must also agree with the general decoder on
-every text, canonical or not, and on every file, UTF-8 or not.  Every integer argument accepts an ``int`` or a
+The JSON decoder must also accept a text exactly when it is, byte for byte, the
+canonical text of a valid matrix, and return that matrix.  Every integer argument accepts an ``int`` or a
 numpy integer in range and rejects anything else with a SparseJLError, every
 real argument accepts a finite real scalar in range and rejects anything else
 with a SparseJLError, and every oracle or projection vector is a flat sequence
@@ -57,7 +57,7 @@ from sparsejl import (
 )
 from sparsejl.cli import read_vectors, run, write_vectors
 from sparsejl.errors import check_int, check_real
-from sparsejl.transform import _ENTRY_DTYPE, _HEADER, _check_header, _decode_document, read_matrix, write_matrix
+from sparsejl.transform import _ENTRY_DTYPE, _HEADER, _check_header, read_matrix, write_matrix
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -83,6 +83,11 @@ json_documents = st.fixed_dictionaries({
     "n": small_ints, "m": small_ints, "s": small_ints, "seed": small_ints,
     "columns": st.one_of(st.lists(st.lists(entries, max_size=3), max_size=3), json_values),
 })
+
+
+def _sorted_dump(doc):
+    """The document with sorted keys, as the canonical text has them, so that most texts get past its head."""
+    return json.dumps(doc, sort_keys=True)
 
 
 @st.composite
@@ -187,7 +192,7 @@ def test_constructor_gives_valid_matrix_or_error(fields):
 
 
 @FUZZ
-@given(st.one_of(st.text(max_size=80), json_documents.map(json.dumps), mutated_documents()))
+@given(st.one_of(st.text(max_size=80), json_documents.map(_sorted_dump), mutated_documents()))
 def test_json_decoder(text):
     matrix = _valid_or_error(deserialize_json, text)
     if matrix is not None:
@@ -214,6 +219,11 @@ def edited_canonical_texts(draw):
     return text
 
 
+def _not_canonical(offset):
+    """The one error message of a text that is not canonical."""
+    return f"not the canonical JSON text that serialize_json writes: it departs from it at byte {offset}"
+
+
 def _outcome(decode, text):
     try:
         return decode(text)
@@ -221,17 +231,26 @@ def _outcome(decode, text):
         return type(exc), str(exc)
 
 
-def _general(text):
-    matrix = _decode_document(text)
-    matrix.validate()
-    return matrix
+def _reference(data):
+    """The matrix that :func:`json.loads` reads from ``data``, kept only when ``data`` is exactly its
+    canonical text, else None: a reading independent of the decoder's byte scan."""
+    try:
+        doc = json.loads(data)
+        pairs = np.array(doc["columns"], dtype=np.int64).reshape(doc["n"], doc["s"], 2)
+        matrix = SparseJLMatrix(n=doc["n"], m=doc["m"], s=doc["s"], seed=doc["seed"],
+                                rows=pairs[..., 0].astype(np.uint32), signs=pairs[..., 1].astype(np.int8))
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, SparseJLError):
+        return None
+    return matrix if serialize_json(matrix).encode() == data else None
 
 
 @FUZZ
 @given(edited_canonical_texts())
 def test_json_decode_paths_agree(text):
-    """The canonical path returns exactly what the general decoder returns, or raises the same error."""
-    assert _outcome(deserialize_json, text) == _outcome(_general, text)
+    """The decoder and the ``json.loads`` reference accept the same texts and read the same matrix from them,
+    so the decoder rejects no canonical text of a valid matrix."""
+    data = text.encode("utf-8", "surrogatepass")
+    assert _valid_or_error(deserialize_json, text) == _valid_or_error(deserialize_json, data) == _reference(data)
 
 
 @st.composite
@@ -247,42 +266,33 @@ def edited_canonical_files(draw):
     return data[:i] + (b"" if edit == "delete" else byte) + data[i + (edit != "insert"):]
 
 
-def _read_as_text(path):
-    """``read_matrix`` with the general decoder for JSON: a file starting at 0x09 or above as UTF-8 text."""
-    data = path.read_bytes()
-    if data[:1] < b"\x09":
-        return deserialize(data)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MatrixInvariantError(f"malformed matrix document: {exc}") from None
-    return _general(text)
-
-
 @FUZZ
 @given(edited_canonical_files())
 def test_read_matrix_of_edited_file_matches_text_decoder(data):
-    """The byte decoder accepts only canonical files and leaves every other file's outcome as it was."""
+    """``read_matrix`` of a byte-edited file returns a matrix exactly when the ``json.loads`` reference
+    reads that matrix from the file's text (or, for a file led by a byte below 0x09, ``deserialize`` does)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "A.json"
         path.write_bytes(data)
-        assert _outcome(read_matrix, path) == _outcome(_read_as_text, path)
+        from_file = _valid_or_error(read_matrix, path)
+    assert from_file == (_valid_or_error(deserialize, data) if data[:1] < b"\x09" else _reference(data))
 
 
 @pytest.mark.parametrize("lead", [b"", b" \r\n"], ids=["bom", "bom-whitespace"])
 def test_byte_order_mark_reaches_the_json_decoder(tmp_path, capsys, lead):
     """A JSON matrix file after a UTF-8 byte-order mark goes to the JSON decoder, which rejects
-    the mark (not JSON whitespace), rather than to the binary decoder; the CLI exits 1."""
+    it at the mark, its byte 0, rather than to the binary decoder; the CLI exits 1."""
     path = tmp_path / "A.json"
-    path.write_bytes(b"\xef\xbb\xbf" + lead + serialize_json(build_matrix(9, 40, 6, seed=2)).encode())
-    with pytest.raises(MatrixInvariantError, match=r"Unexpected UTF-8 BOM"):
+    data = b"\xef\xbb\xbf" + lead + serialize_json(build_matrix(9, 40, 6, seed=2)).encode()
+    path.write_bytes(data)
+    with pytest.raises(MatrixInvariantError, match=f"^{_not_canonical(0)}$"):
         read_matrix(path)
-    assert _outcome(read_matrix, path) == _outcome(_read_as_text, path)
+    assert _outcome(read_matrix, path) == _outcome(deserialize_json, data)
     (tmp_path / "x.csv").write_text(",".join(["0.5"] * 9) + "\n")
     code = run(["transform", "--matrix", str(path), "--in", str(tmp_path / "x.csv"),
                 "--out", str(tmp_path / "y.csv")])
     assert code == 1
-    assert "Unexpected UTF-8 BOM" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {_not_canonical(0)}\n"
     assert not (tmp_path / "y.csv").exists()
 
 
@@ -299,9 +309,9 @@ _INDENTED = json.dumps(json.loads(_CANONICAL), indent=1)
 
 @pytest.mark.parametrize("data, expected", [
     (_CANONICAL.encode(), SparseJLMatrix),
-    (_INDENTED.encode(), SparseJLMatrix),
-    (b" \r\n" + _CANONICAL.encode(), SparseJLMatrix),
-    (_INDENTED.encode().replace(b"\n", b"\r\n"), SparseJLMatrix),
+    (_INDENTED.encode(), MatrixInvariantError),
+    (b" \r\n" + _CANONICAL.encode(), MatrixInvariantError),
+    (_INDENTED.encode().replace(b"\n", b"\r\n"), MatrixInvariantError),
     (b"\xef\xbb\xbf" + _CANONICAL.encode(), MatrixInvariantError),
     (b"\xef\xbb\xbf\n" + _INDENTED.encode(), MatrixInvariantError),
     (_CANONICAL.encode("utf-16-le"), MatrixInvariantError),
@@ -339,17 +349,16 @@ def test_edited_json_bytes_decode_as_their_file(data, lead):
 def test_utf16_with_byte_order_mark_is_rejected_by_both_doors(tmp_path):
     """A UTF-16 file, starting with 0xff 0xfe, goes to the JSON rule, so both doors raise one error."""
     from_bytes, from_file = _json_door(_CANONICAL.encode("utf-16"), tmp_path)
-    assert from_bytes[0] is MatrixInvariantError and "can't decode byte 0xff in position 0" in from_bytes[1]
+    assert from_bytes == (MatrixInvariantError, _not_canonical(0))
     assert from_file == from_bytes
 
 
 def test_str_keeps_its_decoding():
-    """A ``str`` is decoded as its UTF-8 bytes: a BOM character is rejected, JSON escapes and non-ASCII
-    keys are read, and a lone surrogate is rejected as its bytes are."""
-    assert _outcome(deserialize_json, "\ufeff" + _CANONICAL)[0] is MatrixInvariantError
-    assert "Unexpected UTF-8 BOM" in _outcome(deserialize_json, "\ufeff" + _CANONICAL)[1]
+    """A ``str`` is decoded as its UTF-8 bytes: a BOM character is rejected at byte 0, an extra key is
+    rejected where it starts, and a lone surrogate is rejected as its bytes are."""
+    assert _outcome(deserialize_json, "\ufeff" + _CANONICAL) == (MatrixInvariantError, _not_canonical(0))
     extra = _CANONICAL[:-1] + ', "\u00e9\u20ac": "\\u00e9"}'
-    assert deserialize_json(extra) == deserialize_json(_CANONICAL)
+    assert _outcome(deserialize_json, extra) == (MatrixInvariantError, _not_canonical(len(_CANONICAL) - 1))
     surrogate = _CANONICAL[:-1] + ', "\u00e9\ud800": "\\u00e9"}'
     assert _outcome(deserialize_json, surrogate)[0] is MatrixInvariantError
     surrogate_bytes = surrogate.encode("utf-8", "surrogatepass")
@@ -395,7 +404,9 @@ def test_decoders_take_every_bytes_type():
     matrix = build_matrix(9, 40, 6, seed=2)
     data = serialize(matrix)
     assert deserialize(bytearray(data)) == deserialize(memoryview(data)) == matrix
-    assert deserialize_json(bytearray(_CANONICAL.encode())) == deserialize_json(bytearray(_INDENTED.encode())) == matrix
+    assert deserialize_json(bytearray(_CANONICAL.encode())) == matrix
+    with pytest.raises(MatrixInvariantError, match=f"^{_not_canonical(1)}$"):
+        deserialize_json(bytearray(_INDENTED.encode()))
 
 
 _BINARY_FILE = serialize(build_matrix(4, 12, 3, seed=2))  # 96 bytes, a whole number of uint32 words
@@ -469,19 +480,43 @@ def test_str_decodes_as_its_utf8_bytes(text):
     assert _outcome(deserialize_json, text) == _outcome(deserialize_json, text.encode("utf-8", "surrogatepass"))
 
 
-@pytest.mark.parametrize("edit", [
-    ("[[", "[[ "), ("[[", "[[0"), ("[[[10", "[[[40"), ("], [", "]  ["), (", -1]", ", -01]"),
-    (", 1]", ", +1]"), (", 1]", ", 11]"),
-    ('], "format_version"', '] ], "format_version"'), ('], "format_version"', ']], "format_version"'),
-    ('"format_version": 1', '"format_version": 2'), ('"m": 40', '"m": 040'), ('"seed": 2', '"seed": 2.0'),
-    ('"n": 9', '"n": 1099511627776'),
-    ("}", "} "), ("{", " {"),
-], ids=lambda edit: edit[1])
-def test_near_canonical_texts_match_general_decoder(edit):
+@settings(FUZZ, max_examples=400)
+@given(st.one_of(edited_canonical_texts(), edited_canonical_files(), routed_files, texts_with_any_character()))
+def test_json_text_is_read_back_only_when_canonical(text):
+    """``deserialize_json`` returns a matrix whose canonical text is exactly the input's bytes, or raises a
+    SparseJLError.  400 examples, so that a decoder which skips its per-block comparison is caught."""
+    try:
+        matrix = deserialize_json(text)
+    except SparseJLError:
+        return
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    assert serialize_json(matrix).encode() == data
+
+
+@pytest.mark.parametrize("edit, error, message", [pytest.param(*case, id=case[0][1]) for case in [
+    (("[[", "[[ "), MatrixInvariantError, "at byte 14$"), (("[[", "[[0"), MatrixInvariantError, "at byte 14$"),
+    (("[[[10", "[[[40"), MatrixInvariantError, r"^row index 40 outside \[0, m=40\)"),
+    (("], [", "]  ["), MatrixInvariantError, "at byte 22$"), ((", -1]", ", -01]"), MatrixInvariantError, "at byte 15$"),
+    ((", 1]", ", +1]"), MatrixInvariantError, "at byte 34$"), ((", 1]", ", 11]"), MatrixInvariantError, "at byte 34$"),
+    (('], "format_version"', '] ], "format_version"'), MatrixInvariantError, "at byte 526$"),
+    (('], "format_version"', ']], "format_version"'), MatrixInvariantError, "at byte 526$"),
+    (('"format_version": 1', '"format_version": 2'), FormatVersionError, "^unsupported format version 2, expected 1"),
+    (('"m": 40', '"m": 040'), MatrixInvariantError, "at byte 554$"),
+    (('"seed": 2', '"seed": 2.0'), MatrixInvariantError, "at byte 583$"),
+    (('"n": 9', '"n": 1099511627776'), MatrixInvariantError, "at byte 525$"),
+    (("}", "} "), MatrixInvariantError, "at byte 584$"), (("{", " {"), MatrixInvariantError, "at byte 0$"),
+]])
+def test_near_canonical_texts_are_rejected(edit, error, message):
+    """Each one-place edit of a canonical text (584 bytes) gives its error: a row at least m in an
+    otherwise canonical text the constructor's, a version other than 1 a FormatVersionError, and every
+    other edit the one non-canonical error, at the first byte where the text and the canonical text of
+    what was read from it differ (for "-01", the entry's row, which the "-" cuts off and leaves 0)."""
     canonical = serialize_json(build_matrix(9, 40, 6, seed=2))
     text = canonical.replace(*edit, 1)
-    assert text != canonical
-    assert _outcome(deserialize_json, text) == _outcome(_general, text)
+    assert text != canonical and len(canonical) == 584
+    with pytest.raises(error, match=message) as info:
+        deserialize_json(text)
+    assert type(info.value) is error
 
 
 @FUZZ
@@ -508,7 +543,7 @@ def test_vector_reader_rejects_non_ascii(tmp_path, line):
 
 @FUZZ
 @given(
-    st.one_of(binary_matrices, json_documents.map(lambda d: json.dumps(d).encode())),
+    st.one_of(binary_matrices, json_documents.map(lambda d: _sorted_dump(d).encode())),
     st.one_of(st.binary(max_size=40), st.sampled_from([b"1,0\n", b"0.5,nan\n1,2\n", b"1\n"])),
 )
 def test_cli_transform_never_raises(matrix_bytes, vector_bytes):
@@ -648,7 +683,6 @@ def test_non_real_vector_is_domain_error(call):
     """Each of these ended in a bare ValueError or TypeError, or was accepted."""
     with pytest.raises(DomainError, match="1-D sequence of real numbers"):
         call()
-
 
 
 @pytest.mark.parametrize("call", [
