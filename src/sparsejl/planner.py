@@ -15,8 +15,6 @@ through ``errors.check_real``.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass
 
@@ -172,10 +170,11 @@ def bounds_table(
 
 
 def bounds_to_csv(rows: list[BoundsRow]) -> str:
-    """Serialize table rows as CSV with columns source,formula_value,constant,valid."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "formula_value", "constant", "valid"])
-    for row in rows:
-        writer.writerow([row.source, repr(row.value), repr(row.constant), row.valid])
-    return buf.getvalue()
+    """Serialize table rows as CSV with columns source,formula_value,constant,valid.
+
+    Each line joins its fields with commas, ``repr`` of a float and ``str``
+    of anything else, the rule ``sparsejl plan --format csv`` follows.
+    """
+    lines = [("source", "formula_value", "constant", "valid")]
+    lines += [(row.source, row.value, row.constant, row.valid) for row in rows]
+    return "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in line) + "\n" for line in lines)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsejl import DomainError, PlanRequest, SparseJLMatrix, min_dimension, read_matrix
-from sparsejl import _csvtext, transform
+from sparsejl import _csvtext, oracle, transform
 from sparsejl._csvtext import csv_text
 from sparsejl.cli import read_vectors, run, write_vectors
 from sparsejl.transform import _CHUNK_ENTRIES, write_matrix
@@ -646,12 +646,36 @@ class TestWriteVectors:
 
 
 class TestCheck:
+    SMALL = ("check", "--qmax", "6", "--grid-points", "800", "--moment-qmax", "4")
+    LABELS = ("multinomial inequality", "psi envelope p=0.01 K=50", "psi envelope p=0.0333333 K=50",
+              "Chernoff optimizer identity", "moment bound domination")
+
     def test_suite_passes(self, capsys):
-        code, out, _ = invoke(capsys, "check", "--qmax", "6", "--grid-points", "800", "--moment-qmax", "4")
+        code, out, _ = invoke(capsys, *self.SMALL)
         assert code == 0
         assert "SUMMARY: 5/5 checks passed" in out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_one_line_per_check_in_order_then_the_summary(self, capsys):
+        """The numbers are not pinned: the Chernoff residual is a few ulps of O(10) values and
+        differs across libm and SIMD builds."""
+        _, out, _ = invoke(capsys, *self.SMALL)
+        lines = out.splitlines()
+        assert len(lines) == len(self.LABELS) + 1
+        for line, label in zip(lines, self.LABELS):
+            assert re.match(f"(PASS|FAIL)  {re.escape(label)}: ", line), line
+        assert lines[-1].startswith("SUMMARY: ")
+
+    def test_a_failed_check_is_counted_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "chernoff_residual_grid", lambda: (100, 1e-9))
+        code, out, _ = invoke(capsys, *self.SMALL)
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL  Chernoff optimizer identity: max residual 1.000e-09 over 100 points"]
+        assert sum(line.startswith("PASS  ") for line in lines) == 4
+        assert lines[-1] == "SUMMARY: 4/5 checks passed"
 
     @pytest.mark.parametrize("flag, value", [("--qmax", "0"), ("--grid-points", "0"), ("--grid-points", "-5"),
                                              ("--moment-qmax", "1"), ("--moment-qmax", "101")])
