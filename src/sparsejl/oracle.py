@@ -87,8 +87,9 @@ PSI_ENVELOPE_SLACK = 1e-12
 # Each tail of the exact 99% Clopper-Pearson interval.
 _CI_TAIL = (1.0 - 0.99) / 2
 # Cells of a row's tail in ``_row_class_values``: the longest row of a grid of
-# two or more rows under ``ENUMERATION_BUDGET`` (3^(2*7) <= 10^7 < 3^(2*8)), so
-# only a single row of more cells is split.
+# two or more rows under ``ENUMERATION_BUDGET`` (3^(2*7) <= 10^7 < 3^(2*8)).  A
+# single row of more cells is split into a head and a tail so that each class
+# table stays within 3^7 patterns.
 _TAIL_CELLS = 7
 
 
@@ -150,14 +151,6 @@ def _sign_patterns(cells: int, base: int, paired: bool) -> tuple[np.ndarray, np.
     return table
 
 
-def _fold(start: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """out[e, k] = start[e] + coef[0, k] + coef[1, k] + ..., added left to right."""
-    out = np.repeat(start[:, None], coef.shape[1], axis=1)
-    for terms in coef:
-        out += terms
-    return out
-
-
 def _row_class_values(x: np.ndarray, m: int, s: int):
     """Every value z = (sum_i S_i^2 - T)/s of a selection of cells of the m x n grid and a sign pattern, in blocks.
 
@@ -167,8 +160,12 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     (3^n+1)/2 classes (each cell unselected or selected, the first selected
     sign +), a nonempty class standing for its two sign patterns; the rows
     combine by outer sums in row order, ((3^n+1)/2)^m class combinations in
-    all.  S_i accumulates in cell order, T in cell order over the whole
-    grid, and sum_i S_i^2 in row order.
+    all.  The segments are the full rows, the head of the last row and its
+    tail.  Each segment's row sums S and square sums T are the column sums
+    of its class table, taken once per call, and every quantity of a value
+    is a sum or product over its segments' table entries: S_i is S of row i
+    (the head's S plus the tail's in the last row), T and sum_i S_i^2 add
+    the segments' terms in row order.
 
     Yields blocks ``(z, mult, w, key)`` of arrays that broadcast together:
     the values, the number of sign patterns each stands for, its number w
@@ -207,8 +204,8 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
         signs, weights, keys, factor = _sign_patterns(width, base, paired)
         coef = signs * x[:width, None]
         closed = np.repeat(closed + row * row, len(weights))
-        row = np.tile(_fold(np.zeros(1), coef)[0], len(t))
-        t = _fold(t, coef * coef).ravel()
+        row = np.tile(coef.sum(axis=0), len(t))
+        t = (t[:, None] + (coef * coef).sum(axis=0)).ravel()
         w = (w[:, None] + weights).ravel()
         key = (key[:, None] + keys).ravel()
         mult = (mult[:, None] * factor).ravel()
@@ -216,12 +213,12 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     # Every prefix entry takes the tail's classes, each doubled when nonempty.
     signs, weights, keys, factor = _sign_patterns(tail, base, True)
     coef = signs * x[n - tail :, None]
-    sq = coef * coef
+    row_tail, t_tail = coef.sum(axis=0), (coef * coef).sum(axis=0)
     keys = keys * base ** (n - tail)
     for lo, hi in transform._blocks(len(t), 16 * len(weights)):
         e = slice(lo, hi)
-        total = _fold(row[e], coef)
-        z = (closed[e, None] + total * total - _fold(t[e], sq)) / s
+        total = row[e, None] + row_tail
+        z = (closed[e, None] + total * total - (t[e, None] + t_tail)) / s
         yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
 
 

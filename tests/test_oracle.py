@@ -214,6 +214,17 @@ class TestExactMomentZ:
         coeffs = [[Fraction(1, 3) if i != j else 0 for j in range(3)] for i in range(3)]
         assert rational_moment(coeffs, 3, Fraction(1, 30), 3) == Fraction(2, 30375)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_against_rational_oracle_non_uniform(self, n):
+        """Past n = 3 the values come from the row tables; the rational sum over every mask and sign pattern does not."""
+        x = np.random.default_rng(40 + n).standard_normal(n)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        coeffs = [[Fraction(a) * Fraction(b) for b in x] for a in x]
+        for p in (1 / 30, 1 / 10):
+            for q in (2, 4):
+                expected = float(rational_moment(coeffs, n, Fraction(p), q))
+                assert exact_moment_Z(MomentSpec(x, p, q)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_odd_moments_vanish_for_two_coordinates(self):
         x = (1 / math.sqrt(2), 1 / math.sqrt(2))
         for q in (1, 3, 5):
@@ -256,6 +267,14 @@ class TestExactMomentZ:
                 x = tuple(x / math.sqrt(float(x @ x)))
                 for q in (2, 3, 6):
                     assert_matches_loop(exact_moment_Z(MomentSpec(x, 0.1, q)), loop_moment(x, 0.1, q))
+
+    @pytest.mark.parametrize("n", [9, 14])
+    def test_working_memory_stays_in_blocks(self, n):
+        """A two-cell head at n = 9 and a seven-cell head at n = 14: no table holds more than 3^7 patterns."""
+        x = np.random.default_rng(n).standard_normal(n)
+        x = tuple((x / math.sqrt(float(x @ x))).tolist())
+        _, peak = traced_peak(lambda: exact_moment_Z(MomentSpec(x, 0.1, 4)))
+        assert peak <= PEAK_BYTES
 
     def test_validation(self):
         unit14 = (1 / math.sqrt(14),) * 14
