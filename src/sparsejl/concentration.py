@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, check_real
 
 #: Envelope scale used throughout; h(25 eps/p) in the dimension bound is
@@ -92,20 +94,27 @@ def psi(t: float, p: float) -> float:
     leaves the float range (p below about 2e-103) it raises ``DomainError``.
     """
     p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
-    return _psi(check_real("t", t, 0.0, math.log(1.0 / p) / 2.0), p)
+    return float(_psi(check_real("t", t, 0.0, math.log(1.0 / p) / 2.0), p))
 
 
-def _psi(t: float, p: float) -> float:
-    """:func:`psi` for a float ``t`` and ``p`` that its checks have passed."""
-    try:
-        base = math.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
-        if t < 0.5:
-            tail = 8.0 * math.exp(3.0) * p * t**3 / (1.0 - 2.0 * math.e * p * t)
-        else:
-            tail = p * math.exp(6.0 * t) / (1.0 - p * math.exp(2.0 * t))
-    except OverflowError:
-        raise DomainError(f"psi at t = {t!r}, p = {p!r} leaves the float range") from None
-    return base + tail
+def _psi(t, p: float) -> np.ndarray:
+    """:func:`psi` at every element of ``t`` (a float or float64 array), for values its checks have passed.
+
+    Both branches are formed with numpy's ``expm1``, ``exp`` and ``pow`` at
+    every element, and each element takes the one its t selects.  A value
+    that leaves the float range raises ``DomainError`` naming the first
+    such t, never a ``RuntimeWarning``.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        base = np.expm1(4.0 * t) - 4.0 * t - 8.0 * t * t
+        small = 8.0 * math.exp(3.0) * p * t**3 / (1.0 - 2.0 * math.e * p * t)
+        large = p * np.exp(6.0 * t) / (1.0 - p * np.exp(2.0 * t))
+        value = base + np.where(t < 0.5, small, large)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DomainError(f"psi at t = {float(t.flat[bad.argmax()])!r}, p = {p!r} leaves the float range")
+    return value
 
 
 def mgf_envelope_bound(t: float, p: float) -> float:

@@ -11,7 +11,12 @@ oracle.
 
 The exact oracles form z = (sum_i S_i^2 - T)/s from its definition for
 every configuration they enumerate, apply their statistic to it and sum
-exactly, rounding each sum once as ``math.fsum`` does.  E[Z^q]
+exactly, rounding each sum once as ``math.fsum`` does.  They are exact in
+their sums only: z is formed in float64 before it is summed, so where z^q
+cancels a value can sit away from the rational one.  At
+x = (0.5330430457189982, 0.8270880925865896, -0.17829862173357147),
+p = 1/30 and q = 3, ``exact_moment_Z`` returns 1.0985037546599438e-05
+where the rational value is 1.0985037546598869e-05, 336 ulps away.  E[Z^q]
 (``exact_moment_Z``) is the one-row case of the majorization right side,
 a sum over iid Bernoulli selections of the cells of an m x n grid.  The
 rows are independent and a value does not change when every sign of one
@@ -54,8 +59,13 @@ The checks run at fixed settings.  Moments are accepted up to order
 ``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
 the envelope by ``PSI_ENVELOPE_SLACK`` = 1e-12; the envelope scale stays
 an argument so that a scale too small to hold can serve as a negative
-control.  The Chernoff optimizer identity is checked on a fixed 100-point
-(v, k, u) lattice.  Monte Carlo estimates carry the exact 99%
+control.  It evaluates psi and the envelope on arrays of grid points,
+``transform._blocks`` of 16 entries a point, with numpy's ``expm1``,
+``exp`` and ``pow``, whose last bit can differ from ``math``'s.  The
+multinomial inequality is symmetric in the parts, so its check runs once
+per partition of q and counts it as its number of orderings.  The
+Chernoff optimizer identity is checked on a fixed 100-point (v, k, u)
+lattice.  Monte Carlo estimates carry the exact 99%
 Clopper-Pearson interval, whose endpoints are computed with
 ``scipy.special.betaincinv``.  Integer arguments go through
 ``errors.check_int``, real arguments through ``errors.check_real`` and
@@ -176,13 +186,14 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
 
     The last row splits into a head, its first n - tail cells, and a tail,
     its last tail = min(n, 7) cells (``_TAIL_CELLS``), so only m = 1 and
-    n > 7 have a nonempty head.  The tail is enumerated against the
-    prefix: every class combination of rows 0..m-2 and every pattern of
-    the head (at most 15625 entries for the specs the budget accepts, at
-    (n, m) = (2, 7)).  Each prefix entry takes the tail's classes, each
-    doubled when nonempty, so a last row (h, t) and its negation (-h, -t)
-    have one representative when t is nonempty, and (h, 0) and (-h, 0)
-    are each their own; a nonempty head thus runs its row over
+    n > 7 have a nonempty head.  An empty head still closes row m-2 when
+    m >= 2; a single row of at most seven cells runs no head.  The tail is
+    enumerated against the prefix: every class combination of rows 0..m-2
+    and every pattern of the head (at most 15625 entries for the specs the
+    budget accepts, at (n, m) = (2, 7)).  Each prefix entry takes the tail's
+    classes, each doubled when nonempty, so a last row (h, t) and its
+    negation (-h, -t) have one representative when t is nonempty, and (h, 0)
+    and (-h, 0) are each their own; a nonempty head thus runs its row over
     (3^n + 3^(n-7))/2 values rather than its classes.  A block holds the
     values of whole prefix entries, ``transform._blocks`` of 16 entries a
     value (at most ``transform._CHUNK_ENTRIES`` / 16 values, or one
@@ -200,7 +211,10 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
     closed = row = t = np.zeros(1)
     mult = np.ones(1)
     w = key = np.zeros(1, dtype=np.int64)
-    for width, paired in ((n, True),) * (m - 1) + ((n - tail, False),):
+    segments = [(n, True)] * (m - 1)
+    if m > 1 or n > tail:  # the head closes row m-2, or holds cells of its own
+        segments.append((n - tail, False))
+    for width, paired in segments:
         signs, weights, keys, factor = _sign_patterns(width, base, paired)
         coef = signs * x[:width, None]
         closed = np.repeat(closed + row * row, len(weights))
@@ -311,14 +325,14 @@ def _exact_sums(name: str, x: np.ndarray, m: int, s: int, p: float, f, kept: boo
     cells = m * len(x)
     c = np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
     keep = s * (((m + 1) ** len(x) - 1) // m)  # the key of s cells in each column
-    iid, kept_sum = _ExactSum(), _ExactSum()
+    iid, kept_sum = _ExactSum(), _ExactSum() if kept else None
     for z, mult, w, key in _row_class_values(x, m, s):
-        v = f(z)
-        if not np.isfinite(v).all():
-            raise DomainError(f"{name}: the statistic is NaN or infinite at some configuration")
-        with np.errstate(over="ignore"):
-            v = v * mult
-        if not np.isfinite(v).all():
+        fz = f(z)
+        with np.errstate(over="ignore"):  # checked on the next line
+            v = fz * mult
+        if not np.isfinite(v).all():  # mult >= 1, so a NaN or infinite f(z) shows here too
+            if not np.isfinite(fz).all():
+                raise DomainError(f"{name}: the statistic is NaN or infinite at some configuration")
             raise DomainError(f"{name}: an exact sum leaves the float range")
         iid.add(v * c[w])
         if kept:
@@ -367,14 +381,32 @@ def moment_bound_rhs(p: float, q: int) -> float:
     return 2**q * math.fsum(p**r * r**q for r in range(2, q + 1))
 
 
-def compositions(total: int):
-    """All ordered tuples of positive integers summing to ``total``."""
+def _partitions(total: int, largest: int):
+    """Each partition of ``total`` into parts of at most ``largest``, non-increasing, with its count of orderings.
+
+    A partition whose largest part v appears k times, followed by a
+    partition of the rest with r parts and c orderings, has
+    C(r + k, k) * c distinct orderings.
+    """
     if total == 0:
+        yield (), 1
+        return
+    for part in range(min(total, largest), 0, -1):
+        for k in range(1, total // part + 1):
+            for rest, count in _partitions(total - k * part, part - 1):
+                yield (part,) * k + rest, math.comb(len(rest) + k, k) * count
+
+
+def _orderings(parts: tuple[int, ...]):
+    """The distinct orderings of the multiset ``parts``, in ascending (lexicographic) order."""
+    if not parts:
         yield ()
         return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
+    for first in sorted(set(parts)):
+        rest = list(parts)
+        rest.remove(first)
+        for tail in _orderings(tuple(rest)):
+            yield (first,) + tail
 
 
 def _multinomial(total: int, parts) -> int:
@@ -402,9 +434,13 @@ class MultinomialCheckReport:
 def check_multinomial_inequality(q_max: int) -> MultinomialCheckReport:
     """Check binom(2q; 2d_1..2d_r) <= 2^q binom(q; d_1..d_r)^2 exhaustively.
 
-    Runs over every composition d of every q <= q_max in exact integer
-    arithmetic, and additionally verifies that central binomial
-    coefficients satisfy binom(2k, k) >= 2^k.
+    Covers every composition d of every q <= q_max, 2^(q-1) of them, in
+    exact integer arithmetic.  Both sides are symmetric in the parts, so
+    each partition of q is checked once and counts as its number of
+    distinct orderings; a violating partition is listed as each of its
+    orderings, the violations in ascending order within each q.  Also
+    verifies that central binomial coefficients satisfy
+    binom(2k, k) >= 2^k.
     """
     q_max = check_int("q_max", q_max, 1)
     if q_max > 20:
@@ -413,13 +449,15 @@ def check_multinomial_inequality(q_max: int) -> MultinomialCheckReport:
     checked_per_q = {}
     for q in range(1, q_max + 1):
         count = 0
-        for parts in compositions(q):
-            count += 1
+        violated = []
+        for parts, orderings in _partitions(q, q):
+            count += orderings
             lhs = _multinomial(2 * q, [2 * d for d in parts])
             rhs = 2**q * _multinomial(q, parts) ** 2
             if lhs > rhs:
-                violations.append((q, parts))
+                violated.extend(_orderings(parts))
         checked_per_q[q] = count
+        violations.extend((q, parts) for parts in sorted(violated))
     central_ok = all(math.comb(2 * k, k) >= 2**k for k in range(1, q_max + 1))
     return MultinomialCheckReport(
         q_max=q_max,
@@ -499,8 +537,12 @@ def check_psi_envelope(
     more than ``PSI_ENVELOPE_SLACK`` = 1e-12.  ``scale`` must be positive
     and finite, and ``grid_points`` an integer >= 1 (``int`` or numpy); a
     grid of more than ``ENUMERATION_BUDGET`` points raises ``BudgetError``.
-    A scale or p whose envelope leaves the float range on the grid raises
-    ``DomainError``.
+    The points run as arrays in ``transform._blocks`` of 16 entries a
+    point, so no grid size forms one array of every point; ``worst_t`` is
+    the first t at which ``max_violation`` is reached.  A scale or p whose
+    envelope or psi leaves the float range on the grid raises
+    ``DomainError`` naming the first such t (the envelope's error where
+    both first leave it at one t), never a ``RuntimeWarning``.
     """
     p = check_real("sparsity fraction p", p, 0.0, MAX_SPARSITY, high_open=False)
     scale = check_real("envelope scale", scale, 0.0, math.inf)
@@ -509,20 +551,23 @@ def check_psi_envelope(
     worst = -math.inf
     worst_t = math.nan
     count = 0
-    for i in range(1, grid_points + 1):
-        t = t_max * i / grid_points
+    for lo, hi in transform._blocks(grid_points, 16):
+        t = t_max * np.arange(lo + 1, hi + 1, dtype=np.float64) / grid_points
         kt = scale * t
-        try:
-            envelope = (math.expm1(kt) - kt - kt * kt / 2.0) * 2.0 / (scale * scale)
-        except (OverflowError, ZeroDivisionError):  # scale * t above 709, or scale^2 below the float range
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked on the next line
+            envelope = (np.expm1(kt) - kt - kt * kt / 2.0) * 2.0 / (scale * scale)
+        out = ~np.isfinite(envelope)  # scale * t above 709, or scale^2 below the float range
+        if out.any():
+            first = out.argmax()
+            _psi(t[:first], p)  # a psi that leaves the float range at a smaller t raises first
             raise DomainError(
-                f"envelope scale {scale!r} at p = {p!r}: the envelope leaves the float range at t = {t!r}"
-            ) from None
+                f"envelope scale {scale!r} at p = {p!r}: the envelope leaves the float range at t = {float(t[first])!r}"
+            )
         violation = _psi(t, p) - envelope  # p is checked and 0 < t <= t_max < log(1/p)/2
-        if violation > worst:
-            worst, worst_t = violation, t
-        if violation > PSI_ENVELOPE_SLACK:
-            count += 1
+        i = violation.argmax()  # the first maximum of the block; a later block must exceed it
+        if violation[i] > worst:
+            worst, worst_t = float(violation[i]), float(t[i])
+        count += int(np.count_nonzero(violation > PSI_ENVELOPE_SLACK))
     return PsiEnvelopeReport(
         p=p,
         scale=scale,

@@ -89,7 +89,8 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
 # JSON encoder, the JSON decoder and the duplicate-row check (s entries a column),
 # ``oracle.squared_norm_samples`` (max(n s, m) a trial),
-# ``oracle._row_class_values`` (16 a value) and the CSV writer (whole rows of
+# ``oracle._row_class_values`` (16 a value), ``oracle.check_psi_envelope``
+# (16 a grid point) and the CSV writer (whole rows of
 # the longest row's length, and a longer row in blocks of single values).
 # No code but ``_blocks`` reads the constant.
 _CHUNK_ENTRIES = 1 << 16

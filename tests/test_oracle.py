@@ -11,9 +11,11 @@ binomial CDF.  Monte Carlo samples are checked bit for bit against the
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -40,6 +42,7 @@ from sparsejl import (
     estimate_failure_prob,
     exact_moment_Z,
     moment_bound_rhs,
+    psi,
     squared_norm_samples,
 )
 from sparsejl import oracle, streams, transform
@@ -380,6 +383,54 @@ class TestMultinomialInequality:
         assert report.violations == [(2, (1, 1))]
         assert report.central_binomial_ok
 
+    def test_every_composition_at_the_budget_edge(self):
+        """Each partition counts as its orderings: 2^(q-1) compositions of every q <= 20."""
+        report = check_multinomial_inequality(20)
+        assert report.ok
+        assert report.checked_per_q == {q: 2 ** (q - 1) for q in range(1, 21)}
+        assert report.total_checked == 2**20 - 1
+
+    def test_violating_partition_lists_every_ordering(self, monkeypatch):
+        """Negative control: the left side of the partition {2, 1} of 3, binom(6; 4, 2) in either
+        order, made 100 times larger, is listed as both of its compositions in the loop's order."""
+        multinomial = oracle._multinomial
+        monkeypatch.setattr(oracle, "_multinomial", lambda total, parts: multinomial(total, parts)
+                            * (100 if (total, sorted(parts)) == (6, [2, 4]) else 1))
+        report = check_multinomial_inequality(4)
+        assert report.violations == [(3, (1, 2)), (3, (2, 1))]
+        assert report.total_checked == 15
+
+    @pytest.mark.parametrize("inflated", [
+        [(6, [2, 2, 2])],
+        [(8, [2, 6]), (8, [2, 2, 4])],
+        [(10, [2, 2, 2, 4]), (12, [2, 4, 6]), (12, [2, 2, 2, 2, 2, 2])],
+        [(14, [2, 2, 4, 6]), (14, [2, 2, 2, 2, 2, 4]), (4, [2, 2])],
+    ], ids=["q3-all-ones", "q4-two-partitions", "q5-q6", "q7-many-orderings"])
+    def test_matches_per_composition_loop(self, monkeypatch, inflated):
+        """The report equals the check's reference, a loop over every composition, violations in its order."""
+        multinomial = oracle._multinomial
+        patched = lambda total, parts: multinomial(total, parts) * (100 if (total, sorted(parts)) in inflated else 1)
+        monkeypatch.setattr(oracle, "_multinomial", patched)
+
+        def compositions(total):
+            if total == 0:
+                yield ()
+                return
+            for first in range(1, total + 1):
+                for rest in compositions(total - first):
+                    yield (first,) + rest
+
+        checked, violations = {}, []
+        for q in range(1, 8):
+            checked[q] = 0
+            for parts in compositions(q):
+                checked[q] += 1
+                if patched(2 * q, [2 * d for d in parts]) > 2**q * patched(q, parts) ** 2:
+                    violations.append((q, parts))
+        report = check_multinomial_inequality(7)
+        assert report.checked_per_q == checked
+        assert report.violations == violations and violations
+
 
 class TestMajorization:
     def test_frozen_rational_values(self):
@@ -587,6 +638,76 @@ class TestExactSums:
             with pytest.raises(DomainError, match="^check_majorization: an exact sum leaves the float range$"):
                 oracle._exact_sums("check_majorization", x, 1, 1, 0.5, lambda z: np.full_like(z, value), True)
 
+    # Values the enumeration gave before a one-row spec (m = 1, n <= 7) skipped its empty head
+    # segment, as float.hex.  q = 2 and z^3 are formed by multiplication alone, and p = 1/4 is a
+    # power of two, so every bit is set by the summation order, not by a library's pow.
+    MOMENT_PINS = {
+        2: "0x1.47ae147ae147cp-5", 3: "0x1.0000000000000p-4", 4: "0x1.369d0369d0368p-4",
+        5: "0x1.5a4c55a4c55a4p-4", 6: "0x1.7357357357358p-4", 7: "0x1.85d9f7390d2a7p-4",
+        8: "0x1.9414141414140p-4",
+    }
+    MAJORIZATION_PINS = {  # (n, m, s): (lhs, rhs) at q = 2
+        (1, 2, 1): ("0x0.0p+0", "0x0.0p+0"),
+        (1, 2, 2): ("0x0.0p+0", "0x0.0p+0"),
+        (2, 2, 1): ("0x1.47ae147ae147cp-2", "0x1.47ae147ae147cp-2"),
+        (2, 2, 2): ("0x1.47ae147ae147cp-2", "0x1.47ae147ae147cp-2"),
+        (3, 2, 1): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+        (3, 2, 2): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+        (1, 3, 1): ("0x0.0p+0", "0x0.0p+0"),
+        (1, 3, 2): ("0x0.0p+0", "0x0.0p+0"),
+        (1, 3, 3): ("0x0.0p+0", "0x0.0p+0"),
+        (2, 3, 1): ("0x1.b4e81b4e81b4fp-3", "0x1.b4e81b4e81b50p-3"),
+        (2, 3, 2): ("0x1.b4e81b4e81b4fp-3", "0x1.b4e81b4e81b4ep-3"),
+        (2, 3, 3): ("0x1.b4e81b4e81b4ep-3", "0x1.b4e81b4e81b4ep-3"),
+        (3, 3, 1): ("0x1.5555555555555p-2", "0x1.5555555555557p-2"),
+        (3, 3, 2): ("0x1.5555555555555p-2", "0x1.5555555555555p-2"),
+        (3, 3, 3): ("0x1.5555555555556p-2", "0x1.5555555555556p-2"),
+        (1, 4, 1): ("0x0.0p+0", "0x0.0p+0"),
+        (1, 4, 2): ("0x0.0p+0", "0x0.0p+0"),
+        (1, 4, 3): ("0x0.0p+0", "0x0.0p+0"),
+        (1, 4, 4): ("0x0.0p+0", "0x0.0p+0"),
+        (2, 4, 1): ("0x1.47ae147ae147cp-3", "0x1.47ae147ae147cp-3"),
+        (2, 4, 2): ("0x1.47ae147ae147cp-3", "0x1.47ae147ae147cp-3"),
+        (2, 4, 3): ("0x1.47ae147ae147bp-3", "0x1.47ae147ae147bp-3"),
+        (2, 4, 4): ("0x1.47ae147ae147bp-3", "0x1.47ae147ae147bp-3"),
+        (3, 4, 1): ("0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+        (3, 4, 2): ("0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+        (3, 4, 3): ("0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+        (3, 4, 4): ("0x1.0000000000001p-2", "0x1.0000000000001p-2"),
+    }
+    CUBE_PINS = {  # (n, m): (iid, kept) sums of z^3 at s = 1, p = 1/4
+        (3, 1): ("0x1.426cf7ca432bfp-7", "0x1.426cf7ca432c5p+2"),
+        (8, 1): ("0x1.e44b3218ffe6cp-5", "0x1.e44b3218ffe6fp+9"),
+        (2, 3): ("0x1.76b8000000000p-55", "0x1.2000000000000p-49"),
+    }
+
+    @staticmethod
+    def pin_vector(n):
+        """(1, -2, 3, ...) / norm, formed with correctly rounded operations only."""
+        v = [(-1) ** i * (i + 1) for i in range(n)]
+        norm = math.sqrt(math.fsum(a * a for a in v))
+        return tuple(a / norm for a in v)
+
+    def test_moment_pins(self):
+        """m = 1: n <= 7 runs no head segment, n = 8 a head of one cell."""
+        got = {n: exact_moment_Z(MomentSpec(self.pin_vector(n), 0.25, 2)).hex() for n in self.MOMENT_PINS}
+        assert got == self.MOMENT_PINS
+
+    def test_majorization_pins(self):
+        """m >= 2: the empty head segment stays, as it closes row m - 2."""
+        got = {}
+        for n, m, s in self.MAJORIZATION_PINS:
+            lhs, rhs = check_majorization(MajorizationSpec(n, m, s, 2, self.pin_vector(n)))
+            got[n, m, s] = (lhs.hex(), rhs.hex())
+        assert got == self.MAJORIZATION_PINS
+
+    def test_odd_statistic_pins(self):
+        got = {}
+        for n, m in self.CUBE_PINS:
+            iid, kept = oracle._exact_sums("pin", np.array(self.pin_vector(n)), m, 1, 0.25, lambda z: z * z * z, True)
+            got[n, m] = (iid.hex(), kept.hex())
+        assert got == self.CUBE_PINS
+
     def test_majorization_at_criterion_5(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
@@ -695,6 +816,76 @@ class TestPsiEnvelope:
         """The envelope at these scales ended in a bare OverflowError or ZeroDivisionError."""
         with pytest.raises(DomainError, match="envelope scale .* leaves the float range"):
             check_psi_envelope(1 / 30, scale=scale, grid_points=10)
+
+    @staticmethod
+    def point_loop(p, scale, grid_points):
+        """(max_violation, worst_t, violation_count) from the public psi and the envelope, one point at a time."""
+        t_max = math.log(1.0 / (2.0 * p)) / 2.0
+        worst, worst_t, count = -math.inf, math.nan, 0
+        for i in range(1, grid_points + 1):
+            t = t_max * i / grid_points
+            kt = scale * t
+            violation = psi(t, p) - (math.expm1(kt) - kt - kt * kt / 2.0) * 2.0 / (scale * scale)
+            if violation > worst:
+                worst, worst_t = violation, t
+            count += violation > oracle.PSI_ENVELOPE_SLACK
+        return worst, worst_t, count
+
+    @pytest.mark.parametrize("scale", [50.0, 8.0])
+    @pytest.mark.parametrize("p", [1 / 100, 1 / 30])
+    def test_array_grid_matches_point_loop(self, monkeypatch, p, scale):
+        """Blocks of 4 points over 1000: at K = 50 the worst point is the first, at K = 8 it lies in a later block."""
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 64)
+        report = check_psi_envelope(p, scale, grid_points=1000)
+        worst, worst_t, count = self.point_loop(p, scale, 1000)
+        assert report.violation_count == count
+        assert report.worst_t == worst_t
+        assert report.max_violation == pytest.approx(worst, rel=1e-9)
+        if scale == 8.0:
+            assert 0 < count < 1000 and worst_t > 4 * math.log(1.0 / (2.0 * p)) / 2.0 / 1000
+
+    def test_tie_keeps_the_earliest_t(self, monkeypatch):
+        """psi made 1e300 from t = 1 on, far above the envelope's half ulp there: every such point
+        ties, within a block and across the blocks that follow, and the first one is reported."""
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 64)
+        monkeypatch.setattr(oracle, "_psi", lambda t, p: np.where(t >= 1.0, 1e300, 0.0))
+        report = check_psi_envelope(1 / 30, grid_points=1000)
+        grid = [math.log(15.0) / 2.0 * i / 1000 for i in range(1, 1001)]
+        tied = [t for t in grid if t >= 1.0]
+        assert report.max_violation == 1e300
+        assert report.worst_t == tied[0] and grid.index(tied[0]) % 4 != 0
+        assert report.violation_count == len(tied)
+
+    def test_float_range_error_names_the_first_t_without_a_warning(self):
+        """The envelope at K = 1000 overflows from the sixth of ten points on (1000 t > 709)."""
+        t = math.log(15.0) / 2.0 * 6 / 10
+        message = f"envelope scale 1000.0 at p = {1 / 30!r}: the envelope leaves the float range at t = {t!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                check_psi_envelope(1 / 30, scale=1000.0, grid_points=10)
+            with pytest.raises(DomainError, match=r"^psi at t = 150\.0, p = 1e-300 leaves the float range$"):
+                psi(150.0, 1e-300)
+
+    @pytest.mark.parametrize("scale, first", [
+        (5.0, "psi at t = {}, p = 1e-300"),
+        (6.0, "envelope scale 6.0 at p = 1e-300"),
+    ])
+    def test_first_overflow_decides_the_error(self, scale, first):
+        """At p = 1e-300 psi's e^{6t} overflows from the fourth of ten points, t = 138; the envelope
+        at K = 5 only from the fifth, and at K = 6 from the fourth too, where it is checked first."""
+        t = math.log(1.0 / 2e-300) / 2.0 * 4 / 10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(first.format(repr(t)))) as info:
+                check_psi_envelope(1e-300, scale=scale, grid_points=10)
+        assert repr(t) in str(info.value)
+
+    def test_grid_in_blocks_within_memory(self):
+        """10^6 points run in blocks: one array of the grid alone would take 8 MB."""
+        report, peak = traced_peak(lambda: check_psi_envelope(1 / 30, grid_points=10**6))
+        assert report.ok and report.grid_points == 10**6
+        assert peak <= PEAK_BYTES
 
 
 class TestChernoffGrid:
