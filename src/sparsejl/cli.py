@@ -81,13 +81,20 @@ def write_vectors(path, vectors) -> None:
         fh.writelines(text)
 
 
-def _emit(obj: dict, fmt: str) -> None:
+def _emit(records: dict | list[dict], fmt: str) -> None:
+    """Print a record, or a list of records with the same keys, as JSON (a non-finite float is
+    null: NaN and Infinity are not JSON) or as CSV: a header line of the keys, then a line a
+    record, ``repr`` of a float and ``str`` of anything else."""
+    one = isinstance(records, dict)
+    rows = [records] if one else records
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+                for row in rows]
+        print(json.dumps(rows[0] if one else rows, sort_keys=True))
     else:
-        keys = list(obj)
-        print(",".join(keys))
-        print(",".join(repr(obj[k]) if isinstance(obj[k], float) else str(obj[k]) for k in keys))
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -135,13 +142,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rows = planner.bounds_table(args.eps, args.delta, args.p, args.B, constant=args.constant)
-    if args.format == "csv":
-        sys.stdout.write(planner.bounds_to_csv(rows))
-    else:
-        # A non-finite value (an invalid row) is null: NaN and Infinity are not JSON.
-        rows = [dict(asdict(r), value=r.value if math.isfinite(r.value) else None) for r in rows]
-        print(json.dumps(rows, sort_keys=True))
+    _emit([asdict(row) for row in planner.bounds_table(args.eps, args.delta, args.p)], args.format)
     return 0
 
 
@@ -245,12 +246,10 @@ def _build_parser() -> _Parser:
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.set_defaults(func=_cmd_verify)
 
-    bounds = sub.add_parser("bounds", help="tabulate published dimension bounds")
-    bounds.add_argument("--eps", type=float, required=True)
-    bounds.add_argument("--delta", type=float, required=True)
-    bounds.add_argument("--p", type=float, required=True)
-    bounds.add_argument("--B", type=float, default=math.e, help="tradeoff parameter for the matrix-Chernoff row (> 2)")
-    bounds.add_argument("--constant", type=float, default=1.0, help="multiplier for rows with unspecified constants")
+    bounds = sub.add_parser("bounds", help="certified dimension beside the Gaussian reference and a published bound")
+    bounds.add_argument("--eps", type=float, required=True, help="distortion in (0,1)")
+    bounds.add_argument("--delta", type=float, required=True, help="failure probability in (0,1)")
+    bounds.add_argument("--p", type=float, required=True, help="sparsity fraction in (0,1]")
     bounds.add_argument("--format", choices=("csv", "json"), default="csv")
     bounds.set_defaults(func=_cmd_bounds)
 

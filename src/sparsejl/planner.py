@@ -7,9 +7,10 @@ fraction ``p``, the certified minimal embedding dimension is
 
 valid for p <= 1/30 and eps <= p log(1/(2p)).  Since h <= 1 this never
 beats the optimal dense-projection reference 4 log(2/delta)/eps^2, and it
-approaches it as eps/p -> 0.  A comparison table of published alternative
-bounds (evaluated with configurable leading constants where only an
-unspecified constant is known) is also provided.  Every real argument goes
+approaches it as eps/p -> 0.  The plan also reports the package's own
+failure bound for the pair (m, s) it prints, and whether that pair is
+certified.  A table sets the bound beside the Gaussian reference and a
+published bound with explicit constants.  Every real argument goes
 through ``errors.check_real``.
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, bennet_h
-from .errors import ConstraintViolation, DomainError, check_real
+from .concentration import DEFAULT_ENVELOPE_SCALE, MAX_SPARSITY, TailEnvelope, bennet_h, sub_poisson_tail
+from .errors import ConstraintViolation, DomainError, check_int, check_real
 
 #: Row label under which this package's own bound appears in the table.
 BENNET_ROW = "bennet"
@@ -63,6 +64,28 @@ class PlanResult:
     gaussian_reference: float
     slack: float
     s_implied: int
+    delta_implied: float
+    certified: bool
+
+
+def _gaussian_reference(eps: float, delta: float) -> float:
+    """4 log(2/delta)/eps^2, infinite where eps^2 underflows to 0."""
+    eps_sq = eps * eps
+    return 4.0 * math.log(2.0 / delta) / eps_sq if eps_sq else math.inf
+
+
+def certified_delta(m: int, s: int, eps: float) -> float:
+    """The package's bound on P{| |Ax|^2 - 1 | > eps} for m rows and s nonzeros a column.
+
+    That is 2 sub_poisson_tail(TailEnvelope(2 s^2/m, 50), s eps), the
+    two-sided tail that ``min_dimension`` inverts, at p = s/m; v is formed as
+    2 s (s/m), finite where s^2 is not.  It is a certificate only where
+    ``PlanRequest`` accepts p = s/m.  Requires 1 <= s <= m and 0 < eps < 1.
+    """
+    m = check_int("m", m, 1)
+    s = check_int("s", s, 1, m)
+    eps = check_real("eps", eps, 0.0, 1.0)
+    return 2.0 * sub_poisson_tail(TailEnvelope(2.0 * s * (s / m), DEFAULT_ENVELOPE_SCALE), s * eps)
 
 
 def min_dimension(req: PlanRequest) -> PlanResult:
@@ -73,108 +96,78 @@ def min_dimension(req: PlanRequest) -> PlanResult:
     for, together with the h value, the eps/p -> 0 Gaussian reference
     4 log(2/delta)/eps^2, the slack in the validity constraint, and the
     implied per-column sparsity round(p * m), at least 11 on the valid domain.
-    Raises ``DomainError`` where 4 log(2/delta)/(eps^2 h) leaves the float range.
+    ``delta_implied`` is ``certified_delta`` of the printed pair (m_min,
+    s_implied), which need not be at most delta since s_implied/m_min is
+    not p; ``certified`` is true when it is and ``PlanRequest`` accepts
+    p = s_implied/m_min.  Raises ``DomainError`` where
+    4 log(2/delta)/(eps^2 h) leaves the float range.
     """
     h_value = bennet_h(DEFAULT_ENVELOPE_SCALE * req.eps / (2.0 * req.p))
-    eps_sq = req.eps * req.eps
-    gaussian_reference = 4.0 * math.log(2.0 / req.delta) / eps_sq if eps_sq else math.inf
+    gaussian_reference = _gaussian_reference(req.eps, req.delta)
     bound = gaussian_reference / h_value
     if not math.isfinite(bound):
         raise DomainError(
             f"eps = {req.eps}, p = {req.p}: 4 log(2/delta)/(eps^2 h) leaves the float range"
         )
     m_min = math.ceil(bound)
+    s_implied = round(req.p * m_min)
+    delta_implied = certified_delta(m_min, s_implied, req.eps)
+    try:
+        PlanRequest(req.eps, req.delta, s_implied / m_min)
+    except ConstraintViolation:
+        certified = False
+    else:
+        certified = delta_implied <= req.delta
     return PlanResult(
         m_min=m_min,
         h_value=h_value,
         gaussian_reference=gaussian_reference,
         slack=req.eps_limit - req.eps,
-        s_implied=round(req.p * m_min),
+        s_implied=s_implied,
+        delta_implied=delta_implied,
+        certified=certified,
     )
 
 
 @dataclass(frozen=True)
 class BoundsRow:
-    """One evaluated dimension bound: label, value, constant used, validity."""
+    """One evaluated dimension bound: label, value, and whether the value is finite."""
 
     source: str
     value: float
-    constant: float
     valid: bool
 
 
-def _row(source: str, raw: float, constant: float, valid: bool, ceil: bool = True) -> BoundsRow:
-    if not (math.isfinite(raw) and raw > 0):
-        valid = False
-    value = float(math.ceil(raw)) if (ceil and math.isfinite(raw)) else raw
-    return BoundsRow(source=source, value=value, constant=constant, valid=valid)
+def bounds_table(eps: float, delta: float, p: float) -> list[BoundsRow]:
+    """The dimension bounds the package can compute, side by side, for a fraction p in (0, 1].
 
-
-def bounds_table(
-    eps: float, delta: float, p: float, B: float, constant: float = 1.0
-) -> list[BoundsRow]:
-    """Published dimension bounds evaluated side by side.
-
-    A finite ``constant`` > 0 replaces the unspecified leading constants; rows with
-    explicit published constants ignore it.  ``B`` must be finite.  Rows
-    whose preconditions fail (the B > 2 requirement, this package's p and
-    eps constraints, or inner logarithms leaving their domain) are marked
-    invalid rather than omitted.  The two published lower bounds are rendered as the single
-    optimal-dimension reference line 4 log(2/delta)/eps^2, ``lower_bound_reference``.  That
-    is the lower bound's asymptotic constant (as eps -> 0), not a lower bound at finite eps:
-    the smallest m with P{|chi^2_m/m - 1| > eps} <= delta, the exact Gaussian dimension, is
-    5310 against 8477 at (eps, delta) = (0.05, 0.01) and 142 against 866 at (0.08, 0.5).
+    Three rows, in this order: ``gaussian_reference``, 4 log(2/delta)/eps^2
+    as ``min_dimension`` reports it; ``decoupling_explicit``,
+    ceil(max(128 log(1/delta)/eps^2, 8 sqrt(2) log(2/delta)/(p eps))), whose
+    constants are published; and ``bennet``, this package's ``m_min``.  A
+    row is valid when its value is finite: an invalid one (``bennet``
+    outside the planner's constraints, a value past the float range) is
+    marked, not omitted.
+    ``gaussian_reference`` is the lower bound's asymptotic constant (as
+    eps -> 0), not a lower bound at finite eps: the smallest m with
+    P{|chi^2_m/m - 1| > eps} <= delta, the exact Gaussian dimension, is
+    5310 against 8477 at (eps, delta) = (0.05, 0.01) and 142 against 866
+    at (0.08, 0.5).
     """
     eps = check_real("eps", eps, 0.0, 1.0)
     delta = check_real("delta", delta, 0.0, 1.0)
-    p = check_real("p", p, 0.0, math.inf)
-    B = check_real("B", B, -math.inf, math.inf)
-    constant = check_real("constant", constant, 0.0, math.inf)
+    p = check_real("p", p, 0.0, 1.0, high_open=False)
 
-    l2 = math.log(2.0 / delta)
-    l1 = math.log(1.0 / delta)
     inv_eps2 = 1.0 / (eps * eps) if eps * eps else math.inf  # eps^2 may underflow to 0
     inv_peps = 1.0 / (p * eps) if p * eps else math.inf  # so may p * eps
-    rows: list[BoundsRow] = []
-
-    rows.append(_row("lower_bound_reference", 4.0 * l2 * inv_eps2, 1.0, True, ceil=False))
-    rows.append(_row("rademacher_chaos", constant * max(l2 * inv_eps2, l2 * l2 * inv_peps), constant, True))
-
-    # The triple-log refinement needs log log(2/delta) > 0 to evaluate.
-    ll2 = math.log(l2) if l2 > 0 else math.nan
-    if ll2 > 0:
-        refine = l1 * l1 * (math.log(ll2) / ll2) * inv_peps
-    else:
-        refine = math.nan
-    rows.append(_row("graph_enumeration_loglog", constant * max(l2 * inv_eps2, refine)
-                     if math.isfinite(refine) else math.nan, constant, math.isfinite(refine)))
-
-    rows.append(_row("graph_enumeration", constant * max(l2 * inv_eps2, l2 * inv_peps), constant, True))
-
-    if B > 2.0:
-        chernoff = constant * max(B * l2 * inv_eps2, (l2 / math.log(B)) * inv_peps)
-        rows.append(_row("matrix_chernoff", chernoff, constant, True))
-    else:
-        rows.append(BoundsRow("matrix_chernoff", math.nan, constant, False))
-
-    rows.append(_row("hanson_wright", constant * max(l2 * inv_eps2, l2 * inv_peps), constant, True))
-    rows.append(_row("decoupling_explicit",
-                     max(128.0 * l1 * inv_eps2, 8.0 * math.sqrt(2.0) * l2 * inv_peps), 1.0, True))
-
+    explicit = max(128.0 * math.log(1.0 / delta) * inv_eps2, 8.0 * math.sqrt(2.0) * math.log(2.0 / delta) * inv_peps)
     try:
-        result = min_dimension(PlanRequest(eps, delta, p))
-        rows.append(BoundsRow(BENNET_ROW, float(result.m_min), 1.0, True))
+        m_min = float(min_dimension(PlanRequest(eps, delta, p)).m_min)
     except (ConstraintViolation, DomainError):
-        rows.append(BoundsRow(BENNET_ROW, math.nan, 1.0, False))
-    return rows
-
-
-def bounds_to_csv(rows: list[BoundsRow]) -> str:
-    """Serialize table rows as CSV with columns source,formula_value,constant,valid.
-
-    Each line joins its fields with commas, ``repr`` of a float and ``str``
-    of anything else, the rule ``sparsejl plan --format csv`` follows.
-    """
-    lines = [("source", "formula_value", "constant", "valid")]
-    lines += [(row.source, row.value, row.constant, row.valid) for row in rows]
-    return "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in line) + "\n" for line in lines)
+        m_min = math.nan
+    values = {
+        "gaussian_reference": _gaussian_reference(eps, delta),
+        "decoupling_explicit": float(math.ceil(explicit)) if math.isfinite(explicit) else explicit,
+        BENNET_ROW: m_min,
+    }
+    return [BoundsRow(source, value, math.isfinite(value)) for source, value in values.items()]

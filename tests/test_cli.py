@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsejl import DomainError, PlanRequest, SparseJLMatrix, min_dimension, read_matrix
+from sparsejl import DomainError, SparseJLMatrix, read_matrix
 from sparsejl import _csvtext, oracle, transform
 from sparsejl._csvtext import csv_text
-from sparsejl.cli import read_vectors, run, write_vectors
+from sparsejl.cli import _build_parser, read_vectors, run, write_vectors
 from sparsejl.transform import _CHUNK_ENTRIES, write_matrix
 
 
@@ -350,14 +351,19 @@ class TestVerify:
 
 
 class TestBounds:
+    ROWS = ["gaussian_reference", "decoupling_explicit", "bennet"]
+
     def test_csv_table(self, capsys):
-        code, out, _ = invoke(
-            capsys, "bounds", "--eps", "0.05", "--delta", "0.01", "--p", str(1 / 30), "--B", "4"
-        )
+        """The CSV header is the keys the JSON rows carry; it once said formula_value where JSON said value."""
+        flags = ("bounds", "--eps", "0.05", "--delta", "0.01", "--p", "0.0333333")
+        code, out, _ = invoke(capsys, *flags)
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "source,formula_value,constant,valid"
-        assert len(lines) == 9
+        header, *lines = out.strip().split("\n")
+        assert header == "source,value,valid"
+        assert [line.split(",")[0] for line in lines] == self.ROWS
+        code, out, _ = invoke(capsys, *flags, "--format", "json")
+        assert code == 0
+        assert all(sorted(row) == sorted(header.split(",")) for row in json.loads(out))
 
     def test_underflowing_eps_marks_rows_invalid(self, capsys):
         code, out, _ = invoke(capsys, "bounds", "--eps", "1e-300", "--delta", "0.01",
@@ -366,42 +372,66 @@ class TestBounds:
         assert not any(row["valid"] for row in json.loads(out))
 
     @pytest.mark.parametrize("flags,message", [
-        (["--p", "nan"], "p must be positive and finite"),
-        (["--p", "inf"], "p must be positive and finite"),
-        (["--p", "0.01", "--B", "nan"], "B must be finite"),
-        (["--p", "0.01", "--B", "inf"], "B must be finite"),
+        (["--p", "nan"], "p must be finite and in (0, 1]"),
+        (["--p", "inf"], "p must be finite and in (0, 1]"),
+        (["--p", "0.01", "--B", "nan"], "unrecognized arguments: --B nan"),
+        (["--p", "0.01", "--B", "inf"], "unrecognized arguments: --B inf"),
     ], ids=["nan", "inf", "B-nan", "B-inf"])
     def test_non_finite_p_is_validation_error(self, capsys, flags, message):
-        """With --p nan, max(a, nan) returned a and five rows were marked valid; --B nan and inf exited 0."""
+        """With --p nan, max(a, nan) returned a and five rows were marked valid; --B nan and inf exited 0,
+        and --B is no longer a flag."""
         code, out, err = invoke(capsys, "bounds", "--eps", "0.1", "--delta", "0.1", *flags)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("eps,p,B", [("0.05", str(1 / 30), "1.5"), ("1e-300", str(1 / 30), "4"),
-                                         ("1.07e-153", "3e-156", "4")],
-                             ids=["B-below-2", "eps-underflow", "bound-overflow"])
-    def test_json_is_strict(self, capsys, eps, p, B):
+    @pytest.mark.parametrize("flags,message", [
+        (["--p", "5"], "p must be finite and in (0, 1], got 5.0"),
+        (["--p", "0.01", "--B", "4"], "unrecognized arguments: --B 4"),
+        (["--p", "0.01", "--constant", "2"], "unrecognized arguments: --constant 2"),
+    ], ids=["p-above-1", "B-4", "constant-2"])
+    def test_rejected_input_is_validation_error(self, capsys, flags, message):
+        """--p 5 exited 0 with the decoupling_explicit row valid; --B and --constant are no longer flags."""
+        code, out, err = invoke(capsys, "bounds", "--eps", "0.05", "--delta", "0.01", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("eps,p", [("0.05", "0.05"), ("1e-300", str(1 / 30)), ("1.07e-153", "3e-156")],
+                             ids=["p-above-sparsity-limit", "eps-underflow", "bound-overflow"])
+    def test_json_is_strict(self, capsys, eps, p):
         """Invalid rows were written with NaN or Infinity, which RFC 8259 JSON does not allow."""
         def reject(name):
             raise ValueError(f"{name} is not JSON")
 
-        code, out, _ = invoke(capsys, "bounds", "--eps", eps, "--delta", "0.5", "--p", p,
-                              "--B", B, "--format", "json")
+        code, out, _ = invoke(capsys, "bounds", "--eps", eps, "--delta", "0.5", "--p", p, "--format", "json")
         assert code == 0
         rows = json.loads(out, parse_constant=reject)
+        assert [row["source"] for row in rows] == self.ROWS
         assert any(row["value"] is None for row in rows)
-        assert all(not row["valid"] for row in rows if row["value"] is None)
+        assert all(row["valid"] == (row["value"] is not None) for row in rows)
 
     def test_consistent_with_plan(self, capsys):
-        code, out, _ = invoke(
-            capsys, "bounds", "--eps", "0.05", "--delta", "0.01", "--p", str(1 / 30),
-            "--B", "4", "--format", "json",
-        )
+        """The bennet row is plan's m_min and the gaussian_reference row its gaussian_reference, bit for bit."""
+        flags = ("--eps", "0.05", "--delta", "0.01", "--p", str(1 / 30), "--format", "json")
+        code, out, _ = invoke(capsys, "bounds", *flags)
         assert code == 0
-        rows = {row["source"]: row for row in json.loads(out)}
-        planned = min_dimension(PlanRequest(0.05, 0.01, 1 / 30)).m_min
-        assert rows["bennet"]["value"] == planned
+        rows = {row["source"]: row["value"] for row in json.loads(out)}
+        code, out, _ = invoke(capsys, "plan", *flags)
+        assert code == 0
+        plan = json.loads(out)
+        assert rows["bennet"] == plan["m_min"]
+        assert rows["gaussian_reference"] == plan["gaussian_reference"]
+
+
+def test_readme_cli_examples_parse():
+    """Every `sparsejl ...` line of the README's CLI code block parses, so a renamed or removed flag fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("sparsejl ")]
+    assert len(examples) >= 6
+    for line in examples:
+        args = _build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def _three_product_shortest(bits):

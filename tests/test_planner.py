@@ -16,12 +16,25 @@ from sparsejl import (
     PlanRequest,
     TailEnvelope,
     bounds_table,
-    bounds_to_csv,
+    certified_delta,
     min_dimension,
     sub_poisson_tail,
 )
 
 P30 = 1.0 / 30.0
+
+
+def _grid_plans() -> list[PlanRequest]:
+    """The 70 valid plans of eps in {0.01, ..., 0.08}, delta in {1e-6, ..., 0.5}, p in {1/30, ..., 0.001}."""
+    plans = []
+    for eps in (0.01, 0.02, 0.03, 0.05, 0.08):
+        for delta in (1e-6, 1e-3, 0.01, 0.1, 0.5):
+            for p in (P30, 0.02, 0.01, 0.005, 0.001):
+                try:
+                    plans.append(PlanRequest(eps, delta, p))
+                except ConstraintViolation:
+                    pass
+    return plans
 
 
 class TestPlanRequest:
@@ -138,19 +151,49 @@ class TestMinDimension:
         def tail(m, eps, p):
             return 2.0 * sub_poisson_tail(TailEnvelope(2.0 * m * p * p, 50.0), m * p * eps)
 
-        plans = 0
-        for eps in (0.01, 0.02, 0.03, 0.05, 0.08):
-            for delta in (1e-6, 1e-3, 0.01, 0.1, 0.5):
-                for p in (P30, 0.02, 0.01, 0.005, 0.001):
-                    try:
-                        req = PlanRequest(eps, delta, p)
-                    except ConstraintViolation:
-                        continue
-                    plans += 1
-                    m_min = min_dimension(req).m_min
-                    assert tail(m_min, eps, p) <= delta, (eps, delta, p)
-                    assert tail(m_min - 1, eps, p) > delta, (eps, delta, p)
-        assert plans == 70
+        plans = _grid_plans()
+        for req in plans:
+            m_min = min_dimension(req).m_min
+            assert tail(m_min, req.eps, req.p) <= req.delta, req
+            assert tail(m_min - 1, req.eps, req.p) > req.delta, req
+        assert len(plans) == 70
+
+    def test_reference_pairs_are_not_certified(self):
+        """The README pair (57842, 1928) misses delta = 0.01 by 1e-6; the criterion-3 pair
+        (8176, 273) has s/m = 0.033390 > 1/30, outside the theorem's domain."""
+        readme = min_dimension(PlanRequest(0.05, 0.01, P30))
+        assert readme.delta_implied == pytest.approx(0.0100010, abs=5e-8)
+        assert not readme.certified
+        desk = min_dimension(PlanRequest(0.08, 0.5, P30))
+        assert desk.delta_implied == pytest.approx(0.49912, abs=5e-6) and desk.delta_implied <= 0.5
+        assert not desk.certified
+
+    def test_certified_over_the_grid(self):
+        """certified is delta' <= delta with p' = s/m inside the theorem's domain; 42 of the 70
+        grid plans print a pair that is not certified, 31 by delta' and 11 by p'."""
+        over = outside = 0
+        for req in _grid_plans():
+            result = min_dimension(req)
+            s, m = result.s_implied, result.m_min
+            assert result.delta_implied == certified_delta(m, s, req.eps)
+            assert result.delta_implied == pytest.approx(
+                2.0 * sub_poisson_tail(TailEnvelope(2.0 * s * s / m, 50.0), s * req.eps), rel=1e-12)
+            p = s / m
+            in_domain = p <= P30 and req.eps <= p * math.log(1.0 / (2.0 * p))
+            assert result.certified == (in_domain and result.delta_implied <= req.delta), req
+            over += result.delta_implied > req.delta
+            outside += result.delta_implied <= req.delta and not in_domain
+        assert (over, outside) == (31, 11)
+
+    def test_certified_delta_where_s_squared_overflows(self):
+        """At eps = 2e-154, s_implied is about 4.6e306, so 2 s^2/m would overflow; v is 2 s (s/m)."""
+        result = min_dimension(PlanRequest(2e-154, 0.5, P30))
+        assert result.s_implied > 1e306
+        assert 0.0 <= result.delta_implied <= 1.0
+
+    def test_certified_delta_needs_s_at_most_m(self):
+        with pytest.raises(DomainError, match=r"^s must be an integer in \[1, 100\], got 101$"):
+            certified_delta(100, 101, 0.05)
 
     @pytest.mark.parametrize("eps,p", [(1.07e-153, 3e-156), (1e-300, P30)],
                              ids=["bound-overflow", "eps-squared-underflow"])
@@ -162,37 +205,22 @@ class TestMinDimension:
 
 class TestBoundsTable:
     def test_row_inventory(self):
-        rows = bounds_table(0.05, 0.01, P30, B=4.0)
-        assert [r.source for r in rows] == [
-            "lower_bound_reference",
-            "rademacher_chaos",
-            "graph_enumeration_loglog",
-            "graph_enumeration",
-            "matrix_chernoff",
-            "hanson_wright",
-            "decoupling_explicit",
-            BENNET_ROW,
-        ]
+        rows = bounds_table(0.05, 0.01, P30)
+        assert [r.source for r in rows] == ["gaussian_reference", "decoupling_explicit", BENNET_ROW]
+        assert all(r.valid for r in rows)
 
     def test_bennet_row_matches_planner(self):
-        rows = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}
+        rows = {r.source: r for r in bounds_table(0.05, 0.01, P30)}
         assert rows[BENNET_ROW].value == min_dimension(PlanRequest(0.05, 0.01, P30)).m_min
         assert rows[BENNET_ROW].valid
 
     def test_bound_beyond_float_range_marks_bennet_invalid(self):
-        rows = {r.source: r for r in bounds_table(1.07e-153, 0.5, 3e-156, B=4.0)}
+        rows = {r.source: r for r in bounds_table(1.07e-153, 0.5, 3e-156)}
         assert not rows[BENNET_ROW].valid and math.isnan(rows[BENNET_ROW].value)
-
-    def test_graph_enumeration_row(self):
-        eps, delta, p = 0.05, 0.01, P30
-        rows = {r.source: r for r in bounds_table(eps, delta, p, B=4.0)}
-        l2 = math.log(2.0 / delta)
-        expected = math.ceil(max(l2 / eps**2, l2 / (p * eps)))
-        assert rows["graph_enumeration"].value == expected
 
     def test_explicit_constants_row(self):
         eps, delta, p = 0.05, 0.01, P30
-        rows = {r.source: r for r in bounds_table(eps, delta, p, B=4.0)}
+        rows = {r.source: r for r in bounds_table(eps, delta, p)}
         expected = math.ceil(max(
             128.0 * math.log(1.0 / delta) / eps**2,
             8.0 * math.sqrt(2.0) * math.log(2.0 / delta) / (p * eps),
@@ -202,56 +230,40 @@ class TestBoundsTable:
     def test_better_constants_than_explicit_row(self):
         """In the eps = p regime the h-based row beats the explicit-constant row."""
         for delta in (1e-2, 1e-4):
-            rows = {r.source: r for r in bounds_table(P30, delta, P30, B=4.0)}
+            rows = {r.source: r for r in bounds_table(P30, delta, P30)}
             assert rows[BENNET_ROW].valid and rows["decoupling_explicit"].valid
             assert rows[BENNET_ROW].value <= rows["decoupling_explicit"].value
 
     def test_invalid_rows_marked_not_omitted(self):
-        rows = {r.source: r for r in bounds_table(0.05, 0.01, 0.2, B=1.5)}
+        rows = {r.source: r for r in bounds_table(0.05, 0.01, 0.2)}
         assert not rows[BENNET_ROW].valid
-        assert not rows["matrix_chernoff"].valid
-        assert len(rows) == 8
+        assert len(rows) == 3
 
-    @pytest.mark.parametrize("name", ["p", "constant"])
+    @pytest.mark.parametrize("name", ["eps", "delta", "p"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_must_be_positive_and_finite(self, name, value):
-        """A NaN p once marked five rows valid; a NaN or negative constant printed nan or negative rows."""
-        args = {"p": 0.01, "constant": 1.0, name: value}
-        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
-            bounds_table(0.1, 0.1, args["p"], B=math.e, constant=args["constant"])
+        """A NaN p once marked five rows valid."""
+        args = {"eps": 0.1, "delta": 0.1, "p": 0.01, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be finite and in \\(0, 1"):
+            bounds_table(**args)
+
+    def test_p_above_one_is_domain_error(self):
+        """A "fraction" of 5 marked the decoupling_explicit row valid at 235785."""
+        with pytest.raises(DomainError, match=r"^p must be finite and in \(0, 1\], got 5.0$"):
+            bounds_table(0.05, 0.01, 5.0)
+        assert bounds_table(0.05, 0.01, 1.0)[1].valid
 
     def test_underflowing_p_eps_marks_rows_invalid(self):
         """1/(p eps) with p eps = 0 ended in a bare ZeroDivisionError."""
-        rows = bounds_table(0.02, 0.1, 5e-324, B=4.0)
-        assert [r.source for r in rows if r.valid] == ["lower_bound_reference"]
+        rows = bounds_table(0.02, 0.1, 5e-324)
+        assert [r.source for r in rows if r.valid] == ["gaussian_reference"]
 
-    def test_constant_scaling(self):
-        base = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}
-        doubled = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0, constant=2.0)}
-        raw = max(math.log(200.0) / 0.05**2, math.log(200.0) / (P30 * 0.05))
-        assert doubled["graph_enumeration"].value == math.ceil(2.0 * raw)
-        assert doubled["graph_enumeration"].constant == 2.0
-        assert doubled["decoupling_explicit"].value == base["decoupling_explicit"].value
-        assert doubled[BENNET_ROW].value == base[BENNET_ROW].value
+    def test_gaussian_reference_row(self):
+        """The row is the number ``plan`` prints as gaussian_reference, bit for bit, whatever p.
 
-    def test_loglog_row_needs_small_delta(self):
-        """log log(2/delta) must be positive for the triple-log row, which
-        fails once delta >= 2/e."""
-        rows = {r.source: r for r in bounds_table(0.05, 0.9, P30, B=4.0)}
-        assert not rows["graph_enumeration_loglog"].valid
-        rows = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}
-        assert rows["graph_enumeration_loglog"].valid
-
-    def test_lower_reference_line(self):
-        rows = {r.source: r for r in bounds_table(0.05, 0.01, P30, B=4.0)}
-        assert rows["lower_bound_reference"].value == pytest.approx(
-            4.0 * math.log(200.0) / 0.0025, rel=1e-14
-        )
-
-    def test_csv_serialization(self):
-        rows = bounds_table(0.05, 0.01, P30, B=4.0)
-        text = bounds_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "source,formula_value,constant,valid"
-        assert len(lines) == 9
-        assert lines[-1].startswith(BENNET_ROW)
+        At (0.03, 0.01) the table's old 4 log(2/delta) * (1/eps^2) was one ulp below it."""
+        for eps, delta in [(0.05, 0.01), (0.08, 0.5), (0.03, 0.01)]:
+            reference = min_dimension(PlanRequest(eps, delta, P30)).gaussian_reference
+            assert reference == pytest.approx(4.0 * math.log(2.0 / delta) / eps**2, rel=1e-14)
+            for p in (P30, 0.2):
+                assert bounds_table(eps, delta, p)[0].value == reference

@@ -36,6 +36,7 @@ from sparsejl import (
     bennet_h,
     bounds_table,
     build_matrix,
+    certified_delta,
     check_majorization,
     check_multinomial_inequality,
     check_psi_envelope,
@@ -582,6 +583,8 @@ INT_PARAMS = {
     "check_psi_envelope.grid_points": (lambda v: check_psi_envelope(1 / 30, grid_points=v), 3),
     "clopper_pearson.failures": (lambda v: clopper_pearson(v, 5), 2),
     "clopper_pearson.trials": (lambda v: clopper_pearson(1, v), 6),
+    "certified_delta.m": (lambda v: certified_delta(v, 2, 0.05), 5),
+    "certified_delta.s": (lambda v: certified_delta(8, v, 0.05), 3),
 }
 
 int_like_values = st.one_of(
@@ -713,11 +716,10 @@ REAL_PARAMS = {
     "PlanRequest.eps": (lambda v: min_dimension(PlanRequest(v, 0.1, 0.01)), 0.02),
     "PlanRequest.delta": (lambda v: min_dimension(PlanRequest(0.02, v, 0.01)), 0.1),
     "PlanRequest.p": (lambda v: min_dimension(PlanRequest(0.02, 0.1, v)), 0.01),
-    "bounds_table.eps": (lambda v: bounds_table(v, 0.1, 0.01, 4.0), 0.02),
-    "bounds_table.delta": (lambda v: bounds_table(0.02, v, 0.01, 4.0), 0.1),
-    "bounds_table.p": (lambda v: bounds_table(0.02, 0.1, v, 4.0), 0.01),
-    "bounds_table.B": (lambda v: bounds_table(0.02, 0.1, 0.01, v), 4.0),
-    "bounds_table.constant": (lambda v: bounds_table(0.02, 0.1, 0.01, 4.0, constant=v), 2.0),
+    "bounds_table.eps": (lambda v: bounds_table(v, 0.1, 0.01), 0.02),
+    "bounds_table.delta": (lambda v: bounds_table(0.02, v, 0.01), 0.1),
+    "bounds_table.p": (lambda v: bounds_table(0.02, 0.1, v), 0.01),
+    "certified_delta.eps": (lambda v: certified_delta(3000, 100, v), 0.05),
     "MomentSpec.p": (lambda v: exact_moment_Z(MomentSpec(X2, v, 2)), 0.1),
     "moment_bound_rhs.p": (lambda v: moment_bound_rhs(v, 4), 0.1),
     "check_psi_envelope.p": (lambda v: check_psi_envelope(v, grid_points=3), 0.01),
@@ -779,13 +781,11 @@ def test_plan_from_numpy_float_holds_python_floats():
     lambda: PlanRequest(np.array([0.001]), 0.1, 0.01),
     lambda: bennet_h(True),
     lambda: estimate_failure_prob(2, 4, 2, X2, True, 4, 1),
-    lambda: bounds_table(0.1, 0.1, 0.01, math.nan),
-    lambda: bounds_table(0.1, 0.1, 0.01, math.inf),
     lambda: check_real("p", 10**5000, 0.0, 1.0),
 ], ids=[
     "MomentSpec-p=str", "bennet_h-u=str", "TailEnvelope-v=str", "moment_bound_rhs-p=str",
     "check_psi_envelope-scale=str", "psi-t=array", "MomentSpec-p=array", "PlanRequest-eps=array",
-    "bennet_h-u=True", "estimate_failure_prob-eps=True", "bounds_table-B=nan", "bounds_table-B=inf",
+    "bennet_h-u=True", "estimate_failure_prob-eps=True",
     "check_real-p=10**5000",
 ])
 def test_non_real_argument_is_domain_error(call):
