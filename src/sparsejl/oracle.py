@@ -55,6 +55,15 @@ length n where the caller fixes it, non-empty (else ``DomainError``) and
 a unit vector (else ``ConstraintViolation``); the specs keep it as a
 tuple of floats.
 
+Callers ask about one vector many times in a row (``sparsejl check`` runs
+x, then p, then q), so the engine gets its blocks from ``_class_blocks``,
+which keeps the last pass that fit in one block, keyed by the bytes of
+the float64 x with m and s, and yields it again while the key repeats.
+One block holds at most ``transform._CHUNK_ENTRIES`` / 16 values, so the
+kept pass is four arrays of about 128 KB at most, all read-only; a pass
+of more blocks streams and keeps nothing.  The kept arrays are the ones a
+cold pass yields, so no value depends on whether a pass was kept.
+
 The checks run at fixed settings.  Moments are accepted up to order
 ``MAX_MOMENT_ORDER`` = 100.  The psi envelope check allows psi to exceed
 the envelope by ``PSI_ENVELOPE_SLACK`` = 1e-12; the envelope scale stays
@@ -236,6 +245,34 @@ def _row_class_values(x: np.ndarray, m: int, s: int):
         yield z, mult[e, None] * factor, w[e, None] + weights, key[e, None] + keys
 
 
+# The last pass of ``_class_blocks`` that fit in one block: ((x bytes, m, s), block), or None.
+_kept_pass = None
+
+
+def _class_blocks(x: np.ndarray, m: int, s: int):
+    """The blocks of ``_row_class_values(x, m, s)``, the last one-block pass kept for the next call with its key.
+
+    The key is the bytes of the float64 ``x`` with ``m`` and ``s``.  Only
+    a pass of one block is kept, its four arrays read-only, and a call with
+    another key drops it before it enumerates.
+    """
+    global _kept_pass
+    key = (x.tobytes(), m, s)
+    kept = _kept_pass  # one read: another thread may replace the pass between two
+    if kept is not None and kept[0] == key:
+        yield kept[1]
+        return
+    _kept_pass = None
+    blocks = 0
+    for block in _row_class_values(x, m, s):
+        for array in block:
+            array.flags.writeable = False
+        blocks += 1
+        yield block
+    if blocks == 1:
+        _kept_pass = key, block
+
+
 class _ExactSum:
     """A running sum of float64 terms that ``total`` rounds to ``math.fsum`` of every term added, bit for bit.
 
@@ -321,12 +358,19 @@ def _exact_sums(name: str, x: np.ndarray, m: int, s: int, p: float, f, kept: boo
     leaves the float range (f(z) * mult, the sum of f over the mult
     configurations of one value, included), raises ``DomainError`` naming
     the oracle ``name``.
+
+    The blocks come from ``_class_blocks``: a pass that fits in one block
+    of at most ``transform._CHUNK_ENTRIES`` / 16 values is kept, its arrays
+    read-only, and serves the next calls with the same bytes of ``x``, m
+    and s without enumerating again; a pass of more blocks is enumerated on
+    every call.  Either way the sums see the same arrays, so no value
+    depends on whether a pass was kept.
     """
     cells = m * len(x)
     c = np.array([p**w * (1.0 - p) ** (cells - w) / 2**w for w in range(cells + 1)])
     keep = s * (((m + 1) ** len(x) - 1) // m)  # the key of s cells in each column
     iid, kept_sum = _ExactSum(), _ExactSum() if kept else None
-    for z, mult, w, key in _row_class_values(x, m, s):
+    for z, mult, w, key in _class_blocks(x, m, s):
         fz = f(z)
         with np.errstate(over="ignore"):  # checked on the next line
             v = fz * mult

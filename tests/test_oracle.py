@@ -722,6 +722,114 @@ class TestExactSums:
                             assert check_majorization(MajorizationSpec(n, m, s, q, x)) == (lhs, rhs)
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The (n, m, s) of every enumeration that ``_row_class_values`` starts, from a clean slate."""
+    TestKeptPass.evict()
+    calls = []
+    enumerate_classes = oracle._row_class_values
+
+    def counted(x, m, s):
+        calls.append((len(x), m, s))
+        return enumerate_classes(x, m, s)
+
+    monkeypatch.setattr(oracle, "_row_class_values", counted)
+    return calls
+
+
+class TestKeptPass:
+    """A pass that fits in one block is enumerated once for a run of calls with one key, and moves no value."""
+
+    RATES = (1 / 30, 0.1)
+
+    @staticmethod
+    def evict():
+        """A pass on another key, (x, m, s) = ((1.0,), 1, 1), which no test below uses: the kept pass goes."""
+        exact_moment_Z(MomentSpec((1.0,), 0.5, 2))
+
+    @classmethod
+    def cold(cls, oracle_call, spec):
+        cls.evict()
+        return oracle_call(spec)
+
+    @staticmethod
+    def unit(seed, n):
+        x = np.random.default_rng(seed).standard_normal(n)
+        return tuple((x / math.sqrt(float(x @ x))).tolist())
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sweep_enumerates_once_with_cold_values(self, enumerations, n):
+        """x -> p -> q, as `sparsejl check` asks: every value after the first comes from the kept pass."""
+        specs = [MomentSpec(self.unit(n, n), p, q) for p in self.RATES for q in range(1, 7)]
+        swept = [exact_moment_Z(spec).hex() for spec in specs]
+        assert enumerations == [(n, 1, 1)]
+        assert swept == [self.cold(exact_moment_Z, spec).hex() for spec in specs]
+
+    @pytest.mark.parametrize("n, m, s", [(2, 3, 2), (3, 3, 1)])
+    def test_majorization_q2_then_q4_equals_cold_passes(self, n, m, s):
+        specs = [MajorizationSpec(n, m, s, q, self.unit(n * m, n)) for q in (2, 4)]
+        self.evict()
+        swept = [tuple(v.hex() for v in check_majorization(spec)) for spec in specs]
+        assert swept == [tuple(v.hex() for v in self.cold(check_majorization, spec)) for spec in specs]
+
+    def test_interleaving_gives_cold_values(self, enumerations):
+        """A, B, A: the second A enumerates again, since B's pass replaced A's."""
+        a, b = self.unit(1, 5), self.unit(2, 5)
+        specs = [MomentSpec(a, 0.1, 2), MomentSpec(b, 0.1, 3), MomentSpec(a, 0.1, 4)]
+        swept = [exact_moment_Z(spec).hex() for spec in specs]
+        assert enumerations == [(5, 1, 1)] * 3
+        assert swept == [self.cold(exact_moment_Z, spec).hex() for spec in specs]
+
+    def test_every_key_part_counts(self, enumerations):
+        """One ulp in one coordinate, -0.0 for 0.0, and another (m, s) are other passes, each with its cold value."""
+        x = self.unit(3, 3)
+        ulp = (x[0], np.nextafter(x[1], 1.0), x[2])
+        zero, negative_zero = (0.6, 0.0, 0.8), (0.6, -0.0, 0.8)
+        calls = [
+            (exact_moment_Z, MomentSpec(x, 0.1, 3)),
+            (exact_moment_Z, MomentSpec(ulp, 0.1, 3)),
+            (exact_moment_Z, MomentSpec(zero, 0.1, 3)),
+            (exact_moment_Z, MomentSpec(negative_zero, 0.1, 3)),
+            (check_majorization, MajorizationSpec(3, 2, 1, 2, x)),
+            (check_majorization, MajorizationSpec(3, 2, 2, 2, x)),
+            (check_majorization, MajorizationSpec(3, 3, 2, 2, x)),
+        ]
+        swept = [np.array(call(spec)).tobytes() for call, spec in calls]
+        assert enumerations == [(3, 1, 1)] * 4 + [(3, 2, 1), (3, 2, 2), (3, 3, 2)]
+        assert swept == [np.array(self.cold(call, spec)).tobytes() for call, spec in calls]
+
+    def test_pass_of_several_blocks_enumerates_every_call(self, enumerations):
+        for p in self.RATES:
+            for q in range(2, 7):
+                exact_moment_Z(MomentSpec(self.unit(12, 12), p, q))
+        assert enumerations == [(12, 1, 1)] * 10
+        assert oracle._kept_pass is None
+
+    def test_pass_of_several_blocks_keeps_no_memory(self):
+        spec = MomentSpec(self.unit(12, 12), 0.1, 4)
+        exact_moment_Z(spec)  # the row tables, which ``_sign_patterns`` keeps for every later pass
+        tracemalloc.start()
+        try:
+            exact_moment_Z(spec)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown < 256 << 10
+        assert oracle._kept_pass is None
+
+    @pytest.mark.parametrize("n, m, s", [(n, 1, 1) for n in range(1, 9)] + [(2, 5, 3), (3, 3, 1), (4, 2, 2)])
+    def test_kept_pass_is_one_block_of_read_only_arrays(self, n, m, s):
+        """At most ``_CHUNK_ENTRIES`` / 16 values in four arrays, none of them writable."""
+        x = np.array(self.unit(n + m, n))
+        oracle._exact_sums("kept", x, m, s, 0.1, lambda z: z, True)
+        key, block = oracle._kept_pass
+        assert key == (x.tobytes(), m, s)
+        assert len(block) == 4 and all(array.size <= transform._CHUNK_ENTRIES // 16 for array in block)
+        for array in block:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
 # Finite float64 values of every size: subnormals, both zeros and magnitudes from 1e-300 to 1e300,
 # and full 53-bit integers over a narrow range of scales, whose sums need more than 53 bits and round.
 finite_floats = st.one_of(
