@@ -5,7 +5,10 @@ decimal that reads back to the same double, the closest such one to it,
 laid out as ``0.000ddd``, ``dd.ddd`` or ``ddd00.0`` (``repr`` picks the
 exponent form for decimal exponents below -4 and above 16).  Values are
 formatted with array operations, a ``transform._blocks`` block at a time,
-into ASCII bytes:
+into ASCII bytes.  Two blocks are formatted at once, by the calling thread
+and one helper thread started for the call (``transform._map_blocks``); the
+blocks come out in order, the bytes are those one thread writes, the two
+blocks together hold what one block would, and no thread outlives the call.
 
 - The digits come from Schubfach (R. Giulietti, "The Schubfach way to
   render doubles", 2020), the algorithm behind ``Double.toString`` in JDK
@@ -255,7 +258,8 @@ def csv_text(rows):
     formatted in ``transform._blocks`` of whole rows, and a row longer than
     a block is cut by ``transform._blocks`` of single values; no float64
     row is copied, so memory stays bounded by the block size whatever the
-    shape.
+    shape.  Each value weighs 2 entries, as two blocks are formatted at once
+    (the calling thread and one helper); closing the iterator ends the helper.
     """
     try:
         rows = iter(rows)
@@ -265,15 +269,15 @@ def csv_text(rows):
     for i, vec in enumerate(vecs):
         if vec.size == 0:
             raise DomainError(f"row {i} must be a non-empty vector")
-    return _text_blocks(vecs)
+    return transform._map_blocks(_format_block, _block_args(vecs))
 
 
-def _text_blocks(vecs):
-    """Yield the CSV text of the checked float64 rows ``vecs`` as bytes, a block at a time."""
-    for lo, hi in transform._blocks(len(vecs), max((vec.size for vec in vecs), default=1)):
+def _block_args(vecs):
+    """Yield the ``_format_block`` arguments (values, ends) of each block of the checked float64 rows ``vecs``."""
+    for lo, hi in transform._blocks(len(vecs), 2 * max((vec.size for vec in vecs), default=1)):
         values = vecs[lo] if hi - lo == 1 else np.concatenate(vecs[lo:hi])
         stops = np.cumsum([vec.size for vec in vecs[lo:hi]]) - 1  # each row's last value
-        for a, b in transform._blocks(values.size, 1):
+        for a, b in transform._blocks(values.size, 2):
             ends = np.zeros(b - a, dtype=bool)
             ends[stops[(a <= stops) & (stops < b)] - a] = True
-            yield _format_block(values[a:b], ends)
+            yield values[a:b], ends

@@ -68,9 +68,11 @@ def write_vectors(path, vectors) -> None:
 
     Each value is written as ``repr`` of it as a float64, the shortest text
     that reads back to the same double, so the file is byte-stable.  The
-    text is computed in blocks (see ``_csvtext``) and written as bytes in
-    binary mode, so the file is byte for byte the per-value ``repr`` join,
-    with ``"\\n"`` line ends on every platform.  Vectors may differ in
+    text is computed in blocks (see ``_csvtext``), two at a time on the
+    calling thread and one helper thread that ends with the call, and
+    written as bytes in order in binary mode, so the file is byte for byte
+    the per-value ``repr`` join, with ``"\\n"`` line ends on every platform.
+    The two blocks in flight hold what one block would.  Vectors may differ in
     length; each must be a non-empty 1-D sequence of real numbers, else
     ``DomainError`` names its index before the file is opened, so an
     existing file is left as it was.  ``vectors`` that cannot be iterated

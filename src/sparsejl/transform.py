@@ -33,16 +33,22 @@ Every :class:`SparseJLMatrix` is valid by construction: its constructor
 copies the ``rows`` and ``signs`` arrays it is given and runs the one
 matrix rule, ``validate()`` (the header rule, uint32 rows and int8 signs of
 shape (n, s), rows in [0, m), signs -1/+1, distinct rows per column), on
-the copies.  ``build_matrix`` and the decoders build through it.  The
-instance is frozen with read-only arrays that it alone owns, and the
-caller's arrays are left as they were.
+the copies.  ``build_matrix`` and the decoders make fresh arrays that
+nothing else holds, and hand them over without that copy, through the same
+rule.  The instance is frozen with read-only arrays that it alone owns, and
+the caller's arrays are left as they were.
 
 Matrices are stored in a binary format or a canonical JSON text, which is
 exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
 [0, 2^64)) before sizing any array, and the constructor checks the
 rest.  The JSON text is encoded with array operations, block by block,
-and a file is written and read as bytes.
+and a file is written and read as bytes.  The JSON encoder, like the CSV
+writer, formats two blocks at once: the calling thread one, and one helper
+thread, started for the call and ended with it, the next (``_map_blocks``).
+Blocks come out in order and their bytes are those one thread writes, and
+the two blocks in flight hold what one block would.  The decoders and the
+sampler run on the calling thread.
 :func:`read_matrix` routes a file by its first byte: an empty file or one
 starting below 0x09 is binary (the format opens with its version, 1), and
 any other file is JSON.  Both decoders read bytes.  :func:`deserialize`
@@ -59,7 +65,10 @@ canonical form.
 
 from __future__ import annotations
 
+import concurrent.futures
+import itertools
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -87,11 +96,13 @@ _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 # items of ``per_item`` entries into blocks of at most this many entries (or
 # one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
 # arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
-# JSON encoder, the JSON decoder and the duplicate-row check (s entries a column),
-# ``oracle.squared_norm_samples`` (max(n s, m) a trial),
+# JSON decoder and the duplicate-row check (s entries a column), the JSON
+# encoder (2s a column), ``oracle.squared_norm_samples`` (max(n s, m) a trial),
 # ``oracle._row_class_values`` (16 a value), ``oracle.check_psi_envelope``
-# (16 a grid point) and the CSV writer (whole rows of
-# the longest row's length, and a longer row in blocks of single values).
+# (16 a grid point) and the CSV writer (whole rows of twice the longest row's
+# length, and a longer row in blocks of 2 entries a value).  The two encoders
+# format two blocks at once (``_map_blocks``), so they weigh an item at twice
+# its entries and the two blocks in flight hold what one block would.
 # No code but ``_blocks`` reads the constant.
 _CHUNK_ENTRIES = 1 << 16
 
@@ -113,7 +124,8 @@ class SparseJLMatrix:
     ``signs``, then runs :meth:`validate` on them.  The caller's arrays are
     left as they were, writable or not, and nothing the caller holds, a
     view included, can change the matrix.  The instance is frozen and its
-    arrays are read-only.
+    arrays are read-only.  ``build_matrix`` and the decoders, whose arrays
+    are their own, skip the copy (``_adopt``).
     """
 
     n: int
@@ -124,12 +136,27 @@ class SparseJLMatrix:
     signs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name, value in zip(("n", "m", "s", "seed"), _check_header(self.n, self.m, self.s, self.seed)):
-            object.__setattr__(self, name, value)
         for name in ("rows", "signs"):
             value = getattr(self, name)
             if type(value) is np.ndarray:
                 object.__setattr__(self, name, value.copy())
+        self._seal()
+
+    @classmethod
+    def _adopt(cls, n, m, s, seed, rows: np.ndarray, signs: np.ndarray) -> SparseJLMatrix:
+        """The matrix that holds ``rows`` and ``signs`` themselves: fresh, C-contiguous arrays that own
+        their data and that nothing else refers to, as ``build_matrix`` and the decoders make them.  It
+        runs the constructor's rule and sets its read-only flags, without the constructor's copy."""
+        matrix = object.__new__(cls)
+        for name, value in zip(("n", "m", "s", "seed", "rows", "signs"), (n, m, s, seed, rows, signs)):
+            object.__setattr__(matrix, name, value)
+        matrix._seal()
+        return matrix
+
+    def _seal(self) -> None:
+        """Keep the header fields as ints, run :meth:`validate` on the held arrays, then make them read-only."""
+        for name, value in zip(("n", "m", "s", "seed"), _check_header(self.n, self.m, self.s, self.seed)):
+            object.__setattr__(self, name, value)
         self.validate()
         self.rows.setflags(write=False)
         self.signs.setflags(write=False)
@@ -187,6 +214,34 @@ def _blocks(count: int, per_item: int):
     step = max(1, _CHUNK_ENTRIES // per_item)
     for lo in range(0, count, step):
         yield lo, min(lo + step, count)
+
+
+def _map_blocks(fn, spans):
+    """Yield ``fn(*span)`` for each argument tuple of ``spans``, in order.
+
+    The calling thread runs block k while one helper thread runs block k + 1,
+    so a kernel of numpy passes, which release the GIL, uses a second core;
+    the blocks must be independent, and their results are what one thread
+    gives.  An exception is raised when its block's turn comes.  The helper
+    runs only when there are at least two blocks and the process may run on
+    at least two CPUs, counted when the map starts.  Its executor is shut down
+    when the generator finishes, raises or is closed, so no thread outlives
+    the map.  ``spans`` is read two tuples at a time.
+    """
+    spans = iter(spans)
+    pair = list(itertools.islice(spans, 2))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if len(pair) < 2 or cpus < 2:
+        for span in itertools.chain(pair, spans):
+            yield fn(*span)
+        return
+    with concurrent.futures.ThreadPoolExecutor(1) as helper:
+        while pair:
+            ahead = helper.submit(fn, *pair[1]) if len(pair) == 2 else None
+            yield fn(*pair[0])
+            if ahead is not None:
+                yield ahead.result()
+            pair = list(itertools.islice(spans, 2))
 
 
 def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +377,7 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
     n, m, s, seed = _validate_build_args(n, m, s, seed)
     roots = streams.substream_vec(seed, np.arange(n))
     rows, signs = sample_columns(m, s, roots)
-    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+    return SparseJLMatrix._adopt(n, m, s, seed, rows, signs)
 
 
 def _sign_csc(rows: np.ndarray, signs: np.ndarray, m: int) -> sparse.csc_array:
@@ -473,8 +528,8 @@ def deserialize(data: bytes | bytearray | memoryview) -> SparseJLMatrix:
     signs = sign_bytes.astype(np.int8)
     signs += signs
     signs -= 1
-    rows = entries["row"].astype(np.uint32, copy=False)
-    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+    rows = entries["row"].astype(np.uint32)  # a copy: the field is a strided view of ``data``
+    return SparseJLMatrix._adopt(n, m, s, seed, rows, signs)
 
 
 def serialize_json(matrix: SparseJLMatrix) -> str:
@@ -482,7 +537,10 @@ def serialize_json(matrix: SparseJLMatrix) -> str:
 
     The text is canonical: it equals ``json.dumps`` with ``sort_keys=True``
     of the document ``{"columns": [[[row, sign], ...], ...], "format_version",
-    "m", "n", "s", "seed"}``, written directly from the arrays.
+    "m", "n", "s", "seed"}``, written directly from the arrays.  Blocks of
+    columns are encoded two at a time, by the calling thread and one helper
+    thread that ends with the call, and joined in order; the text is the
+    same as one thread's, and the two blocks hold what one block would.
     """
     _check_matrix(matrix)
     return b"".join(_json_parts(matrix)).decode("ascii")
@@ -492,8 +550,9 @@ def _json_parts(matrix: SparseJLMatrix):
     """The canonical text as bytes: the head, each block of ``_json_columns``, the tail."""
     yield _json_head(matrix.n)
     n, s = matrix.rows.shape
-    for lo, hi in _blocks(n, s):
-        yield _json_columns(matrix.rows[lo:hi], matrix.signs[lo:hi], matrix.m, hi == n)
+    # Two blocks are in flight, so each weighs a column at 2s entries.
+    spans = ((matrix.rows[lo:hi], matrix.signs[lo:hi], matrix.m, hi == n) for lo, hi in _blocks(n, 2 * s))
+    yield from _map_blocks(_json_columns, spans)
     yield _json_tail(matrix.n, matrix.m, matrix.s, matrix.seed)
 
 
@@ -595,8 +654,8 @@ def deserialize_json(text: str | bytes | bytearray) -> SparseJLMatrix:
     # claims more entries than the body can hold sizes no array.
     if 6 * n * s > i - pos:
         raise MatrixInvariantError(_NOT_CANONICAL.format(i))
-    rows, signs = _json_body(view, pos, i, n, m, s)  # its block arrays are freed before the matrix copies these
-    return SparseJLMatrix(n=n, m=m, s=s, seed=seed, rows=rows, signs=signs)
+    rows, signs = _json_body(view, pos, i, n, m, s)
+    return SparseJLMatrix._adopt(n, m, s, seed, rows, signs)
 
 
 def _json_body(view: np.ndarray, pos: int, i: int, n: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -652,7 +711,10 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
 
     A ``matrix`` that is not a :class:`SparseJLMatrix` or an unknown ``fmt``
     raises DomainError before the file is opened, so an existing file is
-    left as it was.
+    left as it was.  The JSON text is written block by block as
+    :func:`serialize_json` forms it, two blocks at a time on the calling
+    thread and one helper thread, in order and byte for byte the same; no
+    thread outlives the call.
     """
     _check_matrix(matrix)
     if fmt not in ("binary", "json"):

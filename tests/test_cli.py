@@ -1,5 +1,6 @@
 """End-to-end CLI checks: subcommands, exit codes, output determinism."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -609,7 +611,7 @@ class TestWriteVectors:
 
     def test_block_size_is_read_when_called(self, monkeypatch):
         """Blocks hold whole rows; a row longer than a block is cut across blocks of its own."""
-        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 5)
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 10)
         long_row = np.arange(12.0) / 7
         pieces = list(csv_text([long_row]))
         assert [piece.count(b",") + piece.count(b"\n") for piece in pieces] == [5, 5, 2]
@@ -662,6 +664,77 @@ class TestWriteVectors:
 
         size = 8 << 20
         assert peak(size) < peak(_CHUNK_ENTRIES) + size // 8
+
+    @pytest.mark.parametrize("entries", [64, _CHUNK_ENTRIES])
+    @pytest.mark.parametrize("shape", ["several-blocks", "long-row", "ragged"])
+    def test_helper_thread_leaves_bytes_unchanged(self, monkeypatch, shape, entries):
+        """The same bytes with the helper on (two CPUs) and off (one CPU), the helper formatting
+        every other block; the thread count is back to its value after each call."""
+        rng = np.random.default_rng(16)
+        sizes = {"several-blocks": [entries // 4] * 9 + [3],
+                 "long-row": [3, 5 * entries + 1, 2],
+                 "ragged": [*rng.integers(1, entries // 16, 100), entries + 5, *rng.integers(1, 9, 50)]}[shape]
+        rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 17, n) for n in sizes]
+        expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows).encode("ascii")
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", entries)
+        kernel, threads = _csvtext._format_block, []
+        monkeypatch.setattr(_csvtext, "_format_block",
+                            lambda *args: threads.append(threading.current_thread()) or kernel(*args))
+        before = threading.active_count()
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            threads.clear()
+            assert b"".join(csv_text(rows)) == expect
+            assert threading.active_count() == before
+            on_caller = sum(thread is threading.current_thread() for thread in threads)
+            assert len(threads) > 2
+            assert on_caller == ((len(threads) + 1) // 2 if len(cpus) > 1 else len(threads))
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_block_error_surfaces_in_order(self, monkeypatch, cpus):
+        """A kernel that raises in the second block: the first block's text comes out, then that
+        exception; one raising in the first block raises at once.  No thread is left either way."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 10)
+        kernel = _csvtext._format_block
+        def failing(values, ends):
+            if values[0] == bad:
+                raise RuntimeError(f"block {bad:.0f}")
+            return kernel(values, ends)
+
+        monkeypatch.setattr(_csvtext, "_format_block", failing)
+        rows = [np.full(5, float(k)) for k in range(6)]  # one row a block
+        before = threading.active_count()
+        for bad in (1.0, 0.0):
+            pieces = csv_text(rows)
+            if bad:
+                assert next(pieces) == b"0.0,0.0,0.0,0.0,0.0\n"
+            with pytest.raises(RuntimeError, match=f"block {bad:.0f}"):
+                next(pieces)
+            assert threading.active_count() == before
+
+    def test_closed_writer_leaves_no_thread(self, monkeypatch):
+        """A consumer that stops after the first block: closing the generator ends the helper."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = threading.active_count()
+        pieces = csv_text([np.arange(4 * _CHUNK_ENTRIES, dtype=float)])
+        assert next(pieces).startswith(b"0.0,1.0,")
+        pieces.close()
+        assert threading.active_count() == before
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        """The helper starts only for an output of two blocks or more."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        started = []
+        executor = concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda workers: started.append(workers) or executor(workers))
+        half = _CHUNK_ENTRIES // 2
+        self.assert_per_value_repr([np.arange(half, dtype=float)])
+        self.assert_per_value_repr([[0.25]] * half)
+        assert started == []
+        self.assert_per_value_repr([np.arange(half + 1, dtype=float)])
+        assert started == [1]
 
     def test_seeded_sweep(self):
         """About 10^6 values: scaled normals over every fixed-layout decade, and raw bit patterns."""

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -304,6 +305,30 @@ class TestMatrixRule:
             assert given.flags.writeable
         matrix.validate()
         assert matrix.rows is held[0] and matrix.signs is held[1]
+
+    def test_built_and_decoded_arrays_are_held_as_made(self):
+        """``build_matrix`` and the decoders hand their fresh arrays to the matrix without a second copy:
+        it holds C-contiguous read-only arrays that own their data, as for a caller's arrays."""
+        matrix = build_matrix(5, 40, 6, seed=4)
+        for made in (matrix, deserialize(serialize(matrix)), deserialize_json(serialize_json(matrix)),
+                     deserialize_json(serialize_json(matrix).encode())):
+            assert made == matrix
+            for held in (made.rows, made.signs):
+                assert held.flags.c_contiguous and held.flags.owndata and not held.flags.writeable
+            made.validate()
+
+    @pytest.mark.parametrize("shape", [(5, 40, 6), (1, 4, 1), (0, 4, 2)], ids=["5x6", "1x1", "empty"])
+    def test_decoded_binary_shares_nothing_with_its_buffer(self, shape):
+        """The row field is a strided view of the caller's buffer: the decoder copies it, so editing the
+        ``bytearray`` afterwards leaves the matrix as it was."""
+        matrix = build_matrix(*shape, seed=8) if shape[0] else deserialize(tr._HEADER.pack(1, *shape, 8))
+        data = bytearray(serialize(matrix))
+        decoded = deserialize(data)
+        for held in (decoded.rows, decoded.signs):
+            assert held.flags.owndata and not np.shares_memory(held, np.frombuffer(data, dtype=np.uint8))
+        data[tr._HEADER.size:] = bytes(len(data) - tr._HEADER.size)
+        assert decoded == matrix
+        decoded.validate()
 
     def test_negative_seed(self):
         with pytest.raises(MatrixInvariantError, match=r"header field seed must be an integer in \[0, 2\^64\), got -1"):
@@ -752,6 +777,51 @@ class TestSerialization:
             write_matrix(path, matrix, fmt="json")
             assert path.read_bytes() == text
             assert read_matrix(path) == matrix
+
+    @pytest.mark.parametrize("entries", [1, 7, 40, 1 << 16])
+    def test_json_helper_thread_leaves_bytes_unchanged(self, tmp_path, monkeypatch, entries):
+        """``serialize_json`` and ``write_matrix`` give the reference bytes with the helper on (two CPUs)
+        and off (one CPU), over several blocks, the final one included; no thread is left after a call."""
+        matrices = [digit_matrix(0), build_matrix(40, 1000, 4, seed=9), build_matrix(7, 50, 5, seed=3)]
+        texts = [serialize_json(matrix).encode() for matrix in matrices]
+        assert texts[1] == json.dumps({"columns": [[[int(r), int(g)] for r, g in zip(rs, gs)] for rs, gs in zip(
+            matrices[1].rows, matrices[1].signs)], "format_version": 1, "m": 1000, "n": 40, "s": 4, "seed": 9}).encode()
+        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", entries)
+        before = threading.active_count()
+        path = tmp_path / "a.json"
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            for matrix, text in zip(matrices, texts):
+                assert serialize_json(matrix).encode() == text
+                write_matrix(path, matrix, fmt="json")
+                assert path.read_bytes() == text
+                assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_json_block_error_and_close_leave_no_thread(self, monkeypatch, cpus):
+        """A kernel that raises in the second block surfaces that exception after the first block's text,
+        and a consumer that closes the parts after the first block ends the helper."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        matrix = build_matrix(6, 50, 5, seed=3)
+        monkeypatch.setattr(tr, "_CHUNK_ENTRIES", 10)  # one column a block
+        kernel = tr._json_columns
+        def failing(rows, signs, m, final):
+            if np.array_equal(rows, matrix.rows[1:2]):
+                raise RuntimeError("block 1")
+            return kernel(rows, signs, m, final)
+
+        before = threading.active_count()
+        parts = tr._json_parts(matrix)
+        assert next(parts) == b'{"columns": [['
+        assert serialize_json(matrix).encode()[14:].startswith(bytes(next(parts)) + b"[")
+        parts.close()
+        assert threading.active_count() == before
+        monkeypatch.setattr(tr, "_json_columns", failing)
+        parts = tr._json_parts(matrix)
+        next(parts), next(parts)
+        with pytest.raises(RuntimeError, match="block 1"):
+            next(parts)
+        assert threading.active_count() == before
 
     def test_file_round_trip_both_formats(self, tmp_path):
         matrix = build_matrix(5, 9, 2, seed=77)
