@@ -4,11 +4,10 @@ A value's text is CPython's ``repr`` of it as a float64: the shortest
 decimal that reads back to the same double, the closest such one to it,
 laid out as ``0.000ddd``, ``dd.ddd`` or ``ddd00.0`` (``repr`` picks the
 exponent form for decimal exponents below -4 and above 16).  Values are
-formatted with array operations, a ``transform._blocks`` block at a time,
-into ASCII bytes.  Two blocks are formatted at once, by the calling thread
-and one helper thread started for the call (``transform._map_blocks``); the
-blocks come out in order, the bytes are those one thread writes, the two
-blocks together hold what one block would, and no thread outlives the call.
+formatted with array operations into ASCII bytes, the values of all rows
+laid end to end as one stream cut into the blocks of
+``transform._map_blocks`` (two at once, in order, the bytes one thread
+writes).
 
 - The digits come from Schubfach (R. Giulietti, "The Schubfach way to
   render doubles", 2020), the algorithm behind ``Double.toString`` in JDK
@@ -254,12 +253,11 @@ def csv_text(rows):
     rows may differ in length.  Any other row raises ``DomainError`` naming
     its index when ``csv_text`` is called, before any text is formed, and
     ``rows`` that cannot be iterated raise ``DomainError`` naming its type.
-    Values are comma-separated and each line ends with ``"\\n"``.  Rows are
-    formatted in ``transform._blocks`` of whole rows, and a row longer than
-    a block is cut by ``transform._blocks`` of single values; no float64
-    row is copied, so memory stays bounded by the block size whatever the
-    shape.  Each value weighs 2 entries, as two blocks are formatted at once
-    (the calling thread and one helper); closing the iterator ends the helper.
+    Values are comma-separated and each line ends with ``"\\n"``.  The
+    values of all rows, laid end to end, are cut into the blocks of
+    ``transform._map_blocks`` at one entry a value; a block inside one row
+    is a view of it, so memory stays bounded by the block size whatever the
+    shape.  Closing the iterator ends the helper thread.
     """
     try:
         rows = iter(rows)
@@ -269,15 +267,15 @@ def csv_text(rows):
     for i, vec in enumerate(vecs):
         if vec.size == 0:
             raise DomainError(f"row {i} must be a non-empty vector")
-    return transform._map_blocks(_format_block, _block_args(vecs))
+    starts = np.cumsum([0] + [vec.size for vec in vecs])  # each row's first value in the stream, then the total
 
+    def block(lo, hi):
+        """``_format_block`` of values [lo, hi) of the stream."""
+        first, last = np.searchsorted(starts, [lo, hi - 1], side="right") - 1  # the rows holding lo and hi - 1
+        pieces = [vecs[i][max(lo - starts[i], 0) : hi - starts[i]] for i in range(first, last + 1)]
+        stops = starts[first + 1 : last + 2] - lo - 1  # each row's last value, from the block's start
+        ends = np.zeros(hi - lo, dtype=bool)
+        ends[stops[stops < hi - lo]] = True
+        return _format_block(pieces[0] if len(pieces) == 1 else np.concatenate(pieces), ends)
 
-def _block_args(vecs):
-    """Yield the ``_format_block`` arguments (values, ends) of each block of the checked float64 rows ``vecs``."""
-    for lo, hi in transform._blocks(len(vecs), 2 * max((vec.size for vec in vecs), default=1)):
-        values = vecs[lo] if hi - lo == 1 else np.concatenate(vecs[lo:hi])
-        stops = np.cumsum([vec.size for vec in vecs[lo:hi]]) - 1  # each row's last value
-        for a, b in transform._blocks(values.size, 2):
-            ends = np.zeros(b - a, dtype=bool)
-            ends[stops[(a <= stops) & (stops < b)] - a] = True
-            yield values[a:b], ends
+    return transform._map_blocks(block, int(starts[-1]), 1)

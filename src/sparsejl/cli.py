@@ -68,15 +68,13 @@ def write_vectors(path, vectors) -> None:
 
     Each value is written as ``repr`` of it as a float64, the shortest text
     that reads back to the same double, so the file is byte-stable.  The
-    text is computed in blocks (see ``_csvtext``), two at a time on the
-    calling thread and one helper thread that ends with the call, and
-    written as bytes in order in binary mode, so the file is byte for byte
-    the per-value ``repr`` join, with ``"\\n"`` line ends on every platform.
-    The two blocks in flight hold what one block would.  Vectors may differ in
-    length; each must be a non-empty 1-D sequence of real numbers, else
-    ``DomainError`` names its index before the file is opened, so an
-    existing file is left as it was.  ``vectors`` that cannot be iterated
-    raise ``DomainError`` the same way.
+    text is computed in the blocks of ``transform._map_blocks`` (see
+    ``_csvtext``) and written as bytes in order in binary mode, so the file
+    is byte for byte the per-value ``repr`` join, with ``"\\n"`` line ends on
+    every platform.  Vectors may differ in length; each must be a non-empty
+    1-D sequence of real numbers, else ``DomainError`` names its index
+    before the file is opened, so an existing file is left as it was.
+    ``vectors`` that cannot be iterated raise ``DomainError`` the same way.
     """
     text = csv_text(vectors)
     with open(path, "wb") as fh:
@@ -136,7 +134,7 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"--x-file: expected exactly one vector, got {len(vectors)}")
         x = vectors[0]
     else:
-        n = check_int("n", args.n, 1)
+        n = transform._validate_build_args(args.n, args.m, args.s, seed)[0]  # before x is sized
         x = np.full(n, 1.0 / math.sqrt(n))
     report = oracle.estimate_failure_prob(args.n, args.m, args.s, x, args.eps, args.trials, seed)
     _emit(asdict(report), args.format)

@@ -597,8 +597,8 @@ def check_psi_envelope(
     count = 0
     for lo, hi in transform._blocks(grid_points, 16):
         t = t_max * np.arange(lo + 1, hi + 1, dtype=np.float64) / grid_points
-        kt = scale * t
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked on the next line
+            kt = scale * t
             envelope = (np.expm1(kt) - kt - kt * kt / 2.0) * 2.0 / (scale * scale)
         out = ~np.isfinite(envelope)  # scale * t above 709, or scale^2 below the float range
         if out.any():
@@ -680,10 +680,11 @@ def squared_norm_samples(
     the same column-root call and the same ``transform._project``.  Each of
     the ``transform._blocks`` of max(n s, m) entries a trial (its nonzeros
     or output rows) is one block-diagonal product; the layout does not
-    affect the result.
+    affect the result.  ``trials`` and n s may be at most
+    ``np.iinfo(np.intp).max // 8``.
     """
     n, m, s, seed = transform._validate_build_args(n, m, s, seed)
-    trials = check_int("trials", trials, 1)
+    trials = check_int("trials", trials, 1, transform._MAX_ENTRIES)
     x = _check_unit(x, n)
 
     samples = np.empty(trials, dtype=np.float64)

@@ -43,12 +43,10 @@ exactly ``json.dumps(..., sort_keys=True)`` of the document.  Both decoders
 check the header (integers, m at most 2^32, 1 <= s <= m, seed in
 [0, 2^64)) before sizing any array, and the constructor checks the
 rest.  The JSON text is encoded with array operations, block by block,
-and a file is written and read as bytes.  The JSON encoder, like the CSV
-writer, formats two blocks at once: the calling thread one, and one helper
-thread, started for the call and ended with it, the next (``_map_blocks``).
-Blocks come out in order and their bytes are those one thread writes, and
-the two blocks in flight hold what one block would.  The decoders and the
-sampler run on the calling thread.
+and a file is written and read as bytes.  The JSON encoder and the CSV
+writer take their blocks from ``_map_blocks`` (two at once, in order, the
+bytes one thread writes); the decoders and the sampler run on the calling
+thread.
 :func:`read_matrix` routes a file by its first byte: an empty file or one
 starting below 0x09 is binary (the format opens with its version, 1), and
 any other file is JSON.  Both decoders read bytes.  :func:`deserialize`
@@ -66,7 +64,6 @@ canonical form.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import math
 import os
 import re
@@ -93,18 +90,18 @@ _HEADER = struct.Struct("<IQQQQ")  # version, n, m, s, seed
 _ENTRY_DTYPE = np.dtype([("row", "<u4"), ("sign", "u1")])
 
 # The one block size, read when called.  ``_blocks(count, per_item)`` cuts
-# items of ``per_item`` entries into blocks of at most this many entries (or
-# one item) for column sampling (s Fisher-Yates steps a lane: 64-bit work
-# arrays near 512 KB whatever m is; 2^14 to 2^16 steps measured fastest), the
-# JSON decoder and the duplicate-row check (s entries a column), the JSON
-# encoder (2s a column), ``oracle.squared_norm_samples`` (max(n s, m) a trial),
-# ``oracle._row_class_values`` (16 a value), ``oracle.check_psi_envelope``
-# (16 a grid point) and the CSV writer (whole rows of twice the longest row's
-# length, and a longer row in blocks of 2 entries a value).  The two encoders
-# format two blocks at once (``_map_blocks``), so they weigh an item at twice
-# its entries and the two blocks in flight hold what one block would.
+# ``count`` items of ``per_item`` entries into the fewest blocks of at most
+# this many entries (or one item), balanced to within one item; each caller
+# gives its own weight.  Column sampling sets the size: s Fisher-Yates steps a
+# lane take 64-bit work arrays near 512 KB whatever m is, and 2^14 to 2^16
+# steps measured fastest.  ``_map_blocks`` runs two blocks at once and halves
+# them, so the two in flight hold what one block would.
 # No code but ``_blocks`` reads the constant.
 _CHUNK_ENTRIES = 1 << 16
+# The most entries of a matrix or of a trial count: numpy indexes at most
+# np.iinfo(np.intp).max bytes, and an entry may take 8.  Larger sizes are
+# rejected before any array is sized.
+_MAX_ENTRIES = int(np.iinfo(np.intp).max) // 8
 
 _DIGITS = re.compile(rb"\d{1,20}")  # a header field, or the first 20 digits of a longer run
 # The error of every text that is not canonical, at the byte where its comparison failed.
@@ -210,38 +207,44 @@ def _check_distinct(rows: np.ndarray) -> None:
 
 
 def _blocks(count: int, per_item: int):
-    """(lo, hi) bounds of the blocks of ``count`` items: ``_CHUNK_ENTRIES // per_item`` items each, at least one."""
-    step = max(1, _CHUNK_ENTRIES // per_item)
-    for lo in range(0, count, step):
-        yield lo, min(lo + step, count)
+    """(lo, hi) bounds of the blocks of ``count`` items of ``per_item`` entries, in order.
+
+    They are the fewest blocks of at most ``_CHUNK_ENTRIES // per_item`` items
+    (at least one item), and their sizes differ by at most one item.  A
+    count that fits in one block is one block.
+    """
+    blocks = -(-count // max(1, _CHUNK_ENTRIES // per_item))
+    for k in range(blocks):
+        yield k * count // blocks, (k + 1) * count // blocks
 
 
-def _map_blocks(fn, spans):
-    """Yield ``fn(*span)`` for each argument tuple of ``spans``, in order.
+def _map_blocks(fn, count: int, per_item: int):
+    """Yield ``fn(lo, hi)`` for each block of ``count`` items of ``per_item`` entries, in order.
 
     The calling thread runs block k while one helper thread runs block k + 1,
     so a kernel of numpy passes, which release the GIL, uses a second core;
     the blocks must be independent, and their results are what one thread
-    gives.  An exception is raised when its block's turn comes.  The helper
-    runs only when there are at least two blocks and the process may run on
-    at least two CPUs, counted when the map starts.  Its executor is shut down
+    gives.  Two blocks are in flight, so the blocks are ``_blocks(count,
+    2 * per_item)``: an item weighs twice its entries, and the two blocks
+    together hold what one block would.  No other code doubles a weight.
+    An exception is raised when its block's turn comes.  The helper runs
+    only when there are at least two blocks and the process may run on at
+    least two CPUs, counted when the map starts.  Its executor is shut down
     when the generator finishes, raises or is closed, so no thread outlives
-    the map.  ``spans`` is read two tuples at a time.
+    the map.
     """
-    spans = iter(spans)
-    pair = list(itertools.islice(spans, 2))
+    bounds = list(_blocks(count, 2 * per_item))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if len(pair) < 2 or cpus < 2:
-        for span in itertools.chain(pair, spans):
-            yield fn(*span)
+    if len(bounds) < 2 or cpus < 2:
+        for lo, hi in bounds:
+            yield fn(lo, hi)
         return
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
-        while pair:
-            ahead = helper.submit(fn, *pair[1]) if len(pair) == 2 else None
-            yield fn(*pair[0])
+        for k in range(0, len(bounds), 2):
+            ahead = helper.submit(fn, *bounds[k + 1]) if k + 1 < len(bounds) else None
+            yield fn(*bounds[k])
             if ahead is not None:
                 yield ahead.result()
-            pair = list(itertools.islice(spans, 2))
 
 
 def sample_columns(m: int, s: int, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,6 +366,8 @@ def _validate_build_args(n: int, m: int, s: int, seed: int) -> tuple[int, int, i
         raise ConstraintViolation(f"invalid sparsity: s = {s} exceeds m = {m}")
     if m > 1 << 32:
         raise DomainError(f"m = {m} exceeds the uint32 row-index range")
+    if n * s > _MAX_ENTRIES:
+        raise DomainError(f"n = {n} with s = {s} gives {n * s} entries, above {_MAX_ENTRIES}, the most an array holds")
     return n, m, s, seed
 
 
@@ -372,7 +377,8 @@ def build_matrix(n: int, m: int, s: int, seed: int) -> SparseJLMatrix:
     Each of the n columns independently selects s distinct rows uniformly
     without replacement and assigns each an independent uniform sign.
     n, m, s and ``seed`` must be integers (``int`` or numpy) with n >= 1,
-    1 <= s <= m <= 2^32 and seed in [0, 2^64), as in the stored header.
+    1 <= s <= m <= 2^32 and seed in [0, 2^64), as in the stored header,
+    and n s at most ``np.iinfo(np.intp).max // 8``.
     """
     n, m, s, seed = _validate_build_args(n, m, s, seed)
     roots = streams.substream_vec(seed, np.arange(n))
@@ -537,10 +543,8 @@ def serialize_json(matrix: SparseJLMatrix) -> str:
 
     The text is canonical: it equals ``json.dumps`` with ``sort_keys=True``
     of the document ``{"columns": [[[row, sign], ...], ...], "format_version",
-    "m", "n", "s", "seed"}``, written directly from the arrays.  Blocks of
-    columns are encoded two at a time, by the calling thread and one helper
-    thread that ends with the call, and joined in order; the text is the
-    same as one thread's, and the two blocks hold what one block would.
+    "m", "n", "s", "seed"}``, written directly from the arrays in the blocks
+    of columns of ``_map_blocks``.
     """
     _check_matrix(matrix)
     return b"".join(_json_parts(matrix)).decode("ascii")
@@ -550,9 +554,8 @@ def _json_parts(matrix: SparseJLMatrix):
     """The canonical text as bytes: the head, each block of ``_json_columns``, the tail."""
     yield _json_head(matrix.n)
     n, s = matrix.rows.shape
-    # Two blocks are in flight, so each weighs a column at 2s entries.
-    spans = ((matrix.rows[lo:hi], matrix.signs[lo:hi], matrix.m, hi == n) for lo, hi in _blocks(n, 2 * s))
-    yield from _map_blocks(_json_columns, spans)
+    rows, signs = matrix.rows, matrix.signs
+    yield from _map_blocks(lambda lo, hi: _json_columns(rows[lo:hi], signs[lo:hi], matrix.m, hi == n), n, s)
     yield _json_tail(matrix.n, matrix.m, matrix.s, matrix.seed)
 
 
@@ -712,9 +715,7 @@ def write_matrix(path, matrix: SparseJLMatrix, fmt: str = "binary") -> None:
     A ``matrix`` that is not a :class:`SparseJLMatrix` or an unknown ``fmt``
     raises DomainError before the file is opened, so an existing file is
     left as it was.  The JSON text is written block by block as
-    :func:`serialize_json` forms it, two blocks at a time on the calling
-    thread and one helper thread, in order and byte for byte the same; no
-    thread outlives the call.
+    :func:`serialize_json` forms it (``_map_blocks``).
     """
     _check_matrix(matrix)
     if fmt not in ("binary", "json"):

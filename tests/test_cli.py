@@ -268,6 +268,13 @@ class TestBuildTransform:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "A.bin").exists()
 
+    def test_more_entries_than_an_array_holds(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "build", "--n", str(2**70), "--m", "4", "--s", "1",
+                              "--seed", "0", "--out", str(tmp_path / "x.bin"))
+        assert code == 1
+        assert err.startswith(f"error: n = {2**70} with s = 1 gives") and err.count("\n") == 1
+        assert not (tmp_path / "x.bin").exists()
+
     def test_invalid_sparsity_exit_code(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "build", "--n", "2", "--m", "4", "--s", "5",
@@ -343,6 +350,18 @@ class TestVerify:
         assert code == 1
         assert "exactly one vector" in err
 
+
+    @pytest.mark.parametrize("flags,name", [(("--n", str(2**70)), "n = 1180591620717411303424 with s = 1"),
+                                            (("--trials", str(2**62)), "trials must be an integer")],
+                             ids=["n", "trials"])
+    def test_sizes_no_array_holds_are_validation_errors(self, capsys, flags, name):
+        """The default x and the samples were sized first, and numpy's ValueError ended in a traceback."""
+        args = dict(zip(("--n", "--m", "--s", "--eps", "--trials", "--seed"), ("2", "4", "1", "0.5", "10", "0")))
+        args.update([flags])
+        code, out, err = invoke(capsys, "verify", *(item for pair in args.items() for item in pair))
+        assert code == 1
+        assert "p_hat" not in out
+        assert err.startswith(f"error: {name}") and err.count("\n") == 1
 
     def test_out_of_memory_is_runtime_error(self, capsys):
         """10^14 trials need 728 TiB of samples, beyond a 47-bit address space, so the allocator refuses at once."""
@@ -609,15 +628,44 @@ class TestWriteVectors:
         rows.insert(1700, rng.standard_normal(_CHUNK_ENTRIES + 3))
         self.assert_per_value_repr(rows)
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_readme_rows_in_balanced_blocks(self, monkeypatch, cpus):
+        """16 rows of the README's m = 57842 values: 29 blocks of 31912-31913 values, each of the
+        first 28 ending inside a row, and the per-value repr join with the helper on or off."""
+        rows = list(np.random.default_rng(17).standard_normal((16, 57842)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        kernel, sizes = _csvtext._format_block, []
+        monkeypatch.setattr(_csvtext, "_format_block",
+                            lambda values, ends: sizes.append(values.size) or kernel(values, ends))
+        expect = "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows).encode("ascii")
+        pieces = list(csv_text(rows))
+        assert b"".join(pieces) == expect
+        assert len(sizes) == 29 and min(sizes) == 31912 and max(sizes) == 31913
+        assert all(piece.endswith(b",") for piece in pieces[:-1])
+
+    def test_ragged_rows_fill_every_block_but_the_last(self, monkeypatch):
+        """Short rows around one long row: the values are cut as one stream, so the block count is
+        ceil(total / 32768), each block taking values from as many rows as it needs."""
+        rng = np.random.default_rng(18)
+        rows = [rng.standard_normal(n) for n in rng.integers(1, 40, 3000)]
+        rows.insert(1700, rng.standard_normal(_CHUNK_ENTRIES + 3))
+        kernel, sizes = _csvtext._format_block, []
+        monkeypatch.setattr(_csvtext, "_format_block",
+                            lambda values, ends: sizes.append(values.size) or kernel(values, ends))
+        self.assert_per_value_repr(rows)
+        total = sum(row.size for row in rows)
+        assert len(sizes) == -(-total // (_CHUNK_ENTRIES // 2)) and sum(sizes) == total
+        assert max(sizes) - min(sizes) <= 1
+
     def test_block_size_is_read_when_called(self, monkeypatch):
-        """Blocks hold whole rows; a row longer than a block is cut across blocks of its own."""
+        """Blocks cut the stream of values, the rows laid end to end, into balanced blocks."""
         monkeypatch.setattr(transform, "_CHUNK_ENTRIES", 10)
         long_row = np.arange(12.0) / 7
         pieces = list(csv_text([long_row]))
-        assert [piece.count(b",") + piece.count(b"\n") for piece in pieces] == [5, 5, 2]
+        assert [piece.count(b",") + piece.count(b"\n") for piece in pieces] == [4, 4, 4]
         assert [piece[-1:] for piece in pieces] == [b",", b",", b"\n"]
         short = [[0.5, -2.0], [1.0], [3.0, 4.0], [5.0], [6.0]]
-        assert list(csv_text(short)) == [b"0.5,-2.0\n1.0\n", b"3.0,4.0\n5.0\n", b"6.0\n"]
+        assert list(csv_text(short)) == [b"0.5,-2.0\n1.0\n", b"3.0,4.0\n5.0\n6.0\n"]
         self.assert_per_value_repr([long_row, *short])
 
     def test_ragged_and_empty_rows(self):

@@ -919,9 +919,11 @@ class TestPsiEnvelope:
         with pytest.raises(BudgetError, match=f"grid_points = {points} > {oracle.ENUMERATION_BUDGET}"):
             check_psi_envelope(1 / 30, grid_points=points)
 
-    @pytest.mark.parametrize("scale", [1000.0, 1e-300], ids=["overflows", "squared-underflows"])
+    @pytest.mark.parametrize("scale", [1000.0, 1e-300, 9.190606151180187e307],
+                             ids=["overflows", "squared-underflows", "product-overflows"])
     def test_envelope_beyond_float_range_is_domain_error(self, scale):
-        """The envelope at these scales ended in a bare OverflowError or ZeroDivisionError."""
+        """The envelope at these scales ended in a bare OverflowError or ZeroDivisionError, and
+        scale * t past the float range in a RuntimeWarning."""
         with pytest.raises(DomainError, match="envelope scale .* leaves the float range"):
             check_psi_envelope(1 / 30, scale=scale, grid_points=10)
 
@@ -1109,6 +1111,8 @@ class TestMonteCarlo:
         x = np.full(4, 0.5)
         with pytest.raises(DomainError):
             squared_norm_samples(4, 8, 2, x, trials=0, seed=1)
+        with pytest.raises(DomainError, match="^trials must be an integer in"):  # was numpy's ValueError
+            squared_norm_samples(1, 4, 1, [1.0], 2**70, 0)
         with pytest.raises(ConstraintViolation):
             squared_norm_samples(4, 8, 2, np.ones(4), trials=3, seed=1)
         with pytest.raises(ConstraintViolation):

@@ -193,6 +193,29 @@ class TestBuild:
         with pytest.raises(DomainError, match="uint32"):
             build_matrix(1, (1 << 32) + 1, 1, seed=0)
 
+    def test_more_entries_than_an_array_holds(self):
+        """n s past np.iinfo(np.intp).max // 8 is rejected before any array is sized; it was numpy's ValueError."""
+        limit = np.iinfo(np.intp).max // 8
+        for n, s in [(2**70, 1), (limit // 2 + 1, 2)]:
+            with pytest.raises(DomainError, match=rf"^n = {n} with s = {s} gives {n * s} entries, above {limit}"):
+                build_matrix(n, 4, s, 0)
+
+    def test_blocks_are_balanced(self):
+        """The bounds tile [0, count) in order, in the fewest blocks of at most _CHUNK_ENTRIES // per_item
+        items (one at least), with sizes that differ by at most one.  The weights include each one at
+        which the step changes for counts up to 200, and weights above _CHUNK_ENTRIES."""
+        chunk = tr._CHUNK_ENTRIES
+        steps = {chunk // k + d for k in range(1, 202) for d in (0, 1)}
+        for per_item in sorted({1, 2, 3, 100, *steps, chunk + 1, 2 * chunk}):
+            step = max(1, chunk // per_item)
+            for count in range(201):
+                bounds = list(tr._blocks(count, per_item))
+                assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds)][: len(bounds)]
+                assert (bounds[-1][1] if bounds else 0) == count
+                assert len(bounds) == -(-count // step)
+                sizes = [hi - lo for lo, hi in bounds]
+                assert not sizes or 1 <= min(sizes) <= max(sizes) <= min(sizes) + 1
+
 
 def probe_parts(**changes):
     """The fields of a valid n = 1, m = 4, s = 2 matrix, with ``changes`` applied."""
